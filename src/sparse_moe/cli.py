@@ -209,8 +209,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # SPARSE_MOE_THREADS caps worker counts; current build runs sequentially
-    # (results are index-ordered, so this is observationally identical).
+    # SPARSE_MOE_THREADS is validated only; nothing else reads it.
     threads = os.environ.get("SPARSE_MOE_THREADS")
     if threads is not None:
         try:

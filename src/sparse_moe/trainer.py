@@ -2,10 +2,12 @@
 
 Every M-step is an L1-constrained weighted least-squares problem built by
 inverting the softmax (fitting logits to log-targets) and handed to the
-projected-gradient engine in :mod:`sparse_moe.solver`.  The selector
-update runs first in each outer iteration with gate and expert weights
-frozen, then responsibilities are refreshed and the gate and expert
-subproblems are solved.
+batched, gap-certified FISTA engine in :mod:`sparse_moe.solver`: one call
+per expert covers its q class problems, and one call covers all k gate
+rows when the selector is all ones.  The selector update runs first in
+each outer iteration with gate and expert weights frozen, then
+responsibilities are refreshed and the gate and expert subproblems are
+solved.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import (
     MixtureModel,
     prepare_inputs,
 )
-from .solver import WlsProblem, enumerate_subsets, solve, unconstrained_wls
+from .solver import SolveReport, WlsProblem, enumerate_subsets, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -58,7 +60,8 @@ class FitReport:
     converged: bool
     sparsity: float
     selector_histogram: dict[int, int]
-    constrained_solves: int
+    constrained_solves: int  # gate and expert problems (columns, not calls)
+    solver_cap_hits: int  # solves, selector ones included, that reached MAX_ITERS uncertified
 
     def to_dict(self) -> dict:
         return {
@@ -69,6 +72,7 @@ class FitReport:
             "sparsity": self.sparsity,
             "selector_histogram": {str(k): v for k, v in self.selector_histogram.items()},
             "constrained_solves": self.constrained_solves,
+            "solver_cap_hits": self.solver_cap_hits,
         }
 
     def save(self, path) -> None:
@@ -76,6 +80,23 @@ class FitReport:
             json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n",
             encoding="utf-8",
         )
+
+
+@dataclass
+class SolveTally:
+    """Constrained problems solved (columns, not calls) and how many of
+    them stopped at the iteration cap without a certificate."""
+
+    problems: int = 0
+    cap_hits: int = 0
+
+    @classmethod
+    def of(cls, report: SolveReport) -> "SolveTally":
+        converged = np.atleast_1d(report.converged)
+        return cls(converged.size, int(np.count_nonzero(~converged)))
+
+    def __add__(self, other: "SolveTally") -> "SolveTally":
+        return SolveTally(self.problems + other.problems, self.cap_hits + other.cap_hits)
 
 
 # ---------------------------------------------------------------------------
@@ -140,54 +161,29 @@ def build_gate_targets(r, eps=GATE_TARGET_EPS):
 # M-steps
 
 
-def _feasible(v, radius, free_last=True, nonnegative=False):
-    from .solver import project_l1_ball
-
-    v = np.asarray(v, dtype=float).copy()
-    if free_last:
-        v[:-1] = project_l1_ball(v[:-1], radius, nonnegative)
-    else:
-        v = project_l1_ball(v, radius, nonnegative)
-    return v
-
-
-def _wls_objective(design, target, weights, z):
-    resid = design @ z - target
-    return float(weights @ resid**2)
-
-
-def _solve_guarded(problem: WlsProblem, warm):
-    """Solve with a warm start; never return worse than the warm start."""
-    report = solve(problem, warm_start=warm)
-    obj_warm = _wls_objective(problem.design, problem.target, problem.row_weights, warm)
-    if report.final_objective > obj_warm:
-        return warm, 1
-    return report.solution, 1
-
-
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     """Constrained WLS update of every (class, expert) weight vector.
 
+    The q class problems of an expert share its design and weights and
+    are solved in one batched call, warm-started from the incumbent.
     Experts with (near) zero responsibility mass keep their incumbent rows
     and are returned as flagged for reinitialization.
     """
     n, k = r.shape
-    q = targets.shape[1]
     dp = x_mat.shape[1]
     omega = incumbent.omega.copy()
     flagged = []
-    solves = 0
+    tally = SolveTally()
     for i in range(k):
         w = r[:, i]
         if w.sum() <= DEAD_EXPERT_FRACTION * n:
             flagged.append(i)
             continue
-        for l in range(q):
-            problem = WlsProblem(x_mat, targets[:, l], w, lambda_omega, free_coords=(dp - 1,))
-            warm = _feasible(omega[l, i], lambda_omega)
-            omega[l, i], used = _solve_guarded(problem, warm)
-            solves += used
-    return ExpertParams(omega), flagged, solves
+        problem = WlsProblem(x_mat, targets, w, lambda_omega, free_coords=(dp - 1,))
+        report = solve(problem, warm_start=omega[:, i])
+        omega[:, i] = report.solution
+        tally += SolveTally.of(report)
+    return ExpertParams(omega), flagged, tally
 
 
 def _unregularized_experts(r, x_mat, targets, incumbent: ExpertParams):
@@ -210,13 +206,20 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
     """Constrained LS fit of gated gate logits to log-responsibilities.
 
     Rows with mu == 0 contribute constant residuals and are dropped; a
-    gate selected by no instance keeps its incumbent row.
+    gate selected by no instance keeps its incumbent row.  With an
+    all-ones selector every row has the same design and unit weights, so
+    the k rows are solved in one batched call.
     """
     targets = build_gate_targets(r)
     k = incumbent.nu.shape[0]
     dp = x_mat.shape[1]
     nu = incumbent.nu.copy()
-    solves = 0
+    if np.all(mu == 1.0):
+        problem = WlsProblem(x_mat, targets, np.ones(x_mat.shape[0]), lambda_nu,
+                             free_coords=(dp - 1,))
+        report = solve(problem, warm_start=nu)
+        return GateParams(report.solution), SolveTally.of(report)
+    tally = SolveTally()
     for i in range(k):
         active = mu[:, i] != 0.0
         if not active.any():
@@ -224,10 +227,10 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
         design = mu[active, i, None] * x_mat[active]
         weights = np.ones(int(active.sum()))
         problem = WlsProblem(design, targets[active, i], weights, lambda_nu, free_coords=(dp - 1,))
-        warm = _feasible(nu[i], lambda_nu)
-        nu[i], used = _solve_guarded(problem, warm)
-        solves += used
-    return GateParams(nu), solves
+        report = solve(problem, warm_start=nu[i])
+        nu[i] = report.solution
+        tally += SolveTally.of(report)
+    return GateParams(nu), tally
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +314,15 @@ def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> E
 
 
 def _selector_norm1(nu, x_mat, r, lambda_mu, incumbent=None):
-    """Per-instance nonnegative L1-budgeted LS fit of log R to masked scores."""
+    """Per-instance nonnegative L1-budgeted LS fit of log R to masked scores.
+
+    Returns the selector and the tally of its solves.
+    """
     n, k = r.shape
     scores = x_mat @ nu.T
     targets = build_gate_targets(r)
     mu = np.zeros((n, k))
+    tally = SolveTally()
     for idx in range(n):
         s = scores[idx]
         if np.max(np.abs(s)) == 0.0:
@@ -324,9 +331,10 @@ def _selector_norm1(nu, x_mat, r, lambda_mu, incumbent=None):
             np.diag(s), targets[idx], np.ones(k), lambda_mu, nonnegative=True
         )
         warm = np.ones(k) if incumbent is None else incumbent[idx]
-        warm = _feasible(warm, lambda_mu, free_last=False, nonnegative=True)
-        mu[idx], _ = _solve_guarded(problem, warm)
-    return mu
+        report = solve(problem, warm_start=warm)
+        mu[idx] = report.solution
+        tally += SolveTally.of(report)
+    return mu, tally
 
 
 def m_step_selector_norm1(
@@ -335,7 +343,7 @@ def m_step_selector_norm1(
     if isinstance(r, Responsibilities):
         r = r.r
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    mu = _selector_norm1(model.gate.nu, x_mat, r, lambda_mu, incumbent)
+    mu, _ = _selector_norm1(model.gate.nu, x_mat, r, lambda_mu, incumbent)
     return ExpertSelector(mu, "l1")
 
 
@@ -389,7 +397,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     records = [_trace_record(0, nu, omega, mu, x_mat, labels, hyper.selector_mode)]
     prev_total = records[0].penalized_total
     converged = False
-    solves = 0
+    solves = SolveTally()  # gate and expert M-steps
+    selector_cap_hits = 0
     iterations_run = 0
 
     inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
@@ -399,7 +408,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             mu = _selector_norm0(nu, omega, x_mat, labels, int(hyper.lambda_mu))
         elif hyper.selector_mode == "l1" and k > 1:
             r_pre = _responsibilities(nu, omega, x_mat, labels, mu)
-            mu = _selector_norm1(nu, x_mat, r_pre, hyper.lambda_mu, incumbent=mu)
+            mu, selector = _selector_norm1(nu, x_mat, r_pre, hyper.lambda_mu, incumbent=mu)
+            selector_cap_hits += selector.cap_hits
 
         r = _responsibilities(nu, omega, x_mat, labels, mu)
         dead = np.flatnonzero(r.sum(axis=0) < DEAD_EXPERT_FRACTION * n)
@@ -465,7 +475,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         converged=converged,
         sparsity=sparsity,
         selector_histogram=histogram,
-        constrained_solves=solves,
+        constrained_solves=solves.problems,
+        solver_cap_hits=solves.cap_hits + selector_cap_hits,
     )
     return model, report
 
@@ -489,7 +500,7 @@ def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> d
         if model.hyper.lambda_mu is None:
             raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
         h = _gate_probs(model.gate.nu, x_mat, np.ones((n, model.k)))
-        mu = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
+        mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
     else:
         raise ConfigError(f"unknown selector policy {selector_policy!r}")
     h = _gate_probs(model.gate.nu, x_mat, mu)

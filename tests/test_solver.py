@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_l1, wls_objective
+from sparse_moe import solver
 from sparse_moe import (
     ConfigError,
     SolverError,
@@ -168,3 +169,103 @@ class TestEnumerateSubsets:
     def test_bad_budget(self):
         with pytest.raises(ConfigError):
             list(enumerate_subsets(3, 0))
+
+
+def ill_conditioned_face(eps):
+    """Two nearly collinear columns whose optimum lies inside the face
+    x1 + x2 = 1 of the unit ball, at (0.6, 0.4), with curvature eps^2 along
+    the face.  Returns the problem and its optimal objective."""
+    rng = np.random.default_rng(0)
+    m = 40
+    u = rng.normal(size=m)
+    v = rng.normal(size=m)
+    v -= (v @ u) / (u @ u) * u
+    a = np.column_stack([u, u + eps * v])
+    b = 5.0 * u + 0.4 * eps * v
+    return WlsProblem(a, b, np.ones(m), 1.0), 16.0 * (u @ u)
+
+
+class TestBatchedCertifiedSolve:
+    @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
+    def test_batched_columns_equal_single_solves(self, rng, free, nonneg):
+        m, p, r = 30, 4, 3
+        a = rng.normal(0, 1, (m, p))
+        if free:
+            a[:, 3] = 1.0
+        b = rng.normal(0, 3, (m, r))
+        w = rng.uniform(0.2, 2.0, m)
+        warm = rng.normal(0, 1, (r, p))
+        batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+        assert batched.solution.shape == (r, p)
+        assert batched.iterations > 0
+        for j in range(r):
+            single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg), warm_start=warm[j])
+            np.testing.assert_allclose(batched.solution[j], single.solution, rtol=0, atol=1e-12)
+            assert batched.converged[j] and single.converged
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_gap_is_recomputable_and_within_threshold(self, rng, nonneg):
+        a = rng.normal(0, 1, (12, 4))
+        b = rng.normal(0, 3, 12)
+        w = rng.uniform(0.5, 2.0, 12)
+        radius = 0.5
+        report = solve(WlsProblem(a, b, w, radius, nonnegative=nonneg))
+        assert report.iterations > 0 and report.converged
+        gram = (a * w[:, None]).T @ a
+        lin = a.T @ (w * b)
+        g = 2.0 * (gram @ report.solution - lin)
+        if nonneg:
+            gap = g @ report.solution + radius * max(0.0, -g.min())
+            origin_gap = 2.0 * radius * max(0.0, lin.max())
+        else:
+            gap = g @ report.solution + radius * np.abs(g).max()
+            origin_gap = 2.0 * radius * np.abs(lin).max()
+        # From a zero start the scale is the objective at the origin plus
+        # the gap there.
+        scale = w @ b**2 + origin_gap
+        assert report.gap == pytest.approx(gap, abs=1e-9 * scale)
+        assert report.gap <= solver.GAP_RTOL * scale
+
+    @pytest.mark.parametrize("eps", [0.03, 0.01])
+    def test_ill_conditioned_face_certifies_below_cap(self, eps):
+        # Plain projected gradient with step-size stopping ran into the
+        # 10,000-iteration cap on both instances.
+        problem, best = ill_conditioned_face(eps)
+        report = solve(problem)
+        assert report.converged
+        assert report.iterations < solver.MAX_ITERS
+        assert report.final_objective == pytest.approx(best, rel=1e-10)
+        assert np.abs(report.solution).sum() <= 1.0 + 1e-12
+
+    def test_cap_reported_as_not_converged(self, monkeypatch):
+        problem, _ = ill_conditioned_face(0.01)
+        monkeypatch.setattr(solver, "MAX_ITERS", 3)
+        report = solve(problem)
+        assert report.iterations == 3
+        assert not report.converged
+        assert report.gap > 0.0
+
+    def test_feasible_unconstrained_optimum_needs_no_iterations(self, rng):
+        a = np.column_stack([rng.normal(0, 1, (20, 3)), np.ones(20)])
+        b = rng.normal(0, 1, (20, 2))
+        w = rng.uniform(0.5, 2.0, 20)
+        report = solve(WlsProblem(a, b, w, 100.0, free_coords=(3,)),
+                       warm_start=rng.normal(0, 1, (2, 4)))
+        assert report.iterations == 0
+        assert np.all(report.converged)
+        for j in range(2):
+            np.testing.assert_allclose(report.solution[j], unconstrained_wls(a, b[:, j], w),
+                                       rtol=0, atol=1e-10)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda p: st.lists(st.lists(st.floats(-100, 100), min_size=p, max_size=p),
+                               min_size=1, max_size=5)),
+        st.floats(0.01, 10.0),
+        st.booleans(),
+    )
+    def test_rowwise_projection_equals_per_row_calls(self, rows, radius, nonneg):
+        v = np.array(rows)
+        expected = np.array([project_l1_ball(row, radius, nonneg) for row in v])
+        np.testing.assert_array_equal(project_l1_ball(v, radius, nonneg), expected)

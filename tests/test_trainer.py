@@ -447,3 +447,20 @@ class TestEvaluate:
         model = random_model(rng, k=2, q=2, dp=3)
         with pytest.raises(ConfigError):
             evaluate(model, two_class_dataset(rng, n=4), "oracle")
+
+
+class TestSolverCapHits:
+    def test_cap_hits_counted_and_serialized(self, monkeypatch):
+        from sparse_moe import solver
+
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=3))
+        hyper = Hyperparams(k=2, lambda_nu=0.5, lambda_omega=0.5, seed=1, max_iters=3,
+                            selector_mode="l1", lambda_mu=1.0)
+        _, clean = fit(ds, hyper)
+        assert clean.solver_cap_hits == 0
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        _, capped = fit(ds, hyper)
+        assert capped.solver_cap_hits > 0
+        assert capped.to_dict()["solver_cap_hits"] == capped.solver_cap_hits
+        # constrained_solves counts gate and expert problems, certified or not.
+        assert capped.constrained_solves == clean.constrained_solves == 3 * (2 + 2 * 2)
