@@ -130,7 +130,8 @@ def _policy_mu(model, x_mat, policy):
     if model.hyper.lambda_mu is None:
         raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
     h = _gate_probs(model.gate.nu, x_mat, np.ones((n, model.k)))
-    return _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
+    mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
+    return mu
 
 
 def cmd_predict(args) -> int:

@@ -30,8 +30,6 @@ MAX_ITERS = 10_000
 GAP_RTOL = 1e-10
 # Relative rounding error of a step's objective change, per coordinate.
 _ROUNDING = 4.0 * np.finfo(float).eps
-# FISTA momentum after c accepted steps since the last (re)start.
-_MOMENTUM = np.maximum(np.arange(MAX_ITERS + 1) - 1.0, 0.0) / (np.arange(MAX_ITERS + 1) + 2.0)
 
 
 @dataclass
@@ -106,13 +104,12 @@ def project_l1_ball(v, radius, nonnegative=False):
     if not radius > 0:
         raise ConfigError("radius must be positive")
     v = np.asarray(v, dtype=float)
-    if nonnegative:
-        v = np.maximum(v, 0.0)
-    mag = np.abs(v)
+    mag = np.maximum(v, 0.0) if nonnegative else np.abs(v)
     u = np.sort(mag, axis=-1)[..., ::-1]
     ranks = np.arange(1, v.shape[-1] + 1)
     theta = ((np.cumsum(u, axis=-1) - radius) / ranks).max(axis=-1, keepdims=True, initial=0.0)
-    return np.sign(v) * np.maximum(mag - theta, 0.0)
+    shrunk = np.maximum(mag - theta, 0.0)
+    return shrunk if nonnegative else np.sign(v) * shrunk
 
 
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
@@ -251,7 +248,8 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
         accepted = np.zeros(cols.size, dtype=int)
     while cols.size and iterations < MAX_ITERS:
         iterations += 1
-        beta = _MOMENTUM[accepted][:, None]
+        # FISTA momentum after c accepted steps since the last (re)start.
+        beta = (np.maximum(accepted - 1, 0) / (accepted + 2.0))[:, None]
         y = xw + beta * (xw - xw_prev)
         z = project_l1_ball(_rowwise(y, descent) + dw_step, radius, nonneg)
         hg_z = _rowwise(z, schur) - dw
@@ -263,23 +261,24 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
         # objective, and a test at rounding level would stall it.
         both = hg_z + hgw
         rise = ((z - xw) * both).sum(axis=1)
-        size = np.abs(z).sum(axis=1) + np.abs(xw).sum(axis=1)
-        noise = rounding * size * np.abs(both).max(axis=1)
-        keep = (accepted <= 1) | (rise <= noise)
+        keep = (accepted <= 1) | (rise <= 0.0)
         xw_prev = xw
         if keep.all():
             xw, hgw = z, hg_z
             accepted = accepted + 1
         else:
+            size = np.abs(z).sum(axis=1) + np.abs(xw).sum(axis=1)
+            keep |= rise <= rounding * size * np.abs(both).max(axis=1)
             xw = np.where(keep[:, None], z, xw)
             hgw = np.where(keep[:, None], hg_z, hgw)
             accepted = np.where(keep, accepted + 1, 0)
         done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radius, nonneg) <= tolw
-        if collect_trace or done.any() or iterations == MAX_ITERS:
+        any_done = done.any()
+        if collect_trace or any_done or iterations == MAX_ITERS:
             x[cols] = xw
         if collect_trace:
             trace.append(evaluate(x)[0])
-        if done.any():
+        if any_done:
             go = ~done
             cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
             accepted, tolw, dw, dw_step = accepted[go], tolw[go], dw[go], dw_step[go]

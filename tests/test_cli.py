@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sparse_moe import expert_forward, load_dataset, load_model
+from sparse_moe import evaluate, expert_forward, load_dataset, load_model
 from sparse_moe.cli import main
-from sparse_moe.model import prepare_inputs
+from sparse_moe.model import PROB_FLOOR, prepare_inputs
 
 
 @pytest.fixture
@@ -111,6 +111,23 @@ class TestPredict:
         first = [float(v) for v in out.read_text().splitlines()[0].split()[1:]]
         ref = expert_forward(model.experts, 0, x[0])
         np.testing.assert_allclose(first, ref, atol=1e-8)
+
+    def test_gate_surrogate_matches_evaluate(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out, selector="l1", lambda_mu=1.5)) == 0
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
+                     "--out", str(out), "--selector-policy", "gate-surrogate"]) == 0
+        model = load_model(model_out)
+        ds = load_dataset(xor_file)
+        probs = np.array([[float(v) for v in line.split()[1:]]
+                          for line in out.read_text().splitlines()])
+        assert probs.shape == (ds.n, ds.q)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        ref = evaluate(model, ds, "gate-surrogate")
+        assert (probs.argmax(axis=1) == ds.labels).mean() == ref["accuracy"]
+        nll = -np.log(np.maximum(probs[np.arange(ds.n), ds.labels], PROB_FLOOR)).mean()
+        assert nll == pytest.approx(ref["nll"], rel=1e-7)
 
     def test_shape_mismatch_exit_3(self, xor_file, tmp_path, capsys):
         model_out = tmp_path / "m.json"
