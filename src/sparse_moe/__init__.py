@@ -59,6 +59,7 @@ from .trainer import (
     m_step_gate,
     m_step_selector_norm0,
     m_step_selector_norm1,
+    predict_proba_batch,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,42 +11,21 @@ penalty multipliers.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    PRESETS,
-    generate_synthetic,
-    load_dataset,
-    preset_spec,
-    save_dataset,
-)
+from .data import generate_synthetic, load_dataset, preset_spec, save_dataset
 from .errors import ConfigError, DataError, DimensionError, SolverError, TrainingError
 from .model import Hyperparams, load_model, save_model
-from .trainer import _expert_class_probs, _gate_probs, _selector_norm1, evaluate, fit
-from .model import prepare_inputs
+from .trainer import evaluate, fit, predict_proba_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-@dataclass
-class RunConfig:
-    """Flat bag of per-command options resolved from the parsed flags."""
-
-    data: str | None = None
-    model_in: str | None = None
-    model_out: str | None = None
-    report_out: str | None = None
-    out: str | None = None
-    selector_policy: str = "ones"
-    threshold: float = 1e-6
-    hyper: Hyperparams | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,17 +102,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _policy_mu(model, x_mat, policy):
-    n = x_mat.shape[0]
-    if policy == "ones":
-        return np.ones((n, model.k))
-    if model.hyper.lambda_mu is None:
-        raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
-    h = _gate_probs(model.gate.nu, x_mat, np.ones((n, model.k)))
-    mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
-    return mu
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.data)
@@ -141,11 +109,7 @@ def cmd_predict(args) -> int:
         raise DataError(
             f"model expects d={model.d}, q={model.q}; data has d={dataset.d}, q={dataset.q}"
         )
-    x_mat = prepare_inputs(dataset.features, model.scaler)
-    mu = _policy_mu(model, x_mat, args.selector_policy)
-    h = _gate_probs(model.gate.nu, x_mat, mu)
-    full = _expert_class_probs(model.experts.omega, x_mat)
-    probs = np.einsum("nqk,nk->nq", full, h)
+    probs = predict_proba_batch(model, dataset.features, args.selector_policy)
     lines = []
     for row in probs:
         label = dataset.label_names[int(np.argmax(row))]
@@ -184,8 +148,6 @@ def cmd_inspect(args) -> int:
     )
     print(f"sparsity={float(np.mean(weights < thr)):.6f}")
     if args.report:
-        import json
-
         doc = json.loads(open(args.report, encoding="utf-8").read())
         hist = doc.get("selector_histogram", {})
         parts = " ".join(f"{k}:{v}" for k, v in sorted(hist.items()))
@@ -229,7 +191,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, DimensionError, FileNotFoundError, ValueError) as exc:
+    except (DataError, DimensionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, SolverError, FloatingPointError) as exc:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Scaler
-from .errors import ConfigError, DimensionError
+from .data import Scaler
+from .errors import ConfigError, DataError, DimensionError
 
 PROB_FLOOR = 1e-12
 SELECTOR_MODES = ("none", "l0", "l1")
@@ -148,12 +148,6 @@ class MixtureModel:
         return self.gate.nu.shape[1] - 1
 
 
-def _softmax(logits):
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def prepare_inputs(features, scaler: Scaler):
     """Standardize raw features and append the constant-1 bias column."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -165,39 +159,72 @@ def prepare_inputs(features, scaler: Scaler):
     return np.hstack([z, np.ones((x.shape[0], 1))])
 
 
+# ---------------------------------------------------------------------------
+# the forward kernel, on prepared rows (standardized, bias appended)
+#
+# Logits come from one matrix product and are laid out class-major, (k, n)
+# for the gate and (q, k, n) for the experts, so that each softmax reduces
+# over the leading axis; the results are returned as (n, k) and (n, q, k)
+# views of that memory.
+
+
+def _softmax(logits):
+    """Softmax over the leading axis."""
+    e = np.exp(logits - logits.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+def gate_probs(nu, x_mat, mu):
+    """Gated gate probabilities p(m_i | x_n), softmax over i of
+    mu_ni * (nu_i . x_n), as an (n, k) array."""
+    return _softmax((nu @ x_mat.T) * mu.T).T
+
+
+def expert_class_probs(omega, x_mat):
+    """Class probabilities p(y = c_l | x_n, m_i) as an (n, q, k) array."""
+    q, k, dp = omega.shape
+    logits = (omega.reshape(q * k, dp) @ x_mat.T).reshape(q, k, -1)
+    return _softmax(logits).transpose(2, 0, 1)
+
+
+def mixture_probs(model: MixtureModel, x_mat, mu):
+    """Mixture class probabilities sum_i p(m_i | x_n) p(y | x_n, m_i), (n, q)."""
+    h = gate_probs(model.gate.nu, x_mat, mu).T  # (k, n)
+    experts = expert_class_probs(model.experts.omega, x_mat).transpose(1, 2, 0)  # (q, k, n)
+    probs = experts[:, 0] * h[0]
+    for i in range(1, model.k):
+        probs += experts[:, i] * h[i]
+    return probs.T
+
+
+def _one_row(v, length, what):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise DimensionError(f"expected {what} of length {length}, got {v.shape}")
+    return v[None]
+
+
 def gate_forward(gate: GateParams, x, mu_row):
-    """Gated gate probabilities p(m_i | x): softmax of mu_i * (nu_i . x)."""
-    x = np.asarray(x, dtype=float)
-    mu_row = np.asarray(mu_row, dtype=float)
+    """Gated gate probabilities p(m_i | x) of one prepared input."""
     k, dp = gate.nu.shape
-    if x.shape != (dp,):
-        raise DimensionError(f"expected input of length {dp}, got {x.shape}")
-    if mu_row.shape != (k,):
-        raise DimensionError(f"expected selector row of length {k}, got {mu_row.shape}")
-    return _softmax(mu_row * (gate.nu @ x))
+    return gate_probs(gate.nu, _one_row(x, dp, "input"), _one_row(mu_row, k, "selector row"))[0]
 
 
 def expert_forward(experts: ExpertParams, i, x):
-    """Class probabilities p(y | x, m_i) of expert i."""
+    """Class probabilities p(y | x, m_i) of expert i on one prepared input."""
     q, k, dp = experts.omega.shape
     if not 0 <= i < k:
         raise IndexError(f"expert index {i} out of range for k={k}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dp,):
-        raise DimensionError(f"expected input of length {dp}, got {x.shape}")
-    return _softmax(experts.omega[:, i, :] @ x)
+    # Expert i alone is a k = 1 mixture, so its logits round as that one's do.
+    return expert_class_probs(experts.omega[:, i : i + 1], _one_row(x, dp, "input"))[0, :, 0]
 
 
 def predict_proba(model: MixtureModel, x, mu_row=None):
-    """Mixture class probabilities for one raw D-vector."""
-    xb = prepare_inputs(np.asarray(x, dtype=float).reshape(1, -1), model.scaler)[0]
-    if mu_row is None:
-        mu_row = np.ones(model.k)
-    h = gate_forward(model.gate, xb, mu_row)
-    experts = np.column_stack(
-        [expert_forward(model.experts, i, xb) for i in range(model.k)]
-    )
-    return experts @ h
+    """Mixture class probabilities for one raw D-vector: a one-row call of
+    the batched forward kernel."""
+    xb = prepare_inputs(np.asarray(x, dtype=float).reshape(1, -1), model.scaler)
+    mu = np.ones((1, model.k)) if mu_row is None else _one_row(mu_row, model.k, "selector row")
+    return mixture_probs(model, xb, mu)[0]
 
 
 def predict_label(model: MixtureModel, x, mu_row=None) -> int:
@@ -225,21 +252,28 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
+    if not isinstance(doc, dict):
+        raise DataError("a model file must hold a JSON object")
     if doc.get("format_version") != 1:
         raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
-    hyper = Hyperparams(
-        k=int(doc["k"]),
-        lambda_nu=float(doc["lambda_nu"]),
-        lambda_omega=float(doc["lambda_omega"]),
-        lambda_mu=None if doc["lambda_mu"] is None else float(doc["lambda_mu"]),
-        selector_mode=doc["selector_mode"],
-    )
-    return MixtureModel(
-        gate=GateParams(np.array(doc["nu"], dtype=float)),
-        experts=ExpertParams(np.array(doc["omega"], dtype=float)),
-        hyper=hyper,
-        scaler=Scaler(np.array(doc["scaler"]["mean"]), np.array(doc["scaler"]["std"])),
-    )
+    try:
+        hyper = Hyperparams(
+            k=int(doc["k"]),
+            lambda_nu=float(doc["lambda_nu"]),
+            lambda_omega=float(doc["lambda_omega"]),
+            lambda_mu=None if doc["lambda_mu"] is None else float(doc["lambda_mu"]),
+            selector_mode=doc["selector_mode"],
+        )
+        return MixtureModel(
+            gate=GateParams(np.array(doc["nu"], dtype=float)),
+            experts=ExpertParams(np.array(doc["omega"], dtype=float)),
+            hyper=hyper,
+            scaler=Scaler(np.array(doc["scaler"]["mean"]), np.array(doc["scaler"]["std"])),
+        )
+    except KeyError as exc:
+        raise DataError(f"model file lacks the field {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"malformed model file: {exc}") from exc
 
 
 def save_model(model: MixtureModel, path) -> None:

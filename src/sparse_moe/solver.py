@@ -115,19 +115,21 @@ def project_l1_ball(v, radius, nonnegative=False):
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
     """Ridge-stabilized weighted least squares via the normal equations.
 
-    Solves (A'WA + ridge*I) z = A'Wb with a dense factorization.
+    Solves (A'WA + ridge*I) z = A'Wb with a dense factorization.  A
+    ``(m,)`` target gives a ``(p,)`` solution; an ``(m, r)`` target gives
+    the ``(r, p)`` solutions of its columns, which share one factorization.
     """
     a = np.atleast_2d(np.asarray(design, dtype=float))
-    b = np.asarray(target, dtype=float).ravel()
+    b = np.asarray(target, dtype=float)
     w = np.asarray(row_weights, dtype=float).ravel()
     if ridge < 0:
         raise ConfigError("ridge must be nonnegative")
-    gram = (a * w[:, None]).T @ a
+    aw = a * w[:, None]
+    gram = aw.T @ a
     if ridge > 0:
         gram = gram + ridge * np.eye(a.shape[1])
-    rhs = a.T @ (w * b)
     try:
-        return np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, aw.T @ b).T
     except np.linalg.LinAlgError as exc:
         raise SolverError("normal equations numerically singular") from exc
 

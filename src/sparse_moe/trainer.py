@@ -8,12 +8,18 @@ rows when the selector is all ones.  The selector update runs first in
 each outer iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
 solved.
+
+The forward pass (the kernel in :mod:`sparse_moe.model`) runs once per EM
+iteration: the pass that scores an iteration's objective also gives the
+next iteration's responsibilities, and a selector update recomputes only
+the gate probabilities, since the experts' label likelihoods do not
+depend on the selector.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,10 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    expert_class_probs,
+    gate_forward,
+    gate_probs,
+    mixture_probs,
     prepare_inputs,
 )
 from .solver import SolveReport, WlsProblem, enumerate_subsets, solve, unconstrained_wls
@@ -100,33 +110,16 @@ class SolveTally:
 
 
 # ---------------------------------------------------------------------------
-# vectorized forward pieces on prepared inputs (standardized, bias appended)
-
-
-def _gate_probs(nu, x_mat, mu):
-    logits = mu * (x_mat @ nu.T)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _expert_class_probs(omega, x_mat):
-    """p(y=c_l | x_n, m_i) as an (n, q, k) tensor."""
-    logits = np.einsum("nd,qkd->nqk", x_mat, omega)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+# E-step on prepared inputs (standardized, bias appended)
 
 
 def _label_probs(omega, x_mat, labels):
     """p(y_n | x_n, m_i) as an (n, k) matrix."""
-    full = _expert_class_probs(omega, x_mat)
-    return full[np.arange(x_mat.shape[0]), labels, :]
+    return expert_class_probs(omega, x_mat)[np.arange(x_mat.shape[0]), labels]
 
 
-def _responsibilities(nu, omega, x_mat, labels, mu) -> np.ndarray:
-    g = _label_probs(omega, x_mat, labels)
-    h = _gate_probs(nu, x_mat, mu)
+def _posterior(g, h) -> np.ndarray:
+    """Responsibilities from label likelihoods g and gate probabilities h."""
     joint = np.maximum(g * h, PROB_FLOOR)
     return joint / joint.sum(axis=1, keepdims=True)
 
@@ -134,8 +127,8 @@ def _responsibilities(nu, omega, x_mat, labels, mu) -> np.ndarray:
 def e_step(model: MixtureModel, dataset: Dataset, selector: ExpertSelector) -> Responsibilities:
     """Posterior responsibility of each expert for each instance."""
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    r = _responsibilities(model.gate.nu, model.experts.omega, x_mat, dataset.labels, selector.mu)
-    return Responsibilities(r)
+    g = _label_probs(model.experts.omega, x_mat, dataset.labels)
+    return Responsibilities(_posterior(g, gate_probs(model.gate.nu, x_mat, selector.mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +155,15 @@ def build_gate_targets(r, eps=GATE_TARGET_EPS):
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
-    """Constrained WLS update of every (class, expert) weight vector.
+    """WLS update of every (class, expert) weight vector.
 
     The q class problems of an expert share its design and weights and
-    are solved in one batched call, warm-started from the incumbent.
-    Experts with (near) zero responsibility mass keep their incumbent rows
-    and are returned as flagged for reinitialization.
+    are solved in one batched call: constrained to the L1 ball of radius
+    ``lambda_omega`` and warm-started from the incumbent, or, when
+    ``lambda_omega`` is None (the fast schedule's inner iterations),
+    unconstrained with a small ridge.  Experts with (near) zero
+    responsibility mass keep their incumbent rows and are returned as
+    flagged for reinitialization.
     """
     n, k = r.shape
     dp = x_mat.shape[1]
@@ -178,28 +174,14 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
         w = r[:, i]
         if w.sum() <= DEAD_EXPERT_FRACTION * n:
             flagged.append(i)
-            continue
-        problem = WlsProblem(x_mat, targets, w, lambda_omega, free_coords=(dp - 1,))
-        report = solve(problem, warm_start=omega[:, i])
-        omega[:, i] = report.solution
-        tally += SolveTally.of(report)
+        elif lambda_omega is None:
+            omega[:, i] = unconstrained_wls(x_mat, targets, w, ridge=RIDGE)
+        else:
+            problem = WlsProblem(x_mat, targets, w, lambda_omega, free_coords=(dp - 1,))
+            report = solve(problem, warm_start=omega[:, i])
+            omega[:, i] = report.solution
+            tally += SolveTally.of(report)
     return ExpertParams(omega), flagged, tally
-
-
-def _unregularized_experts(r, x_mat, targets, incumbent: ExpertParams):
-    """Plain ridge-stabilized WLS expert update (fast-schedule inner iterations)."""
-    n, k = r.shape
-    q = targets.shape[1]
-    omega = incumbent.omega.copy()
-    flagged = []
-    for i in range(k):
-        w = r[:, i]
-        if w.sum() <= DEAD_EXPERT_FRACTION * n:
-            flagged.append(i)
-            continue
-        for l in range(q):
-            omega[l, i] = unconstrained_wls(x_mat, targets[:, l], w, ridge=RIDGE)
-    return ExpertParams(omega), flagged
 
 
 def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
@@ -237,35 +219,31 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
 # single-instance loss and analytic gradients (finite-difference checkable)
 
 
+def _instance_pieces(model: MixtureModel, mu_row, x, y):
+    """Gate probabilities h, responsibilities r and the mixture likelihood
+    of label y for one prepared instance x."""
+    h = gate_forward(model.gate, x, mu_row)
+    g = expert_class_probs(model.experts.omega, np.asarray(x, dtype=float)[None])[0, y]
+    likelihood = g @ h
+    return h, g * h / likelihood, likelihood
+
+
 def instance_loss(model: MixtureModel, mu_row, x, y) -> float:
     """Negative log mixture likelihood of one prepared instance."""
-    from .model import expert_forward, gate_forward
-
-    h = gate_forward(model.gate, x, mu_row)
-    g = np.array([expert_forward(model.experts, i, x)[y] for i in range(model.k)])
-    return float(-np.log(g @ h))
-
-
-def _instance_pieces(model, mu_row, x, y):
-    from .model import expert_forward, gate_forward
-
-    h = gate_forward(model.gate, x, mu_row)
-    g = np.array([expert_forward(model.experts, i, x)[y] for i in range(model.k)])
-    r = g * h / (g @ h)
-    return h, r
+    return float(-np.log(_instance_pieces(model, mu_row, x, y)[2]))
 
 
 def analytic_gate_gradient(model: MixtureModel, mu_row, x, y, i):
     """Gradient of the single-instance loss with respect to gate row i."""
     x = np.asarray(x, dtype=float)
-    h, r = _instance_pieces(model, mu_row, x, y)
+    h, r, _ = _instance_pieces(model, mu_row, x, y)
     return (h[i] - r[i]) * mu_row[i] * x
 
 
 def analytic_selector_gradient(model: MixtureModel, mu_row, x, y, i) -> float:
     """Gradient of the single-instance loss with respect to selector entry i."""
     x = np.asarray(x, dtype=float)
-    h, r = _instance_pieces(model, mu_row, x, y)
+    h, r, _ = _instance_pieces(model, mu_row, x, y)
     return float((h[i] - r[i]) * (model.gate.nu[i] @ x))
 
 
@@ -273,8 +251,9 @@ def analytic_selector_gradient(model: MixtureModel, mu_row, x, y, i) -> float:
 # selector M-steps
 
 
-def _selector_norm0(nu, omega, x_mat, labels, budget):
-    """Per-instance exhaustive search over expert subsets of size 1..budget.
+def _selector_norm0(nu, g, x_mat, budget):
+    """Per-instance exhaustive search over expert subsets of size 1..budget,
+    given the label likelihoods g (n, k), which do not depend on mu.
 
     Ties break toward the lexicographically smallest subset tuple.
     """
@@ -284,7 +263,6 @@ def _selector_norm0(nu, omega, x_mat, labels, budget):
     indicators = np.zeros((len(subsets), k))
     for s, sub in enumerate(subsets):
         indicators[s, list(sub)] = 1.0
-    g = _label_probs(omega, x_mat, labels)  # (n, k), independent of mu
     scores = x_mat @ nu.T  # (n, k)
     mu = np.zeros((n, k))
     for idx in range(n):
@@ -309,7 +287,8 @@ def _selector_norm0(nu, omega, x_mat, labels, budget):
 def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> ExpertSelector:
     budget = int(lambda_mu)
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    mu = _selector_norm0(model.gate.nu, model.experts.omega, x_mat, dataset.labels, budget)
+    g = _label_probs(model.experts.omega, x_mat, dataset.labels)
+    mu = _selector_norm0(model.gate.nu, g, x_mat, budget)
     return ExpertSelector(mu, "l0")
 
 
@@ -351,17 +330,18 @@ def m_step_selector_norm1(
 # objective bookkeeping
 
 
-def _trace_record(iteration, nu, omega, mu, x_mat, labels, selector_mode) -> TraceRecord:
-    g = _label_probs(omega, x_mat, labels)
-    h = _gate_probs(nu, x_mat, mu)
-    r = _responsibilities(nu, omega, x_mat, labels, mu)
+def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
+    """The objective at (nu, omega, mu), from its forward pass: label
+    likelihoods g and gate probabilities h.  Returns the record and the
+    responsibilities r, which the next E-step reuses."""
+    r = _posterior(g, h)
     ll = float(
         np.sum(r * (np.log(np.maximum(g, PROB_FLOOR)) + np.log(np.maximum(h, PROB_FLOOR))))
     )
     pen_nu = float(np.abs(nu[:, :-1]).sum())
     pen_omega = float(np.abs(omega[:, :, :-1]).sum())
     pen_mu = 0.0 if selector_mode == "none" else float(np.abs(mu).sum())
-    return TraceRecord(
+    record = TraceRecord(
         iteration=iteration,
         expected_complete_ll=ll,
         l1_penalty_nu=pen_nu,
@@ -369,6 +349,9 @@ def _trace_record(iteration, nu, omega, mu, x_mat, labels, selector_mode) -> Tra
         selector_penalty=pen_mu,
         penalized_total=ll - pen_nu - pen_omega - pen_mu,
     )
+    if not np.isfinite(record.penalized_total):
+        raise TrainingError(f"non-finite objective at iteration {iteration}")
+    return record, r
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +377,16 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         nu[i] = rng.normal(0.0, 0.01, dp)
         omega[:, i, :] = rng.normal(0.0, 0.01, (q, dp))
 
-    records = [_trace_record(0, nu, omega, mu, x_mat, labels, hyper.selector_mode)]
-    prev_total = records[0].penalized_total
+    def forward():
+        """Label likelihoods g and gate probabilities h at the current weights."""
+        return _label_probs(omega, x_mat, labels), gate_probs(nu, x_mat, mu)
+
+    # g, h and r always belong to the current (nu, omega, mu): each trace
+    # record's forward pass serves the next iteration's E-step.
+    g, h = forward()
+    record, r = _trace_record(0, g, h, nu, omega, mu, hyper.selector_mode)
+    records = [record]
+    prev_total = record.penalized_total
     converged = False
     solves = SolveTally()  # gate and expert M-steps
     selector_cap_hits = 0
@@ -404,41 +395,40 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
     for t in range(1, inner_iters + 1):
         iterations_run = t
-        if hyper.selector_mode == "l0" and k > 1:
-            mu = _selector_norm0(nu, omega, x_mat, labels, int(hyper.lambda_mu))
-        elif hyper.selector_mode == "l1" and k > 1:
-            r_pre = _responsibilities(nu, omega, x_mat, labels, mu)
-            mu, selector = _selector_norm1(nu, x_mat, r_pre, hyper.lambda_mu, incumbent=mu)
-            selector_cap_hits += selector.cap_hits
+        if hyper.selector_mode != "none" and k > 1:
+            if hyper.selector_mode == "l0":
+                mu = _selector_norm0(nu, g, x_mat, int(hyper.lambda_mu))
+            else:
+                mu, selector = _selector_norm1(nu, x_mat, r, hyper.lambda_mu, incumbent=mu)
+                selector_cap_hits += selector.cap_hits
+            # g depends on omega alone; only the gate sees the new selector.
+            h = gate_probs(nu, x_mat, mu)
+            r = _posterior(g, h)
 
-        r = _responsibilities(nu, omega, x_mat, labels, mu)
         dead = np.flatnonzero(r.sum(axis=0) < DEAD_EXPERT_FRACTION * n)
         if dead.size:
             for i in dead:
                 reinit_expert(i)
-            r = _responsibilities(nu, omega, x_mat, labels, mu)
+            g, h = forward()
+            r = _posterior(g, h)
 
         if k > 1:
             gate, used = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu))
             nu = gate.nu
             solves += used
 
-        if hyper.schedule == "full":
-            experts, flagged, used = m_step_experts(
-                r, x_mat, expert_targets, hyper.lambda_omega, ExpertParams(omega)
-            )
-            solves += used
-        else:
-            experts, flagged = _unregularized_experts(
-                r, x_mat, expert_targets, ExpertParams(omega)
-            )
+        # The fast schedule leaves the experts unconstrained until its final pass.
+        radius = hyper.lambda_omega if hyper.schedule == "full" else None
+        experts, flagged, used = m_step_experts(
+            r, x_mat, expert_targets, radius, ExpertParams(omega)
+        )
         omega = experts.omega
+        solves += used
         for i in flagged:
             reinit_expert(i)
 
-        rec = _trace_record(t, nu, omega, mu, x_mat, labels, hyper.selector_mode)
-        if not np.isfinite(rec.penalized_total):
-            raise TrainingError(f"non-finite objective at iteration {t}")
+        g, h = forward()
+        rec, r = _trace_record(t, g, h, nu, omega, mu, hyper.selector_mode)
         records.append(rec)
         if abs(rec.penalized_total - prev_total) / (1.0 + abs(rec.penalized_total)) < hyper.tol:
             converged = True
@@ -448,19 +438,14 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 
     if hyper.schedule == "fast":
         # Final pass: the constrained expert problems are solved exactly once.
-        r = _responsibilities(nu, omega, x_mat, labels, mu)
         experts, flagged, used = m_step_experts(
             r, x_mat, expert_targets, hyper.lambda_omega, ExpertParams(omega)
         )
         omega = experts.omega
         solves += used
         iterations_run += 1
-        rec = _trace_record(
-            iterations_run, nu, omega, mu, x_mat, labels, hyper.selector_mode
-        )
-        if not np.isfinite(rec.penalized_total):
-            raise TrainingError(f"non-finite objective at iteration {iterations_run}")
-        records.append(rec)
+        g, h = forward()
+        records.append(_trace_record(iterations_run, g, h, nu, omega, mu, hyper.selector_mode)[0])
 
     model = MixtureModel(GateParams(nu), ExpertParams(omega), hyper, scaler)
     weights = np.concatenate(
@@ -485,29 +470,37 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 # evaluation
 
 
-def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> dict:
-    """Accuracy and mean negative log-likelihood under a test-time selector policy.
+def _policy_mu(model: MixtureModel, x_mat, policy):
+    """Test-time selector of prepared rows under a selector policy.
 
     'ones' uses the plain mixture.  'gate-surrogate' builds provisional
     responsibilities from the unmasked gate (labels are unavailable at
     test time) and solves the relaxed selector problem per instance.
     """
-    x_mat = prepare_inputs(dataset.features, model.scaler)
-    n = x_mat.shape[0]
-    if selector_policy == "ones":
-        mu = np.ones((n, model.k))
-    elif selector_policy == "gate-surrogate":
-        if model.hyper.lambda_mu is None:
-            raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
-        h = _gate_probs(model.gate.nu, x_mat, np.ones((n, model.k)))
-        mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
-    else:
-        raise ConfigError(f"unknown selector policy {selector_policy!r}")
-    h = _gate_probs(model.gate.nu, x_mat, mu)
-    full = _expert_class_probs(model.experts.omega, x_mat)  # (n, q, k)
-    probs = np.einsum("nqk,nk->nq", full, h)
-    preds = probs.argmax(axis=1)
-    accuracy = float((preds == dataset.labels).mean())
-    true_p = np.maximum(probs[np.arange(n), dataset.labels], PROB_FLOOR)
+    ones = np.ones((x_mat.shape[0], model.k))
+    if policy == "ones":
+        return ones
+    if policy != "gate-surrogate":
+        raise ConfigError(f"unknown selector policy {policy!r}")
+    if model.hyper.lambda_mu is None:
+        raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
+    h = gate_probs(model.gate.nu, x_mat, ones)
+    mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
+    return mu
+
+
+def predict_proba_batch(model: MixtureModel, features, policy="ones"):
+    """Mixture class probabilities (n, q) of raw feature rows under a
+    test-time selector policy ('ones' or 'gate-surrogate')."""
+    x_mat = prepare_inputs(features, model.scaler)
+    return mixture_probs(model, x_mat, _policy_mu(model, x_mat, policy))
+
+
+def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> dict:
+    """Accuracy and mean negative log-likelihood under a test-time selector
+    policy (see :func:`predict_proba_batch`)."""
+    probs = predict_proba_batch(model, dataset.features, selector_policy)
+    accuracy = float((probs.argmax(axis=1) == dataset.labels).mean())
+    true_p = np.maximum(probs[np.arange(dataset.n), dataset.labels], PROB_FLOOR)
     nll = float(-np.log(true_p).mean())
     return {"accuracy": accuracy, "nll": nll}

@@ -60,6 +60,10 @@ class TestTrain:
     def test_missing_data_file_exit_3(self, tmp_path, capsys):
         assert main(train_args(tmp_path / "nope.csv", tmp_path / "m.json")) == 3
 
+    def test_data_directory_exit_3(self, tmp_path, capsys):
+        assert main(train_args(tmp_path, tmp_path / "m.json")) == 3
+        assert "error" in capsys.readouterr().err
+
     def test_bad_hyper_exit_2(self, xor_file, tmp_path, capsys):
         args = train_args(xor_file, tmp_path / "m.json", selector="l0")
         assert main(args) == 2  # l0 without --lambda-mu
@@ -128,6 +132,39 @@ class TestPredict:
         assert (probs.argmax(axis=1) == ds.labels).mean() == ref["accuracy"]
         nll = -np.log(np.maximum(probs[np.arange(ds.n), ds.labels], PROB_FLOOR)).mean()
         assert nll == pytest.approx(ref["nll"], rel=1e-7)
+
+    def test_probabilities_match_predict_proba_batch(self, xor_file, tmp_path, capsys):
+        from sparse_moe import predict_proba_batch
+
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out, selector="l1", lambda_mu=1.5)) == 0
+        model = load_model(model_out)
+        ds = load_dataset(xor_file)
+        for policy in ("ones", "gate-surrogate"):
+            out = tmp_path / f"pred-{policy}.txt"
+            assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
+                         "--out", str(out), "--selector-policy", policy]) == 0
+            lines = out.read_text().splitlines()
+            printed = np.array([[float(v) for v in line.split()[1:]] for line in lines])
+            ref = predict_proba_batch(model, ds.features, policy)
+            # 9 significant digits are printed
+            np.testing.assert_allclose(printed, ref, rtol=1e-8, atol=0)
+            assert [line.split()[0] for line in lines] == [
+                ds.label_names[c] for c in ref.argmax(axis=1)]
+
+    @pytest.mark.parametrize("corrupt", ["missing-key", "not-an-object"])
+    def test_malformed_model_exit_3(self, xor_file, tmp_path, capsys, corrupt):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        doc = json.loads(model_out.read_text())
+        if corrupt == "missing-key":
+            del doc["nu"]
+        else:
+            doc = [doc]
+        model_out.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
+                     "--out", str(tmp_path / "p.txt")]) == 3
+        assert "error" in capsys.readouterr().err
 
     def test_shape_mismatch_exit_3(self, xor_file, tmp_path, capsys):
         model_out = tmp_path / "m.json"

@@ -90,6 +90,17 @@ class TestUnconstrainedWls:
         with pytest.raises(SolverError):
             unconstrained_wls(a, np.array([1.0, 2.0]), np.ones(2))
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
+    def test_matrix_target_matches_column_calls(self, rng, ridge):
+        a = np.column_stack([rng.normal(0, 1, (40, 5)), np.ones(40)])
+        b = rng.normal(0, 1, (40, 3))
+        w = rng.uniform(0.1, 2.0, 40)
+        z = unconstrained_wls(a, b, w, ridge=ridge)
+        assert z.shape == (3, 6)
+        for j in range(3):
+            np.testing.assert_allclose(z[j], unconstrained_wls(a, b[:, j], w, ridge=ridge),
+                                       rtol=0, atol=1e-12)
+
 
 class TestSolve:
     def test_inactive_constraint_matches_normal_equations(self, rng):

@@ -27,11 +27,13 @@ from sparse_moe import (
     m_step_gate,
     m_step_selector_norm0,
     m_step_selector_norm1,
+    predict_proba,
+    predict_proba_batch,
     preset_spec,
     save_model,
     train_test_split,
 )
-from sparse_moe.model import prepare_inputs
+from sparse_moe.model import mixture_probs, prepare_inputs
 
 
 def two_class_dataset(rng, n=20, d=2):
@@ -395,6 +397,28 @@ class TestFit:
         _, rep1 = fit(ds, h1)
         assert sum(rep1.selector_histogram.values()) == ds.n
 
+    @pytest.mark.parametrize("schedule,selector", [
+        ("full", "none"), ("fast", "none"), ("full", "l0"), ("full", "l1"),
+    ])
+    def test_one_expert_forward_pass_per_iteration(self, monkeypatch, schedule, selector):
+        import sparse_moe.trainer as trainer_mod
+
+        calls = []
+        kernel = trainer_mod.expert_class_probs
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(trainer_mod, "expert_class_probs", counted)
+        ds = generate_synthetic(preset_spec("grouped-four", 10, seed=2))
+        hyper = Hyperparams(k=3, lambda_nu=2.0, lambda_omega=2.0, seed=4, max_iters=6,
+                            schedule=schedule, selector_mode=selector,
+                            lambda_mu=None if selector == "none" else 2)
+        _, report = fit(ds, hyper)
+        assert report.iterations_run >= 2
+        assert len(calls) <= report.iterations_run + 1
+
     def test_tolerance_stops_early(self):
         ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=6))
         hyper = Hyperparams(k=2, lambda_nu=2.0, lambda_omega=2.0, seed=3, max_iters=200, tol=1e-3)
@@ -447,6 +471,38 @@ class TestEvaluate:
         model = random_model(rng, k=2, q=2, dp=3)
         with pytest.raises(ConfigError):
             evaluate(model, two_class_dataset(rng, n=4), "oracle")
+
+
+class TestPredictProbaBatch:
+    """Batched scoring agrees with per-row predict_proba.  The batch's logits
+    come from one matrix product and a single row's from a matrix-vector
+    product, which BLAS may round differently, so they agree to rounding."""
+
+    def test_rows_match_predict_proba_under_any_selector(self, rng):
+        for _ in range(40):
+            k, q, d = (int(v) for v in rng.integers([1, 2, 1], [6, 5, 8]))
+            model = random_model(rng, k=k, q=q, dp=d + 1, scale=2.0)
+            feats = rng.normal(0, 2, (7, d))
+            mu = rng.uniform(0, 2, (7, k)) * (rng.uniform(size=(7, k)) < 0.8)
+            batch = mixture_probs(model, prepare_inputs(feats, model.scaler), mu)
+            plain = predict_proba_batch(model, feats)
+            for n in range(7):
+                np.testing.assert_allclose(predict_proba(model, feats[n], mu[n]), batch[n],
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(predict_proba(model, feats[n]), plain[n],
+                                           rtol=1e-12, atol=0)
+
+    def test_gate_surrogate_rows_match_predict_proba(self, rng):
+        from sparse_moe.trainer import _policy_mu
+
+        model = random_model(rng, k=3, q=2, dp=4, lambda_mu=1.5, selector_mode="l1")
+        feats = rng.normal(0, 1, (8, 3))
+        probs = predict_proba_batch(model, feats, "gate-surrogate")
+        mu = _policy_mu(model, prepare_inputs(feats, model.scaler), "gate-surrogate")
+        assert not np.all(mu == 1.0)
+        for n in range(8):
+            np.testing.assert_allclose(predict_proba(model, feats[n], mu[n]), probs[n],
+                                       rtol=1e-12, atol=0)
 
 
 class TestSolverCapHits:
