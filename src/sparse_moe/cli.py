@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -149,7 +148,9 @@ def cmd_inspect(args) -> int:
     print(f"sparsity={float(np.mean(weights < thr)):.6f}")
     if args.report:
         doc = json.loads(open(args.report, encoding="utf-8").read())
-        hist = doc.get("selector_histogram", {})
+        hist = doc.get("selector_histogram", {}) if isinstance(doc, dict) else None
+        if not isinstance(hist, dict):
+            raise DataError(f"{args.report}: no selector histogram object in the report")
         parts = " ".join(f"{k}:{v}" for k, v in sorted(hist.items()))
         print(f"active-experts-histogram: {parts}")
     return EXIT_OK
@@ -172,15 +173,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # SPARSE_MOE_THREADS is validated only; nothing else reads it.
-    threads = os.environ.get("SPARSE_MOE_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"invalid SPARSE_MOE_THREADS={threads!r}", file=sys.stderr)
-            return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,13 +1,16 @@
 """EM training of the regularized mixture with per-instance expert selection.
 
-Every M-step is an L1-constrained weighted least-squares problem built by
-inverting the softmax (fitting logits to log-targets) and handed to the
-batched, gap-certified FISTA engine in :mod:`sparse_moe.solver`: one call
-per expert covers its q class problems, and one call covers all k gate
-rows when the selector is all ones.  The selector update runs first in
-each outer iteration with gate and expert weights frozen, then
-responsibilities are refreshed and the gate and expert subproblems are
-solved.
+The gate and expert M-steps are L1-constrained weighted least-squares
+problems built by inverting the softmax (fitting logits to log-targets)
+and handed to the batched, gap-certified FISTA engine in
+:mod:`sparse_moe.solver`: one call per expert covers its q class
+problems, and one call covers all k gate rows when the selector is all
+ones.  The selector update runs first in each outer iteration with gate
+and expert weights frozen, then responsibilities are refreshed and the
+gate and expert subproblems are solved.  The selectors need no solver:
+the l1 selector is exact water-filling in closed form and the l0
+selector an exhaustive search over expert subsets, both as passes over
+all instances at once.
 
 The forward pass (the kernel in :mod:`sparse_moe.model`) runs once per EM
 iteration: the pass that scores an iteration's objective also gives the
@@ -71,7 +74,7 @@ class FitReport:
     sparsity: float
     selector_histogram: dict[int, int]
     constrained_solves: int  # gate and expert problems (columns, not calls)
-    solver_cap_hits: int  # solves, selector ones included, that reached MAX_ITERS uncertified
+    solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
 
     def to_dict(self) -> dict:
         return {
@@ -252,35 +255,31 @@ def analytic_selector_gradient(model: MixtureModel, mu_row, x, y, i) -> float:
 
 
 def _selector_norm0(nu, g, x_mat, budget):
-    """Per-instance exhaustive search over expert subsets of size 1..budget,
-    given the label likelihoods g (n, k), which do not depend on mu.
+    """Exhaustive search over expert subsets of size 1..budget, for all
+    instances at once, given the label likelihoods g (n, k), which do not
+    depend on mu.
 
-    Ties break toward the lexicographically smallest subset tuple.
+    Subsets are scored in tuple order and a row moves to a later subset
+    only on a strictly lower loss, so ties break toward the
+    lexicographically smallest subset tuple.
     """
-    n = x_mat.shape[0]
-    k = nu.shape[0]
-    subsets = list(enumerate_subsets(k, budget))
-    indicators = np.zeros((len(subsets), k))
-    for s, sub in enumerate(subsets):
-        indicators[s, list(sub)] = 1.0
+    n, k = g.shape
     scores = x_mat @ nu.T  # (n, k)
+    best = np.full(n, np.inf)
     mu = np.zeros((n, k))
-    for idx in range(n):
-        logits = indicators * scores[idx]
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
+    for subset in sorted(enumerate_subsets(k, budget)):
+        indicator = np.zeros(k)
+        indicator[list(subset)] = 1.0
+        logits = indicator * scores
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
         h = e / e.sum(axis=1, keepdims=True)
         # Elementwise product + ordered sum (not a BLAS matvec): keeps the
         # mixture value bitwise stable under expert permutation so exact
         # ties break lexicographically instead of on 1-ulp FMA noise.
-        losses = -np.log(np.maximum((h * g[idx]).sum(axis=1), PROB_FLOOR))
-        best = 0
-        for s in range(1, len(subsets)):
-            if losses[s] < losses[best] or (
-                losses[s] == losses[best] and subsets[s] < subsets[best]
-            ):
-                best = s
-        mu[idx, list(subsets[best])] = 1.0
+        loss = -np.log(np.maximum((h * g).sum(axis=1), PROB_FLOOR))
+        better = loss < best
+        best[better] = loss[better]
+        mu[better] = indicator
     return mu
 
 
@@ -292,38 +291,40 @@ def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> E
     return ExpertSelector(mu, "l0")
 
 
-def _selector_norm1(nu, x_mat, r, lambda_mu, incumbent=None):
-    """Per-instance nonnegative L1-budgeted LS fit of log R to masked scores.
+def _selector_norm1(nu, x_mat, r, lambda_mu):
+    """Per-instance nonnegative L1-budgeted LS fit of log R to masked
+    scores, in closed form.
 
-    Returns the selector and the tally of its solves.
+    Row n minimizes sum_i (s_i mu_i - t_i)^2 over mu >= 0, sum(mu) <= lambda_mu,
+    with scores s = nu x_n and targets t = log r_n.  The problem is
+    separable under the one budget, so by its KKT conditions
+    mu_i = max(a_i - tau, 0) / s_i^2 with a_i = s_i t_i.  The threshold
+    tau is the weighted form of the L1-ball projection's (Duchi et al.
+    2008): the largest of (sum a_i / s_i^2 - lambda_mu) / sum 1 / s_i^2
+    over the j largest a_i, for every j, and 0 when the budget is slack.
+    An entry whose score is 0 (to the precision of its square) does not
+    enter the objective and is canonically 0.  With tiny scores the
+    rounding of a_i - tau can lift a row's sum past the budget; such a row
+    is scaled back onto it.
     """
-    n, k = r.shape
-    scores = x_mat @ nu.T
-    targets = build_gate_targets(r)
-    mu = np.zeros((n, k))
-    tally = SolveTally()
-    for idx in range(n):
-        s = scores[idx]
-        if np.max(np.abs(s)) == 0.0:
-            continue  # objective independent of mu: canonical all-zero row
-        problem = WlsProblem(
-            np.diag(s), targets[idx], np.ones(k), lambda_mu, nonnegative=True
-        )
-        warm = np.ones(k) if incumbent is None else incumbent[idx]
-        report = solve(problem, warm_start=warm)
-        mu[idx] = report.solution
-        tally += SolveTally.of(report)
-    return mu, tally
+    if not lambda_mu > 0:
+        raise ConfigError("selector budget lambda_mu must be positive")
+    s = x_mat @ nu.T  # (n, k)
+    sq = s * s
+    w = np.divide(1.0, sq, out=np.zeros_like(sq), where=sq > 0.0)
+    a = s * build_gate_targets(r)
+    order = np.argsort(-a, axis=1)
+    a_w = np.take_along_axis(a * w, order, axis=1).cumsum(axis=1)
+    w_top = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+    thresholds = np.divide(a_w - lambda_mu, w_top, out=np.zeros_like(a_w), where=w_top > 0.0)
+    tau = thresholds.max(axis=1, keepdims=True, initial=0.0)
+    mu = np.maximum(a - tau, 0.0) * w
+    return mu * (lambda_mu / np.maximum(mu.sum(axis=1, keepdims=True), lambda_mu))
 
 
-def m_step_selector_norm1(
-    model: MixtureModel, r, dataset: Dataset, lambda_mu, incumbent=None
-) -> ExpertSelector:
-    if isinstance(r, Responsibilities):
-        r = r.r
+def m_step_selector_norm1(model: MixtureModel, r, dataset: Dataset, lambda_mu) -> ExpertSelector:
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    mu, _ = _selector_norm1(model.gate.nu, x_mat, r, lambda_mu, incumbent)
-    return ExpertSelector(mu, "l1")
+    return ExpertSelector(_selector_norm1(model.gate.nu, x_mat, r, lambda_mu), "l1")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,6 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     prev_total = record.penalized_total
     converged = False
     solves = SolveTally()  # gate and expert M-steps
-    selector_cap_hits = 0
     iterations_run = 0
 
     inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
@@ -399,8 +399,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             if hyper.selector_mode == "l0":
                 mu = _selector_norm0(nu, g, x_mat, int(hyper.lambda_mu))
             else:
-                mu, selector = _selector_norm1(nu, x_mat, r, hyper.lambda_mu, incumbent=mu)
-                selector_cap_hits += selector.cap_hits
+                mu = _selector_norm1(nu, x_mat, r, hyper.lambda_mu)
             # g depends on omega alone; only the gate sees the new selector.
             h = gate_probs(nu, x_mat, mu)
             r = _posterior(g, h)
@@ -461,7 +460,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         sparsity=sparsity,
         selector_histogram=histogram,
         constrained_solves=solves.problems,
-        solver_cap_hits=solves.cap_hits + selector_cap_hits,
+        solver_cap_hits=solves.cap_hits,
     )
     return model, report
 
@@ -485,8 +484,7 @@ def _policy_mu(model: MixtureModel, x_mat, policy):
     if model.hyper.lambda_mu is None:
         raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
     h = gate_probs(model.gate.nu, x_mat, ones)
-    mu, _ = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
-    return mu
+    return _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
 
 
 def predict_proba_batch(model: MixtureModel, features, policy="ones"):

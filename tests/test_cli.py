@@ -189,6 +189,16 @@ class TestEvaluate:
         nll = float(out.split()[1].split("=")[1])
         assert nll >= 0.0
 
+    def test_gate_surrogate_bad_budget_exit_2(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out, selector="l1", lambda_mu=1.5)) == 0
+        doc = json.loads(model_out.read_text())
+        doc["lambda_mu"] = -1
+        model_out.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model_out), "--data", str(xor_file),
+                     "--selector-policy", "gate-surrogate"]) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_lists_surviving_features(self, xor_file, tmp_path, capsys):
@@ -225,14 +235,12 @@ class TestInspect:
         # inspect prints 6 decimals
         assert printed == pytest.approx(json.loads(report_out.read_text())["sparsity"], abs=1e-6)
 
-
-class TestThreadsEnv:
-    def test_invalid_value_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("SPARSE_MOE_THREADS", "zero")
-        assert main(["synth", "--preset", "two-cluster-xor", "--n", "2",
-                     "--seed", "0", "--out", "/tmp/ignored.csv"]) == 2
-
-    def test_valid_value_accepted(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SPARSE_MOE_THREADS", "2")
-        assert main(["synth", "--preset", "two-cluster-xor", "--n", "2",
-                     "--seed", "0", "--out", str(tmp_path / "d.csv")]) == 0
+    @pytest.mark.parametrize("report", [[{"selector_histogram": {"2": 5}}],
+                                        {"selector_histogram": [2, 5]}])
+    def test_report_without_histogram_object_exit_3(self, xor_file, tmp_path, capsys, report):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        report_out = tmp_path / "r.json"
+        report_out.write_text(json.dumps(report))
+        assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 3
+        assert "error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, random_model
-from oracles import central_difference, grid_search_l1, wls_objective
+from oracles import central_difference, grid_search_l1, norm0_best_subset, wls_objective
 from sparse_moe import (
     ConfigError,
     Dataset,
@@ -33,7 +33,9 @@ from sparse_moe import (
     save_model,
     train_test_split,
 )
+from sparse_moe import trainer
 from sparse_moe.model import mixture_probs, prepare_inputs
+from sparse_moe.solver import WlsProblem, solve
 
 
 def two_class_dataset(rng, n=20, d=2):
@@ -305,6 +307,20 @@ class TestSelectorNorm0:
         np.testing.assert_array_equal(sel.mu[:, 0], 1.0)
         np.testing.assert_array_equal(sel.mu[:, 1], 0.0)
 
+    def test_budget_two_tie_matches_oracle(self, rng):
+        # Identical experts under a zero gate: every subset gives the same
+        # mixture exactly, so only the tie-break picks the subset.
+        nu = np.zeros((3, 3))
+        omega = np.repeat(rng.normal(0, 1, (2, 1, 3)), 3, axis=1)
+        model = make_model(nu, omega)
+        ds = two_class_dataset(rng, n=8)
+        sel = m_step_selector_norm0(model, ds, 2)
+        x = prepare_inputs(ds.features, model.scaler)
+        for n in range(ds.n):
+            ref = norm0_best_subset(nu.tolist(), omega.tolist(), x[n].tolist(), int(ds.labels[n]), 2)
+            assert ref == (0,)
+            assert tuple(np.flatnonzero(sel.mu[n])) == ref
+
 
 class TestSelectorNorm1:
     def test_single_expert_closed_form(self, rng):
@@ -339,6 +355,82 @@ class TestSelectorNorm1:
             _, ref = grid_search_l1(np.diag(s), targets[n], np.ones(2), radius, nonnegative=True)
             assert got <= ref + 1e-4
             assert sel.mu[n].sum() <= radius + 1e-8
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_water_filling_matches_solver_reference(self, rng, k):
+        n = 30
+        model = random_model(rng, k=k, q=2, dp=3)
+        ds = two_class_dataset(rng, n=n)
+        r = rng.dirichlet(np.ones(k), n)
+        s = prepare_inputs(ds.features, model.scaler) @ model.gate.nu.T
+        targets = build_gate_targets(r)
+        # l1 norm of each row's unconstrained nonnegative optimum
+        free_sum = np.maximum(targets / s, 0.0).sum(axis=1)
+        bound = 0
+        for scale in (0.3, 3.0):  # a binding and a slack budget
+            radius = max(scale * float(np.median(free_sum)), 0.05)
+            mu = m_step_selector_norm1(model, r, ds, radius).mu
+            assert mu.min() >= 0.0
+            assert mu.sum(axis=1).max() <= radius * (1 + 1e-12)
+            bound += int(np.sum(np.isclose(mu.sum(axis=1), radius, rtol=1e-12)))
+            for i in range(n):
+                got = wls_objective(np.diag(s[i]), targets[i], np.ones(k), mu[i])
+                ref = solve(WlsProblem(np.diag(s[i]), targets[i], np.ones(k), radius,
+                                       nonnegative=True)).final_objective
+                assert got <= ref + 1e-9 * max(1.0, ref)
+        assert 0 < bound < 2 * n
+
+    def test_zero_gate_row_gives_zero_entry(self, rng):
+        nu = rng.normal(0, 1, (3, 3))
+        nu[1] = 0.0
+        model = make_model(nu, rng.normal(0, 1, (2, 3, 3)))
+        ds = two_class_dataset(rng, n=10)
+        r = rng.dirichlet(np.ones(3), 10)
+        mu = m_step_selector_norm1(model, r, ds, 5.0).mu
+        np.testing.assert_array_equal(mu[:, 1], 0.0)
+        assert np.any(mu[:, [0, 2]] > 0.0)  # the live experts are selected
+
+    def test_tiny_scores_stay_within_budget(self, rng):
+        # With tiny scores, a_i - tau cancels and its rounding alone can
+        # exceed the budget.
+        model = make_model(rng.normal(0, 1e-6, (4, 3)), rng.normal(0, 1, (2, 4, 3)))
+        ds = two_class_dataset(rng, n=200)
+        mu = m_step_selector_norm1(model, rng.dirichlet(np.ones(4), 200), ds, 1.0).mu
+        assert mu.min() >= 0.0
+        assert mu.sum(axis=1).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_non_positive_budget_rejected(self, rng, budget):
+        model = random_model(rng, k=2, q=2, dp=3)
+        ds = two_class_dataset(rng, n=4)
+        with pytest.raises(ConfigError):
+            m_step_selector_norm1(model, rng.dirichlet(np.ones(2), 4), ds, budget)
+
+    def test_fit_solves_only_gate_and_expert_problems(self, monkeypatch):
+        calls = {"in_m_step": 0, "elsewhere": 0}
+        depth = [0]
+
+        def counting_solve(*args, **kwargs):
+            calls["in_m_step" if depth[0] else "elsewhere"] += 1
+            return solve(*args, **kwargs)
+
+        def counted(step):
+            def wrapped(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        monkeypatch.setattr(trainer, "solve", counting_solve)
+        monkeypatch.setattr(trainer, "m_step_gate", counted(trainer.m_step_gate))
+        monkeypatch.setattr(trainer, "m_step_experts", counted(trainer.m_step_experts))
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=4,
+                            selector_mode="l1", lambda_mu=1.5))
+        assert calls["in_m_step"] > 0
+        assert calls["elsewhere"] == 0
 
 
 class TestFit:
