@@ -109,13 +109,17 @@ def cmd_predict(args) -> int:
             f"model expects d={model.d}, q={model.q}; data has d={dataset.d}, q={dataset.q}"
         )
     probs = predict_proba_batch(model, dataset.features, args.selector_policy)
-    lines = []
-    for row in probs:
-        label = dataset.label_names[int(np.argmax(row))]
-        lines.append(label + " " + " ".join(f"{p:.9g}" for p in row))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_prediction_lines(dataset.label_names, probs))
     return EXIT_OK
+
+
+def _prediction_lines(label_names, probs) -> str:
+    """One line per row: the argmax label (first on ties), then each
+    probability to 9 significant digits."""
+    names = [label_names[c] for c in probs.argmax(axis=1).tolist()]
+    line = "%s" + " %.9g" * probs.shape[1] + "\n"
+    return "".join(line % row for row in zip(names, *probs.T.tolist()))
 
 
 def cmd_evaluate(args) -> int:

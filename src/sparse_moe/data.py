@@ -88,29 +88,13 @@ def _parse_number(cell: str):
         return None
 
 
-def load_dataset(path) -> Dataset:
-    """Read a comma-delimited text file, last column the class token.
-
-    A header row is auto-detected when any feature cell of the first row
-    fails to parse as a number.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    width = len(rows[0])
-    if width < 2:
-        raise DataError(f"{path}: need at least one feature column plus a label")
-    start = 0
-    if any(_parse_number(c) is None for c in rows[0][:-1]):
-        start = 1
-        if len(rows) == 1:
-            raise DataError(f"{path}: header only, no data rows")
+def _parse_cells(path, lines, start, width):
+    """Per-cell parse of ``lines`` (the first is file row ``start + 1``)
+    with Python ``float()``: raises the ``DataError`` that names the first
+    bad row and column, or returns the values ``float()`` gives."""
     feats = []
-    ids = []
-    names: list[str] = []
-    index = {}
-    for r, row in enumerate(rows[start:], start=start + 1):
+    for r, line in enumerate(lines, start=start + 1):
+        row = line.split(",")
         if len(row) != width:
             raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
         vals = []
@@ -120,21 +104,58 @@ def load_dataset(path) -> Dataset:
                 raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}")
             vals.append(v)
         feats.append(vals)
-        token = row[-1].strip()
-        if token not in index:
-            index[token] = len(names)
-            names.append(token)
-        ids.append(index[token])
-    if len(names) < 2:
+    return np.array(feats)
+
+
+def load_dataset(path) -> Dataset:
+    """Read a comma-delimited text file, last column the class token.
+
+    Blank lines are skipped.  A header row is auto-detected when any
+    feature cell of the first row fails to parse as a number.  A feature
+    cell is any text Python ``float()`` accepts, surrounding whitespace
+    included; there are no comment lines.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    first = lines[0].split(",")
+    width = len(first)
+    if width < 2:
+        raise DataError(f"{path}: need at least one feature column plus a label")
+    start = 0
+    if any(_parse_number(c) is None for c in first[:-1]):
+        start = 1
+        if len(lines) == 1:
+            raise DataError(f"{path}: header only, no data rows")
+    body = lines[start:]
+    feats = None
+    if all(line.count(",") == width - 1 for line in body):
+        # float() and loadtxt share CPython's string-to-double, so the
+        # values agree bit for bit; text loadtxt rejects (a bad cell, or
+        # what only float() accepts: "1_000", non-ASCII digits) takes the
+        # per-cell path.
+        try:
+            feats = np.loadtxt(body, delimiter=",", usecols=range(width - 1),
+                               ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if feats is None:
+        feats = _parse_cells(path, body, start, width)
+    index: dict[str, int] = {}
+    ids = [index.setdefault(line.rsplit(",", 1)[1].strip(), len(index)) for line in body]
+    if len(index) < 2:
         raise DataError(f"{path}: fewer than 2 classes present")
-    return Dataset(np.array(feats), np.array(ids), tuple(names))
+    return Dataset(feats, np.array(ids), tuple(index))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write back the comma-delimited form; floats use shortest round-trip repr."""
-    lines = []
-    for x, y in zip(dataset.features, dataset.labels):
-        lines.append(",".join(repr(float(v)) for v in x) + "," + dataset.label_names[y])
+    names = dataset.label_names
+    lines = [
+        ",".join(map(repr, x)) + "," + names[y]
+        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -170,6 +191,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             raise ConfigError("cluster means must share a dimension")
         if any(j < 0 or j >= d for j in c.informative_dims):
             raise ConfigError("informative dim index out of range")
+    if spec.noise_dims < 0:
+        raise ConfigError("noise_dims must be nonnegative")
+    if not (np.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
+        raise ConfigError("noise_sigma must be finite and nonnegative")
     d_total = d + spec.noise_dims
     rng = np.random.default_rng(spec.seed)
     blocks = []

@@ -97,6 +97,8 @@ class Hyperparams:
             raise ConfigError("L1 radii must be positive")
         if self.selector_mode not in SELECTOR_MODES:
             raise ConfigError(f"unknown selector mode {self.selector_mode!r}")
+        if self.lambda_mu is not None and not math.isfinite(self.lambda_mu):
+            raise ConfigError("lambda_mu must be finite")
         if self.selector_mode != "none":
             if self.lambda_mu is None or not self.lambda_mu > 0:
                 raise ConfigError("active selector requires a positive lambda_mu")

@@ -273,9 +273,11 @@ def _selector_norm0(nu, g, x_mat, budget):
         logits = indicator * scores
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         h = e / e.sum(axis=1, keepdims=True)
-        # Elementwise product + ordered sum (not a BLAS matvec): keeps the
-        # mixture value bitwise stable under expert permutation so exact
-        # ties break lexicographically instead of on 1-ulp FMA noise.
+        # Elementwise product + ordered sum (not a BLAS matvec), so no FMA
+        # noise.  For k = 2 the mixture value is then bitwise stable under
+        # expert permutation and exact ties break lexicographically; for
+        # k >= 3 the sum's order still rounds, so tied subsets of
+        # identical experts may differ in the last bit.
         loss = -np.log(np.maximum((h * g).sum(axis=1), PROB_FLOOR))
         better = loss < best
         best[better] = loss[better]

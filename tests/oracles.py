@@ -2,14 +2,18 @@
 
 Everything here is deliberately written against the math, not against the
 package internals: dense grid refinement for constrained least squares,
-central finite differences for gradients, and plain-Python enumeration for
-the subset selector.
+central finite differences for gradients, plain-Python enumeration for
+the subset selector, and per-cell Python ``float()`` parsing and ``repr``
+writing for the text data format.
 """
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+from sparse_moe import DataError, Dataset
 
 
 def wls_objective(design, target, weights, z):
@@ -104,3 +108,59 @@ def norm0_best_subset(nu, omega, x, y, budget):
             if best is None or loss < best[0] or (loss == best[0] and sub < best[1]):
                 best = (loss, sub)
     return best[1]
+
+
+def _parse_number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def load_dataset_reference(path):
+    """Row-by-row, cell-by-cell reading of the comma-delimited format:
+    blank lines skipped, a header when any feature cell of the first row
+    is not a number, every feature cell parsed by Python ``float()``, and
+    class ids in first-appearance order of the last column's tokens."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    if width < 2:
+        raise DataError(f"{path}: need at least one feature column plus a label")
+    start = 0
+    if any(_parse_number(c) is None for c in rows[0][:-1]):
+        start = 1
+        if len(rows) == 1:
+            raise DataError(f"{path}: header only, no data rows")
+    feats = []
+    ids = []
+    names = []
+    index = {}
+    for r, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
+        vals = []
+        for c, cell in enumerate(row[:-1], start=1):
+            v = _parse_number(cell.strip())
+            if v is None:
+                raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}")
+            vals.append(v)
+        feats.append(vals)
+        token = row[-1].strip()
+        if token not in index:
+            index[token] = len(names)
+            names.append(token)
+        ids.append(index[token])
+    if len(names) < 2:
+        raise DataError(f"{path}: fewer than 2 classes present")
+    return Dataset(np.array(feats), np.array(ids), tuple(names))
+
+
+def save_dataset_reference_text(dataset):
+    """The text form, one ``repr(float(v))`` per cell."""
+    lines = []
+    for x, y in zip(dataset.features, dataset.labels):
+        lines.append(",".join(repr(float(v)) for v in x) + "," + dataset.label_names[y])
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sparse_moe import evaluate, expert_forward, load_dataset, load_model
-from sparse_moe.cli import main
+from conftest import make_model
+from sparse_moe import evaluate, expert_forward, load_dataset, load_model, save_model
+from sparse_moe.cli import _prediction_lines, main
 from sparse_moe.model import PROB_FLOOR, prepare_inputs
 
 
@@ -51,6 +52,14 @@ class TestSynth:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise_dims", ["-1", "-5"])
+    def test_negative_noise_dims_exit_2(self, tmp_path, capsys, noise_dims):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--preset", "noisy-subspace", "--n", "5",
+                     "--noise-dims", noise_dims, "--out", str(out)]) == 2
+        assert "noise_dims" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_missing_data_flag_exit_2(self, capsys):
@@ -67,6 +76,15 @@ class TestTrain:
     def test_bad_hyper_exit_2(self, xor_file, tmp_path, capsys):
         args = train_args(xor_file, tmp_path / "m.json", selector="l0")
         assert main(args) == 2  # l0 without --lambda-mu
+
+    @pytest.mark.parametrize("selector, lambda_mu", [("l0", "inf"), ("l1", "inf"),
+                                                     ("l1", "nan"), ("l0", "nan")])
+    def test_non_finite_lambda_mu_exit_2(self, xor_file, tmp_path, capsys,
+                                         selector, lambda_mu):
+        args = train_args(xor_file, tmp_path / "m.json", selector=selector,
+                          lambda_mu=lambda_mu)
+        assert main(args) == 2
+        assert "lambda_mu must be finite" in capsys.readouterr().err
 
     def test_deterministic_model_files(self, xor_file, tmp_path, capsys):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -151,6 +169,32 @@ class TestPredict:
             np.testing.assert_allclose(printed, ref, rtol=1e-8, atol=0)
             assert [line.split()[0] for line in lines] == [
                 ds.label_names[c] for c in ref.argmax(axis=1)]
+
+    def test_tie_prints_first_label(self, tmp_path, capsys):
+        # Zero weights give every class probability exactly 1/q.
+        model_out = tmp_path / "zero.json"
+        save_model(make_model(np.zeros((2, 3)), np.zeros((3, 2, 3))), model_out)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,b\n3,4,c\n5,6,a\n")
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--model", str(model_out), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "b 0.333333333 0.333333333 0.333333333\n" * 3
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_lines_match_per_row_format(self, q):
+        rng = np.random.default_rng(q)
+        logits = rng.normal(0.0, 4.0, (300, q))
+        logits[:5] = 0.0  # exact ties
+        logits[5, 0] = -800.0  # an underflowed probability
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        names = tuple(f"c{l}" for l in range(q))
+        want = []
+        for row in probs:
+            label = names[int(np.argmax(row))]
+            want.append(label + " " + " ".join(f"{p:.9g}" for p in row))
+        assert _prediction_lines(names, probs) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("corrupt", ["missing-key", "not-an-object"])
     def test_malformed_model_exit_3(self, xor_file, tmp_path, capsys, corrupt):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import load_dataset_reference, save_dataset_reference_text
 
 from sparse_moe import (
     ClusterSpec,
@@ -60,6 +63,102 @@ class TestLoadDataset:
         assert back.label_names == ds.label_names
 
 
+def _cell_text():
+    number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    padded = st.tuples(st.sampled_from(["", " ", "\t", "\xa0"]), number,
+                       st.sampled_from(["", " ", "  ", "\xa0"])).map("".join)
+    special = st.sampled_from(
+        ["1_000", "\u0661\u0662", "\uff11.5", "#", "# 1", "", " ", "nan", "-inf",
+         "Infinity", "1e400", "-0", "+.5", "5.", "abc", "0x10", "1,5", "x1"]
+    )
+    return st.one_of(number, number, padded, special)
+
+
+@st.composite
+def _dataset_text(draw):
+    width = draw(st.integers(2, 5))
+    row = st.tuples(
+        st.lists(_cell_text(), min_size=width - 1, max_size=width - 1),
+        st.sampled_from(["a", "b", " b ", "c", "1"]),
+    ).map(lambda r: ",".join(r[0] + [r[1]]))
+    lines = draw(st.lists(row, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"x{j}" for j in range(width - 1)) + ",label")
+    blanks = draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                     st.sampled_from(["", "  ", "\t"])), max_size=2))
+    for at, blank in blanks:
+        lines.insert(at, blank)
+    if draw(st.booleans()):  # ragged row
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] += draw(st.sampled_from([",7", ",7,a"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _load_or_error(load, path):
+    try:
+        return load(path)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestLoaderParity:
+    """The whole-array loader agrees with per-cell ``float()`` parsing:
+    the same features bit for bit, labels and label names, or the same
+    error message."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_dataset_text())
+    def test_matches_per_cell_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "parity.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _load_or_error(load_dataset, path)
+        want = _load_or_error(load_dataset_reference, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.label_names == want.label_names
+
+    @pytest.mark.parametrize("cell, value", [("1_000", 1000.0), ("\u0661\u0662", 12.0),
+                                             (" -0 ", -0.0), ("+.5", 0.5)])
+    def test_cells_float_accepts(self, tmp_path, cell, value):
+        ds = load_dataset(write(tmp_path, f"{cell},1,a\n2,3,b\n"))
+        assert ds.features[0, 0] == value
+        assert np.signbit(ds.features[0, 0]) == np.signbit(value)
+
+    @pytest.mark.parametrize("cell", ["#", "", "1 2", "0x10"])
+    def test_cells_float_rejects(self, tmp_path, cell):
+        with pytest.raises(DataError, match="row 3, column 2"):
+            load_dataset(write(tmp_path, f"1,2,a\n\n3,4,b\n5,{cell},a\n"))
+
+    def test_error_names_first_bad_row(self, tmp_path):
+        # A bad cell before a ragged row is reported, as a row-by-row read would.
+        with pytest.raises(DataError, match="non-numeric value 'x' at row 2"):
+            load_dataset(write(tmp_path, "1,2,a\n3,x,b\n5,6,7,a\n"))
+
+    def test_single_feature_column(self, tmp_path):
+        ds = load_dataset(write(tmp_path, "1,a\n2,b\n3,a\n"))
+        assert ds.features.shape == (3, 1)
+
+
+class TestSaveDataset:
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        rng = np.random.default_rng(3)
+        feats = rng.normal(0, 1, (6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4))
+        feats[0] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+        feats[1] = [1e300, -1e-300, 1.7976931348623157e308, 1e-310]
+        ds = Dataset(feats, np.array([0, 1, 2, 0, 1, 2]), ("neg", "pos", "x y"))
+        path = tmp_path / "out.csv"
+        save_dataset(ds, path)
+        assert path.read_bytes() == save_dataset_reference_text(ds).encode("utf-8")
+        back = load_dataset(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+
+
 class TestScaler:
     def test_standardizes_training_set(self, rng):
         ds = Dataset(rng.normal(3, 5, (50, 4)), rng.integers(0, 2, 50).clip(0, 1), ("a", "b"))
@@ -115,6 +214,19 @@ class TestGenerateSynthetic:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_spec("mystery", 10)
+
+    @pytest.mark.parametrize("noise_dims, noise_sigma",
+                             [(-1, 1.0), (-5, 1.0), (0, -1.0), (2, float("nan")),
+                              (2, float("inf"))])
+    def test_bad_noise_rejected(self, noise_dims, noise_sigma):
+        spec = SynthSpec(
+            5,
+            (ClusterSpec((1.0,), (0,), 0), ClusterSpec((-1.0,), (0,), 1)),
+            noise_dims=noise_dims,
+            noise_sigma=noise_sigma,
+        )
+        with pytest.raises(ConfigError):
+            generate_synthetic(spec)
 
 
 class TestTrainTestSplit:

@@ -189,6 +189,15 @@ class TestHyperparams:
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs).validate()
 
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", float("inf")),
+                                                          ("l1", float("inf")),
+                                                          ("l1", float("nan")),
+                                                          ("none", float("-inf"))])
+    def test_non_finite_lambda_mu(self, selector_mode, lambda_mu):
+        with pytest.raises(ConfigError, match="lambda_mu must be finite"):
+            Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode=selector_mode,
+                        lambda_mu=lambda_mu).validate()
+
 
 class TestSerialization:
     def test_round_trip_exact(self, rng, tmp_path):
