@@ -88,25 +88,6 @@ def _parse_number(cell: str):
         return None
 
 
-def _parse_cells(path, lines, start, width):
-    """Per-cell parse of ``lines`` (the first is file row ``start + 1``)
-    with Python ``float()``: raises the ``DataError`` that names the first
-    bad row and column, or returns the values ``float()`` gives."""
-    feats = []
-    for r, line in enumerate(lines, start=start + 1):
-        row = line.split(",")
-        if len(row) != width:
-            raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
-        vals = []
-        for c, cell in enumerate(row[:-1], start=1):
-            v = _parse_number(cell.strip())
-            if v is None:
-                raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}")
-            vals.append(v)
-        feats.append(vals)
-    return np.array(feats)
-
-
 def load_dataset(path) -> Dataset:
     """Read a comma-delimited text file, last column the class token.
 
@@ -129,21 +110,21 @@ def load_dataset(path) -> Dataset:
         if len(lines) == 1:
             raise DataError(f"{path}: header only, no data rows")
     body = lines[start:]
-    feats = None
-    if all(line.count(",") == width - 1 for line in body):
-        # float() and loadtxt share CPython's string-to-double, so the
-        # values agree bit for bit; text loadtxt rejects (a bad cell, or
-        # what only float() accepts: "1_000", non-ASCII digits) takes the
-        # per-cell path.
-        try:
-            feats = np.loadtxt(body, delimiter=",", usecols=range(width - 1),
-                               ndmin=2, comments=None)
-        except ValueError:
-            pass
-    if feats is None:
-        feats = _parse_cells(path, body, start, width)
+    feats = np.empty((len(body), width - 1))
     index: dict[str, int] = {}
-    ids = [index.setdefault(line.rsplit(",", 1)[1].strip(), len(index)) for line in body]
+    ids = []
+    for i, line in enumerate(body):
+        r = start + i + 1
+        row = line.split(",")
+        if len(row) != width:
+            raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
+        try:
+            feats[i] = list(map(float, map(str.strip, row[:-1])))
+        except ValueError:
+            c, cell = next((c, cell) for c, cell in enumerate(row[:-1], start=1)
+                           if _parse_number(cell.strip()) is None)
+            raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
+        ids.append(index.setdefault(row[-1].strip(), len(index)))
     if len(index) < 2:
         raise DataError(f"{path}: fewer than 2 classes present")
     return Dataset(feats, np.array(ids), tuple(index))

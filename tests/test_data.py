@@ -65,8 +65,9 @@ class TestLoadDataset:
 
 def _cell_text():
     number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
-    padded = st.tuples(st.sampled_from(["", " ", "\t", "\xa0"]), number,
-                       st.sampled_from(["", " ", "  ", "\xa0"])).map("".join)
+    # "\x1f" is whitespace to str.strip() but not to float().
+    padded = st.tuples(st.sampled_from(["", " ", "\t", "\xa0", "\x1f", "\u2003"]), number,
+                       st.sampled_from(["", " ", "  ", "\xa0", "\x1f"])).map("".join)
     special = st.sampled_from(
         ["1_000", "\u0661\u0662", "\uff11.5", "#", "# 1", "", " ", "nan", "-inf",
          "Infinity", "1e400", "-0", "+.5", "5.", "abc", "0x10", "1,5", "x1"]
@@ -103,7 +104,7 @@ def _load_or_error(load, path):
 
 
 class TestLoaderParity:
-    """The whole-array loader agrees with per-cell ``float()`` parsing:
+    """The loader agrees with per-cell ``float()`` parsing:
     the same features bit for bit, labels and label names, or the same
     error message."""
 
@@ -129,6 +130,11 @@ class TestLoaderParity:
         ds = load_dataset(write(tmp_path, f"{cell},1,a\n2,3,b\n"))
         assert ds.features[0, 0] == value
         assert np.signbit(ds.features[0, 0]) == np.signbit(value)
+
+    def test_cells_stripped_before_float(self, tmp_path):
+        # "\x1f" is whitespace to str.strip() but not to float().
+        ds = load_dataset(write(tmp_path, "1,1,a\n\x1f2\x1f,3,b\n"))
+        assert ds.features[1, 0] == 2.0
 
     @pytest.mark.parametrize("cell", ["#", "", "1 2", "0x10"])
     def test_cells_float_rejects(self, tmp_path, cell):
