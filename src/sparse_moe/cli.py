@@ -101,13 +101,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def _model_and_data(args):
+    """The model and data files of predict/evaluate, checked to match."""
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     if dataset.d != model.d or dataset.q != model.q:
         raise DataError(
             f"model expects d={model.d}, q={model.q}; data has d={dataset.d}, q={dataset.q}"
         )
+    return model, dataset
+
+
+def cmd_predict(args) -> int:
+    model, dataset = _model_and_data(args)
     probs = predict_proba_batch(model, dataset.features, args.selector_policy)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_prediction_lines(dataset.label_names, probs))
@@ -123,12 +129,7 @@ def _prediction_lines(label_names, probs) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
-    dataset = load_dataset(args.data)
-    if dataset.d != model.d or dataset.q != model.q:
-        raise DataError(
-            f"model expects d={model.d}, q={model.q}; data has d={dataset.d}, q={dataset.q}"
-        )
+    model, dataset = _model_and_data(args)
     metrics = evaluate(model, dataset, args.selector_policy)
     print(f"accuracy={metrics['accuracy']:.6f} nll={metrics['nll']:.6f}")
     return EXIT_OK

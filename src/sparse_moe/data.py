@@ -92,7 +92,7 @@ def load_dataset(path) -> Dataset:
     """Read a comma-delimited text file, last column the class token.
 
     Blank lines are skipped.  A header row is auto-detected when any
-    feature cell of the first row fails to parse as a number.  A feature
+    stripped feature cell of the first row fails to parse as a number.  A feature
     cell is any text Python ``float()`` accepts, surrounding whitespace
     included; there are no comment lines.
     """
@@ -105,7 +105,7 @@ def load_dataset(path) -> Dataset:
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus a label")
     start = 0
-    if any(_parse_number(c) is None for c in first[:-1]):
+    if any(_parse_number(c.strip()) is None for c in first[:-1]):
         start = 1
         if len(lines) == 1:
             raise DataError(f"{path}: header only, no data rows")

@@ -93,8 +93,8 @@ class Hyperparams:
     def validate(self):
         if self.k < 1:
             raise ConfigError("need at least one expert")
-        if not (self.lambda_nu > 0 and self.lambda_omega > 0):
-            raise ConfigError("L1 radii must be positive")
+        if not (0 < self.lambda_nu < math.inf and 0 < self.lambda_omega < math.inf):
+            raise ConfigError("L1 radii must be positive and finite")
         if self.selector_mode not in SELECTOR_MODES:
             raise ConfigError(f"unknown selector mode {self.selector_mode!r}")
         if self.lambda_mu is not None and not math.isfinite(self.lambda_mu):

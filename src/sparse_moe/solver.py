@@ -4,11 +4,12 @@ The one optimization primitive the trainer needs: minimize a weighted
 sum-of-squares residual over an L1 ball (optionally intersected with the
 nonnegative orthant), with selected coordinates (the bias) exempt from the
 constraint.  One call solves a batch of right-hand sides that share the
-design and weights, so they share one weighted Gram matrix.  The free
-coordinates are eliminated exactly (Schur complement), a feasible
-unconstrained minimizer is returned as is, and every other column runs
-accelerated projected gradient (FISTA) with a monotone restart until its
-Frank-Wolfe duality gap certifies optimality.  No external QP dependency.
+design; they form blocks, each with its own row weights and so its own
+weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
+complement), a feasible unconstrained minimizer is returned as is, and
+every other column runs accelerated projected gradient (FISTA) with a
+monotone restart until its Frank-Wolfe duality gap certifies optimality.
+No external QP dependency.
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ GAP_RTOL = 1e-10
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
+def _blocks(design, target, row_weights):
+    """Design (m, p), targets (m, r), weights (m, g) and block width c of a
+    WLS batch, checked: the r = g * c target columns form g consecutive
+    blocks, and block i is weighted by weight column i.  ``(m,)`` weights
+    are one block."""
+    a = np.atleast_2d(np.asarray(design, dtype=float))
+    b = np.asarray(target, dtype=float)
+    w = np.asarray(row_weights, dtype=float)
+    m = a.shape[0]
+    if w.ndim < 2:
+        w = w.reshape(-1, 1)
+    if b.ndim not in (1, 2) or w.ndim != 2 or len(b) != m or len(w) != m:
+        raise ConfigError("design/target/weight shapes inconsistent")
+    b = b.reshape(m, -1)
+    c = b.shape[1] // max(w.shape[1], 1)
+    if c * w.shape[1] != b.shape[1]:
+        raise ConfigError("target columns do not form equal weight blocks")
+    return a, b, w, c
+
+
 @dataclass
 class WlsProblem:
     """Weighted least squares over an L1 ball, for one or more targets.
@@ -40,7 +61,9 @@ class WlsProblem:
     subject to  ||z_restricted||_1 <= radius,  z_restricted >= 0 if flagged
 
     ``target`` is ``(m,)`` for one problem or ``(m, r)`` for r problems
-    that share the design and weights.  Coordinates listed in
+    that share the design.  ``row_weights`` is ``(m,)``, shared by all
+    problems, or ``(m, g)``: the r columns then form g equal consecutive
+    blocks, and block i is weighted by column i.  Coordinates listed in
     ``free_coords`` bypass both constraints.
     """
 
@@ -52,17 +75,10 @@ class WlsProblem:
     nonnegative: bool = False
 
     def __post_init__(self):
-        self.design = np.atleast_2d(np.asarray(self.design, dtype=float))
+        self.design, _, weights, _ = _blocks(self.design, self.target, self.row_weights)
         self.target = np.asarray(self.target, dtype=float)
-        self.row_weights = np.asarray(self.row_weights, dtype=float).ravel()
-        m, p = self.design.shape
-        if (
-            self.target.ndim not in (1, 2)
-            or self.target.shape[0] != m
-            or self.row_weights.shape != (m,)
-        ):
-            raise ConfigError("design/target/weight shapes inconsistent")
-        if not np.all(np.isfinite(self.row_weights)) or np.any(self.row_weights < 0):
+        self.row_weights = weights if np.ndim(self.row_weights) == 2 else weights[:, 0]
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ConfigError("row weights must be finite and nonnegative")
         if not self.radius > 0:
             raise ConfigError("radius must be positive")
@@ -112,26 +128,50 @@ def project_l1_ball(v, radius, nonnegative=False):
     return shrunk if nonnegative else np.sign(v) * shrunk
 
 
+def _weighted(a, w):
+    """a scaled by each weight column in turn, in one reused buffer."""
+    aw = np.empty_like(a)
+    for i in range(w.shape[1]):
+        yield np.multiply(a, w[:, i, None], out=aw)
+
+
+def _stacked(op, fallback, *stacks):
+    """op over stacks of matrices.  A singular matrix makes op fail for its
+    whole stack; the stack is then split, down to single matrices that get
+    fallback, so that one matrix never changes another's result."""
+    try:
+        return op(*stacks)
+    except np.linalg.LinAlgError:
+        if len(stacks[0]) == 1:
+            return fallback(*stacks)
+        parts = ([s[i:i + 1] for s in stacks] for i in range(len(stacks[0])))
+        return np.concatenate([_stacked(op, fallback, *part) for part in parts])
+
+
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
     """Ridge-stabilized weighted least squares via the normal equations.
 
     Solves (A'WA + ridge*I) z = A'Wb with a dense factorization.  A
     ``(m,)`` target gives a ``(p,)`` solution; an ``(m, r)`` target gives
-    the ``(r, p)`` solutions of its columns, which share one factorization.
+    the ``(r, p)`` solutions of its columns.  Weights are ``(m,)`` or
+    ``(m, g)`` blocks as in :class:`WlsProblem`; the columns of a block
+    share one factorization.
     """
-    a = np.atleast_2d(np.asarray(design, dtype=float))
-    b = np.asarray(target, dtype=float)
-    w = np.asarray(row_weights, dtype=float).ravel()
     if ridge < 0:
         raise ConfigError("ridge must be nonnegative")
-    aw = a * w[:, None]
-    gram = aw.T @ a
-    if ridge > 0:
-        gram = gram + ridge * np.eye(a.shape[1])
+    a, b, w, c = _blocks(design, target, row_weights)
+    p = a.shape[1]
+    gram = np.empty((w.shape[1], p, p))
+    rhs = np.empty((w.shape[1], p, c))
+    for i, aw in enumerate(_weighted(a, w)):
+        gram[i] = aw.T @ a
+        rhs[i] = aw.T @ b[:, i * c:(i + 1) * c]
     try:
-        return np.linalg.solve(gram, aw.T @ b).T
+        z = np.linalg.solve(gram + ridge * np.eye(p), rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError("normal equations numerically singular") from exc
+    z = z.transpose(0, 2, 1).reshape(-1, p)
+    return z if np.ndim(target) == 2 else z[0]
 
 
 def enumerate_subsets(k, budget):
@@ -176,41 +216,44 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     which cannot raise it; the objective is therefore non-increasing from
     the warm start, up to rounding.  Each column stops,
     and is frozen, once its Frank-Wolfe gap is within ``GAP_RTOL`` of its
-    scale, or at ``MAX_ITERS``.  Columns never mix, so a batched column
-    matches its single solve up to rounding.
+    scale, or at ``MAX_ITERS``.  Each weight block has its own S, L and
+    factorizations, and every column uses its block's.  Columns never mix,
+    so a batched column matches its single solve bit for bit.
     """
-    a, w = problem.design, problem.row_weights
+    a, b, w, c = _blocks(problem.design, problem.target, problem.row_weights)
     single = problem.target.ndim == 1
-    m, p = a.shape
-    b = problem.target.reshape(m, -1)
-    r = b.shape[1]
+    p, r = a.shape[1], b.shape[1]
+    block = np.repeat(np.arange(w.shape[1]), c)  # weight block of each column
     radius, nonneg = problem.radius, problem.nonnegative
 
-    aw = a * w[:, None]
-    gram = aw.T @ a
     bt = np.ascontiguousarray(b.T)
-    lin = _rowwise(bt, aw)  # (r, p)
-    energy = (bt * bt * w).sum(axis=1)  # objective at the origin, per column
+    gram = np.empty((w.shape[1], p, p))
+    lin = np.empty((r, p))
+    energy = np.empty(r)  # objective at the origin, per column
+    for i, aw in enumerate(_weighted(a, w)):
+        cols = slice(i * c, (i + 1) * c)
+        gram[i] = aw.T @ a
+        lin[cols] = _rowwise(bt[cols], aw)
+        energy[cols] = (bt[cols] * bt[cols] * w[:, i]).sum(axis=1)
     free = sorted(set(problem.free_coords))
     kept = [j for j in range(p) if j not in free]
-    g_kf = gram[kept][:, free]
-    try:
-        g_ff_inv = np.linalg.inv(gram[free][:, free])
-    except np.linalg.LinAlgError:
-        g_ff_inv = np.linalg.pinv(gram[free][:, free])
+    g_kf = gram[:, kept][:, :, free]
+    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
     coupling = g_kf @ g_ff_inv
-    schur = gram[kept][:, kept] - coupling @ g_kf.T
-    # Column subsets are taken with take(), which keeps rows contiguous, so
-    # that row-wise arithmetic rounds the same in a batch as alone.
+    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
+    # Each column takes its block's matrices.  Column subsets are taken
+    # with take(), which keeps rows contiguous, so that row-wise arithmetic
+    # rounds the same in a batch as alone.
+    s_col, g_kf_col, inv_col = schur[block], g_kf[block], g_ff_inv[block]
     lin_f = lin.take(free, axis=1)
-    d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling.T)  # (r, pr)
-    offset = energy - (_rowwise(lin_f, g_ff_inv) * lin_f).sum(axis=1)
+    d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling[block].transpose(0, 2, 1))  # (r, pr)
+    offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
 
     warm = np.zeros((r, p)) if warm_start is None else np.reshape(warm_start, (r, p))
 
     def evaluate(x):
         """Objective, Frank-Wolfe gap and half gradient of each row of x."""
-        half_grad = _rowwise(x, schur) - d
+        half_grad = _rowwise(x, s_col) - d
         x_hg = (x * half_grad).sum(axis=1)
         obj = x_hg - (x * d).sum(axis=1) + offset
         return obj, _fw_gap(half_grad, x_hg, radius, nonneg), half_grad
@@ -219,33 +262,32 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     obj, gap, half_grad = evaluate(x)
     tol = GAP_RTOL * (np.maximum(energy, obj) + _fw_gap(-d, 0.0, radius, nonneg))
 
-    # Exact shortcut: a feasible unconstrained minimizer needs no iterations.
-    try:
-        x_u = np.linalg.solve(schur, d[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        x_u = None
-    if x_u is not None:
-        _, gap_u, half_grad_u = evaluate(x_u)
-        ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
-        if nonneg:
-            ok &= np.all(x_u >= 0.0, axis=1)
-        x[ok], gap[ok], half_grad[ok] = x_u[ok], gap_u[ok], half_grad_u[ok]
+    # Exact shortcut: a feasible unconstrained minimizer needs no
+    # iterations.  A column whose S is singular keeps its start.
+    x_u = _stacked(lambda s, v, _: np.linalg.solve(s, v), lambda s, v, x0: x0,
+                   s_col, d[:, :, None], x[:, :, None])[:, :, 0]
+    _, gap_u, half_grad_u = evaluate(x_u)
+    ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
+    if nonneg:
+        ok &= np.all(x_u >= 0.0, axis=1)
+    x[ok], gap[ok], half_grad[ok] = x_u[ok], gap_u[ok], half_grad_u[ok]
 
     trace = [evaluate(x)[0]] if collect_trace else []
     cols = np.flatnonzero(gap > tol)
-    lam = float(np.linalg.eigvalsh(schur)[-1]) if cols.size else 0.0
-    if lam <= 0.0:
-        # Objective constant in x (zero design or weights): any feasible
-        # point is optimal.
-        cols = cols[:0]
     iterations = 0
     if cols.size:
+        lam = np.linalg.eigvalsh(schur).max(axis=1, initial=0.0)
+        # A block with lam = 0 has an objective constant in x (zero design
+        # or weights): any feasible point is optimal.
+        cols = cols[lam[block[cols]] > 0.0]
         # A gradient step of size 1/L from y is y @ descent + d / lam.
-        descent = np.eye(len(kept)) - schur / lam
+        lam_w = lam[block[cols]]
+        s_w = s_col[cols]
+        descent = np.eye(len(kept)) - s_w / lam_w[:, None, None]
         rounding = _ROUNDING * len(kept)
         # Working copies of the columns still iterating.
         xw, hgw, tolw, dw = x[cols], half_grad[cols], tol[cols], d[cols]
-        dw_step = dw / lam
+        dw_step = dw / lam_w[:, None]
         xw_prev = xw
         accepted = np.zeros(cols.size, dtype=int)
     while cols.size and iterations < MAX_ITERS:
@@ -254,7 +296,7 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
         beta = (np.maximum(accepted - 1, 0) / (accepted + 2.0))[:, None]
         y = xw + beta * (xw - xw_prev)
         z = project_l1_ball(_rowwise(y, descent) + dw_step, radius, nonneg)
-        hg_z = _rowwise(z, schur) - dw
+        hg_z = _rowwise(z, s_w) - dw
         # f(z) - f(x) = (z - x)'(Sz + Sx - 2d), without the cancellation of
         # subtracting two objective values.  Near a face of the ball, z - x
         # has a rounding-size part off the face that the large gradient
@@ -284,11 +326,12 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
             go = ~done
             cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
             accepted, tolw, dw, dw_step = accepted[go], tolw[go], dw[go], dw_step[go]
+            s_w, descent = s_w[go], descent[go]
 
     obj, gap, _ = evaluate(x)
     solution = np.empty((r, p))
     solution[:, kept] = x
-    solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf), g_ff_inv)
+    solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)
     converged = gap <= tol
     if single:
         return SolveReport(

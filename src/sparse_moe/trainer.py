@@ -3,14 +3,15 @@
 The gate and expert M-steps are L1-constrained weighted least-squares
 problems built by inverting the softmax (fitting logits to log-targets)
 and handed to the batched, gap-certified FISTA engine in
-:mod:`sparse_moe.solver`: one call per expert covers its q class
-problems, and one call covers all k gate rows when the selector is all
-ones.  The selector update runs first in each outer iteration with gate
-and expert weights frozen, then responsibilities are refreshed and the
-gate and expert subproblems are solved.  The selectors need no solver:
-the l1 selector is exact water-filling in closed form and the l0
-selector an exhaustive search over expert subsets, both as passes over
-all instances at once.
+:mod:`sparse_moe.solver`, one call per M-step.  The k*q expert problems
+form one block per expert, weighted by its responsibilities; the k gate
+rows share unit weights under an all-ones selector, and otherwise each
+row is a block weighted by its squared selector entries.  The selector
+update runs first in each outer iteration with gate and expert weights
+frozen, then responsibilities are refreshed and the gate and expert
+subproblems are solved.  The selectors need no solver: the l1 selector
+is exact water-filling in closed form and the l0 selector an exhaustive
+search over expert subsets, both as passes over all instances at once.
 
 The forward pass (the kernel in :mod:`sparse_moe.model`) runs once per EM
 iteration: the pass that scores an iteration's objective also gives the
@@ -42,7 +43,7 @@ from .model import (
     mixture_probs,
     prepare_inputs,
 )
-from .solver import SolveReport, WlsProblem, enumerate_subsets, solve, unconstrained_wls
+from .solver import WlsProblem, enumerate_subsets, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -95,23 +96,6 @@ class FitReport:
         )
 
 
-@dataclass
-class SolveTally:
-    """Constrained problems solved (columns, not calls) and how many of
-    them stopped at the iteration cap without a certificate."""
-
-    problems: int = 0
-    cap_hits: int = 0
-
-    @classmethod
-    def of(cls, report: SolveReport) -> "SolveTally":
-        converged = np.atleast_1d(report.converged)
-        return cls(converged.size, int(np.count_nonzero(~converged)))
-
-    def __add__(self, other: "SolveTally") -> "SolveTally":
-        return SolveTally(self.problems + other.problems, self.cap_hits + other.cap_hits)
-
-
 # ---------------------------------------------------------------------------
 # E-step on prepared inputs (standardized, bias appended)
 
@@ -158,64 +142,55 @@ def build_gate_targets(r, eps=GATE_TARGET_EPS):
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
-    """WLS update of every (class, expert) weight vector.
+    """WLS update of every (class, expert) weight vector, in one solver call.
 
-    The q class problems of an expert share its design and weights and
-    are solved in one batched call: constrained to the L1 ball of radius
-    ``lambda_omega`` and warm-started from the incumbent, or, when
-    ``lambda_omega`` is None (the fast schedule's inner iterations),
-    unconstrained with a small ridge.  Experts with (near) zero
-    responsibility mass keep their incumbent rows and are returned as
-    flagged for reinitialization.
+    The class targets are tiled once per expert, so that expert i's q
+    problems form a block weighted by its responsibilities ``r[:, i]``.
+    They are constrained to the L1 ball of radius ``lambda_omega`` and
+    warm-started from the incumbent, or, when ``lambda_omega`` is None (the
+    fast schedule's inner iterations), unconstrained with a small ridge.
+    Experts with (near) zero responsibility mass keep their incumbent rows
+    and are returned as flagged for reinitialization.  Also returns the
+    constrained problems' ``converged`` flags (none when unconstrained).
     """
-    n, k = r.shape
-    dp = x_mat.shape[1]
+    n = r.shape[0]
+    q, dp = targets.shape[1], x_mat.shape[1]
     omega = incumbent.omega.copy()
-    flagged = []
-    tally = SolveTally()
-    for i in range(k):
-        w = r[:, i]
-        if w.sum() <= DEAD_EXPERT_FRACTION * n:
-            flagged.append(i)
-        elif lambda_omega is None:
-            omega[:, i] = unconstrained_wls(x_mat, targets, w, ridge=RIDGE)
-        else:
-            problem = WlsProblem(x_mat, targets, w, lambda_omega, free_coords=(dp - 1,))
-            report = solve(problem, warm_start=omega[:, i])
-            omega[:, i] = report.solution
-            tally += SolveTally.of(report)
-    return ExpertParams(omega), flagged, tally
+    live = r.sum(axis=0) > DEAD_EXPERT_FRACTION * n
+    tiled = np.tile(targets, int(live.sum()))
+    if lambda_omega is None:
+        fitted = unconstrained_wls(x_mat, tiled, r[:, live], ridge=RIDGE)
+        converged = np.ones(0, dtype=bool)
+    else:
+        warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
+        problem = WlsProblem(x_mat, tiled, r[:, live], lambda_omega, free_coords=(dp - 1,))
+        report = solve(problem, warm_start=warm)
+        fitted, converged = report.solution, report.converged
+    omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
+    return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
 
 
 def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
-    """Constrained LS fit of gated gate logits to log-responsibilities.
+    """Constrained LS fit of gated gate logits to log-responsibilities, in
+    one solver call.
 
-    Rows with mu == 0 contribute constant residuals and are dropped; a
-    gate selected by no instance keeps its incumbent row.  With an
-    all-ones selector every row has the same design and unit weights, so
-    the k rows are solved in one batched call.
+    Gate row i minimizes sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS
+    problem with weights mu_ni^2 and targets log r_ni / mu_ni (0 where
+    mu_ni^2 == 0, where the weight drops the row).  With an all-ones
+    selector the k rows share unit weights, and so one Gram matrix.  A
+    gate selected by no instance keeps its incumbent row.  Also returns
+    the solved rows' ``converged`` flags.
     """
-    targets = build_gate_targets(r)
-    k = incumbent.nu.shape[0]
-    dp = x_mat.shape[1]
     nu = incumbent.nu.copy()
-    if np.all(mu == 1.0):
-        problem = WlsProblem(x_mat, targets, np.ones(x_mat.shape[0]), lambda_nu,
-                             free_coords=(dp - 1,))
-        report = solve(problem, warm_start=nu)
-        return GateParams(report.solution), SolveTally.of(report)
-    tally = SolveTally()
-    for i in range(k):
-        active = mu[:, i] != 0.0
-        if not active.any():
-            continue
-        design = mu[active, i, None] * x_mat[active]
-        weights = np.ones(int(active.sum()))
-        problem = WlsProblem(design, targets[active, i], weights, lambda_nu, free_coords=(dp - 1,))
-        report = solve(problem, warm_start=nu[i])
-        nu[i] = report.solution
-        tally += SolveTally.of(report)
-    return GateParams(nu), tally
+    rows = np.flatnonzero((mu != 0.0).any(axis=0))
+    sel = mu[:, rows]
+    weights = np.ones(len(mu)) if np.all(mu == 1.0) else sel * sel
+    targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+                        where=sel * sel != 0.0)
+    problem = WlsProblem(x_mat, targets, weights, lambda_nu, free_coords=(x_mat.shape[1] - 1,))
+    report = solve(problem, warm_start=nu[rows])
+    nu[rows] = report.solution
+    return GateParams(nu), report.converged
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +366,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     records = [record]
     prev_total = record.penalized_total
     converged = False
-    solves = SolveTally()  # gate and expert M-steps
+    solved = []  # converged flags of the gate and expert problems
     iterations_run = 0
 
     inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
@@ -414,17 +389,17 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             r = _posterior(g, h)
 
         if k > 1:
-            gate, used = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu))
+            gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu))
             nu = gate.nu
-            solves += used
+            solved.append(done)
 
         # The fast schedule leaves the experts unconstrained until its final pass.
         radius = hyper.lambda_omega if hyper.schedule == "full" else None
-        experts, flagged, used = m_step_experts(
+        experts, flagged, done = m_step_experts(
             r, x_mat, expert_targets, radius, ExpertParams(omega)
         )
         omega = experts.omega
-        solves += used
+        solved.append(done)
         for i in flagged:
             reinit_expert(i)
 
@@ -439,11 +414,11 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 
     if hyper.schedule == "fast":
         # Final pass: the constrained expert problems are solved exactly once.
-        experts, flagged, used = m_step_experts(
+        experts, flagged, done = m_step_experts(
             r, x_mat, expert_targets, hyper.lambda_omega, ExpertParams(omega)
         )
         omega = experts.omega
-        solves += used
+        solved.append(done)
         iterations_run += 1
         g, h = forward()
         records.append(_trace_record(iterations_run, g, h, nu, omega, mu, hyper.selector_mode)[0])
@@ -455,14 +430,15 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     sparsity = float(np.mean(weights < SPARSITY_THRESHOLD))
     active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
     histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
+    converged_flags = np.concatenate(solved)
     report = FitReport(
         trace=records,
         iterations_run=iterations_run,
         converged=converged,
         sparsity=sparsity,
         selector_histogram=histogram,
-        constrained_solves=solves.problems,
-        solver_cap_hits=solves.cap_hits,
+        constrained_solves=converged_flags.size,
+        solver_cap_hits=int(np.count_nonzero(~converged_flags)),
     )
     return model, report
 

@@ -119,8 +119,8 @@ def _parse_number(cell):
 
 def load_dataset_reference(path):
     """Row-by-row, cell-by-cell reading of the comma-delimited format:
-    blank lines skipped, a header when any feature cell of the first row
-    is not a number, every feature cell parsed by Python ``float()``, and
+    blank lines skipped, a header when any stripped feature cell of the
+    first row is not a number, every feature cell parsed by Python ``float()``, and
     class ids in first-appearance order of the last column's tokens."""
     text = Path(path).read_text(encoding="utf-8")
     rows = [line.split(",") for line in text.splitlines() if line.strip()]
@@ -130,7 +130,7 @@ def load_dataset_reference(path):
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus a label")
     start = 0
-    if any(_parse_number(c) is None for c in rows[0][:-1]):
+    if any(_parse_number(c.strip()) is None for c in rows[0][:-1]):
         start = 1
         if len(rows) == 1:
             raise DataError(f"{path}: header only, no data rows")

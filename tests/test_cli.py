@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ class TestTrain:
                           lambda_mu=lambda_mu)
         assert main(args) == 2
         assert "lambda_mu must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("lambda_gate", "inf"), ("lambda_expert", "inf"),
+                                             ("lambda_gate", "nan"), ("lambda_expert", "1e999")])
+    def test_non_finite_radius_exit_2(self, xor_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(train_args(xor_file, out, **{flag: value})) == 2
+        assert caught == []
+        assert "L1 radii must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_model_files(self, xor_file, tmp_path, capsys):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"

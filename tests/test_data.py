@@ -136,6 +136,15 @@ class TestLoaderParity:
         ds = load_dataset(write(tmp_path, "1,1,a\n\x1f2\x1f,3,b\n"))
         assert ds.features[1, 0] == 2.0
 
+    def test_padded_first_row_is_data(self, tmp_path):
+        # The header check strips cells as the value parse does, so a
+        # padded number in the first row is data, not a header.
+        path = write(tmp_path, "\x1f2\x1f,1,a\n2,3,b\n5,1,a\n")
+        for load in (load_dataset, load_dataset_reference):
+            ds = load(path)
+            assert ds.n == 3
+            np.testing.assert_array_equal(ds.features[:, 0], [2.0, 2.0, 5.0])
+
     @pytest.mark.parametrize("cell", ["#", "", "1 2", "0x10"])
     def test_cells_float_rejects(self, tmp_path, cell):
         with pytest.raises(DataError, match="row 3, column 2"):

@@ -280,3 +280,63 @@ class TestBatchedCertifiedSolve:
         v = np.array(rows)
         expected = np.array([project_l1_ball(row, radius, nonneg) for row in v])
         np.testing.assert_array_equal(project_l1_ball(v, radius, nonneg), expected)
+
+
+class TestBlockWeights:
+    """(m, g) row weights: the r target columns form g consecutive blocks,
+    block i weighted by weight column i."""
+
+    @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
+    def test_blocks_equal_separate_solves_bitwise(self, rng, free, nonneg):
+        m, p, g, c = 30, 4, 3, 2
+        a = rng.normal(0, 1, (m, p))
+        if free:
+            a[:, 3] = 1.0
+        b = rng.normal(0, 3, (m, g * c))
+        w = rng.uniform(0.2, 2.0, (m, g))
+        w[:, 1] = 0.0  # a zero-weight block (singular Gram) beside live ones
+        warm = rng.normal(0, 1, (g * c, p))
+        joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+        assert joint.solution.shape == (g * c, p)
+        assert joint.iterations > 0
+        for i in range(g):
+            cols = slice(i * c, (i + 1) * c)
+            alone = solve(WlsProblem(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(), 0.8,
+                                     free, nonneg), warm_start=warm[cols])
+            assert joint.solution[cols].tobytes() == alone.solution.tobytes()
+            assert joint.gap[cols].tobytes() == alone.gap.tobytes()
+            np.testing.assert_array_equal(joint.converged[cols], alone.converged)
+
+    def test_unconstrained_blocks_equal_separate_calls_bitwise(self, rng):
+        m, p, g, c = 25, 3, 3, 2
+        a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
+        b = rng.normal(0, 1, (m, g * c))
+        w = rng.uniform(0.2, 2.0, (m, g))
+        w[:, 2] = 0.0
+        joint = unconstrained_wls(a, b, w, ridge=1e-8)
+        for i in range(g):
+            cols = slice(i * c, (i + 1) * c)
+            alone = unconstrained_wls(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
+                                      ridge=1e-8)
+            assert joint[cols].tobytes() == alone.tobytes()
+
+    def test_unit_blocks_equal_shared_weights(self, rng):
+        # g blocks of all-ones weights give the shared-weight answer.
+        m, p = 20, 3
+        a = rng.normal(0, 1, (m, p))
+        b = rng.normal(0, 1, (m, 4))
+        shared = solve(WlsProblem(a, b, np.ones(m), 0.7))
+        blocks = solve(WlsProblem(a, b, np.ones((m, 4)), 0.7))
+        assert shared.solution.tobytes() == blocks.solution.tobytes()
+
+    @pytest.mark.parametrize("shape", [(20, 3), (20, 0), (19, 2), (20, 2, 1)])
+    def test_columns_must_split_into_equal_blocks(self, rng, shape):
+        a = rng.normal(0, 1, (20, 3))
+        with pytest.raises(ConfigError):
+            WlsProblem(a, rng.normal(0, 1, (20, 4)), np.ones(shape), 1.0)
+
+    def test_empty_batch_solves_to_nothing(self, rng):
+        a = rng.normal(0, 1, (10, 3))
+        report = solve(WlsProblem(a, np.zeros((10, 0)), np.zeros((10, 0)), 1.0, (2,)))
+        assert report.solution.shape == (0, 3)
+        assert report.converged.shape == (0,)

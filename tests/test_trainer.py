@@ -206,6 +206,37 @@ class TestMStepGate:
         g, _ = m_step_gate(r, x, mu, 1.0, GateParams(incumbent))
         np.testing.assert_array_equal(g.nu[1], incumbent[1])
 
+    @pytest.mark.parametrize("radius", [0.3, 1e6])
+    def test_gated_matches_row_dropped_formulation(self, rng, radius):
+        # Gate row i as a plain LS fit on the rows that select it: design
+        # mu_ni x_n, target log r_ni, unit weights.
+        n, k = 40, 3
+        x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
+        r = rng.dirichlet(np.ones(k), n)
+        mu = rng.uniform(0.2, 1.5, (n, k))
+        mu[rng.uniform(size=(n, k)) < 0.3] = 0.0
+        mu[:, 2] = 0.0  # no instance selects gate 2
+        incumbent = rng.normal(0, 0.1, (k, 3))
+        g, converged = m_step_gate(r, x, mu, radius, GateParams(incumbent))
+        targets = build_gate_targets(r)
+        for i in range(2):
+            active = mu[:, i] != 0.0
+            ref = solve(WlsProblem(mu[active, i, None] * x[active], targets[active, i],
+                                   np.ones(int(active.sum())), radius, free_coords=(2,)),
+                        warm_start=incumbent[i])
+            np.testing.assert_allclose(g.nu[i], ref.solution, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(g.nu[2], incumbent[2])
+        assert converged.shape == (2,) and converged.all()
+
+    def test_no_gate_selected_keeps_incumbent(self, rng):
+        n = 8
+        x = np.column_stack([rng.normal(0, 1, (n, 1)), np.ones(n)])
+        incumbent = rng.normal(0, 1, (2, 2))
+        g, converged = m_step_gate(rng.dirichlet(np.ones(2), n), x, np.zeros((n, 2)), 1.0,
+                                   GateParams(incumbent))
+        np.testing.assert_array_equal(g.nu, incumbent)
+        assert converged.size == 0
+
     def test_toy_vs_grid_oracle(self, rng):
         n = 6
         x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
@@ -431,6 +462,48 @@ class TestSelectorNorm1:
                             selector_mode="l1", lambda_mu=1.5))
         assert calls["in_m_step"] > 0
         assert calls["elsewhere"] == 0
+
+
+class TestOneSolverCallPerMStep:
+    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
+        ("none", None, "full"), ("l0", 1, "full"), ("l1", 1.5, "full"), ("l1", 1.5, "fast"),
+    ])
+    def test_each_m_step_makes_one_call(self, monkeypatch, selector_mode, lambda_mu, schedule):
+        calls = []
+
+        def logged(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("solve", "unconstrained_wls", "m_step_gate", "m_step_experts"):
+            monkeypatch.setattr(trainer, name, logged(name, getattr(trainer, name)))
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+                                        max_iters=4, selector_mode=selector_mode,
+                                        lambda_mu=lambda_mu, schedule=schedule))
+        steps, solvers = calls[0::2], calls[1::2]
+        assert len(steps) == len(solvers)
+        assert steps.count("m_step_gate") == steps.count("m_step_experts") - (schedule == "fast")
+        for step, solver_call in zip(steps, solvers):
+            assert step in ("m_step_gate", "m_step_experts")
+            assert solver_call in ("solve", "unconstrained_wls")
+        if schedule == "fast":
+            assert solvers.count("unconstrained_wls") == len(steps) // 2
+            assert solvers[-1] == "solve"
+        else:
+            assert "unconstrained_wls" not in solvers
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
+    def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
+        ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
+        hyper = Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=10,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu)
+        paths = [tmp_path / "m0.json", tmp_path / "m1.json"]
+        for path in paths:
+            save_model(fit(ds, hyper)[0], path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestFit:
