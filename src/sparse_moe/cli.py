@@ -1,8 +1,9 @@
 """Command-line surface: train / predict / evaluate / inspect / synth.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data or model problems,
-4 numeric failures during training.  Progress goes to stdout, diagnostics
-to stderr, machine-readable artifacts only to --out paths.
+4 numeric failures (in training, or a model whose probabilities overflow).
+Progress goes to stdout, diagnostics to stderr, machine-readable artifacts
+only to --out paths.
 
 Note: the lambda flags are L1 *radii* (hard constraint budgets), not
 penalty multipliers.
@@ -25,6 +26,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# Scoring a loaded model raises FloatingPointError (exit 4) where NumPy
+# would warn and write non-finite probabilities.
+_SCORING_ERRSTATE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +118,8 @@ def _model_and_data(args):
 
 def cmd_predict(args) -> int:
     model, dataset = _model_and_data(args)
-    probs = predict_proba_batch(model, dataset.features, args.selector_policy)
+    with np.errstate(**_SCORING_ERRSTATE):
+        probs = predict_proba_batch(model, dataset.features, args.selector_policy)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_prediction_lines(dataset.label_names, probs))
     return EXIT_OK
@@ -130,7 +135,8 @@ def _prediction_lines(label_names, probs) -> str:
 
 def cmd_evaluate(args) -> int:
     model, dataset = _model_and_data(args)
-    metrics = evaluate(model, dataset, args.selector_policy)
+    with np.errstate(**_SCORING_ERRSTATE):
+        metrics = evaluate(model, dataset, args.selector_policy)
     print(f"accuracy={metrics['accuracy']:.6f} nll={metrics['nll']:.6f}")
     return EXIT_OK
 

@@ -64,6 +64,8 @@ class Scaler:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise DataError("scaler mean and std must be finite")
         if np.any(self.std <= 0):
             raise DataError("scaler std must be strictly positive")
 

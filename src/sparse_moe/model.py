@@ -134,7 +134,7 @@ class MixtureModel:
             raise DimensionError("gate/expert shapes disagree")
         if k != self.hyper.k:
             raise DimensionError("expert count disagrees with hyperparameters")
-        if self.scaler.mean.shape != (dp - 1,):
+        if self.scaler.mean.shape != (dp - 1,) or self.scaler.std.shape != (dp - 1,):
             raise DimensionError("scaler dimension disagrees with weights")
 
     @property
@@ -254,6 +254,10 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
+    """The model a :func:`model_to_dict` document describes.  An unknown
+    format version, or hyperparameters that ``Hyperparams.validate``
+    rejects, raise ConfigError; any other malformed document raises
+    DataError."""
     if not isinstance(doc, dict):
         raise DataError("a model file must hold a JSON object")
     if doc.get("format_version") != 1:
@@ -266,7 +270,7 @@ def model_from_dict(doc: dict) -> MixtureModel:
             lambda_mu=None if doc["lambda_mu"] is None else float(doc["lambda_mu"]),
             selector_mode=doc["selector_mode"],
         )
-        return MixtureModel(
+        model = MixtureModel(
             gate=GateParams(np.array(doc["nu"], dtype=float)),
             experts=ExpertParams(np.array(doc["omega"], dtype=float)),
             hyper=hyper,
@@ -274,8 +278,12 @@ def model_from_dict(doc: dict) -> MixtureModel:
         )
     except KeyError as exc:
         raise DataError(f"model file lacks the field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
+    # Validated once k is known to match the weights, so that a huge k
+    # never reaches the subset-count guard.
+    hyper.validate()
+    return model
 
 
 def save_model(model: MixtureModel, path) -> None:
@@ -287,4 +295,9 @@ def save_model(model: MixtureModel, path) -> None:
 
 
 def load_model(path) -> MixtureModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not a JSON model file: {exc}") from exc
+    return model_from_dict(doc)

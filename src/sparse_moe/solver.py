@@ -37,7 +37,7 @@ def _blocks(design, target, row_weights):
     """Design (m, p), targets (m, r), weights (m, g) and block width c of a
     WLS batch, checked: the r = g * c target columns form g consecutive
     blocks, and block i is weighted by weight column i.  ``(m,)`` weights
-    are one block."""
+    are one block.  Weights must be finite and nonnegative."""
     a = np.atleast_2d(np.asarray(design, dtype=float))
     b = np.asarray(target, dtype=float)
     w = np.asarray(row_weights, dtype=float)
@@ -50,6 +50,8 @@ def _blocks(design, target, row_weights):
     c = b.shape[1] // max(w.shape[1], 1)
     if c * w.shape[1] != b.shape[1]:
         raise ConfigError("target columns do not form equal weight blocks")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ConfigError("row weights must be finite and nonnegative")
     return a, b, w, c
 
 
@@ -78,8 +80,6 @@ class WlsProblem:
         self.design, _, weights, _ = _blocks(self.design, self.target, self.row_weights)
         self.target = np.asarray(self.target, dtype=float)
         self.row_weights = weights if np.ndim(self.row_weights) == 2 else weights[:, 0]
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ConfigError("row weights must be finite and nonnegative")
         if not self.radius > 0:
             raise ConfigError("radius must be positive")
 
@@ -128,11 +128,20 @@ def project_l1_ball(v, radius, nonnegative=False):
     return shrunk if nonnegative else np.sign(v) * shrunk
 
 
-def _weighted(a, w):
-    """a scaled by each weight column in turn, in one reused buffer."""
-    aw = np.empty_like(a)
+def _grams(a, w):
+    """The weighted Gram matrix A'diag(w_i)A of each weight column i, (g, p, p).
+
+    Each is S'S for S the rows of a scaled by sqrt(w_i), in one reused
+    buffer; NumPy computes S'S as a symmetric rank-k update (BLAS syrk),
+    half the multiplications of a general product, and exactly symmetric.
+    """
+    gram = np.empty((w.shape[1], a.shape[1], a.shape[1]))
+    s = np.empty_like(a)
+    root = np.sqrt(w)
     for i in range(w.shape[1]):
-        yield np.multiply(a, w[:, i, None], out=aw)
+        np.multiply(a, root[:, i, None], out=s)
+        np.matmul(s.T, s, out=gram[i])
+    return gram
 
 
 def _stacked(op, fallback, *stacks):
@@ -161,11 +170,10 @@ def unconstrained_wls(design, target, row_weights, ridge=0.0):
         raise ConfigError("ridge must be nonnegative")
     a, b, w, c = _blocks(design, target, row_weights)
     p = a.shape[1]
-    gram = np.empty((w.shape[1], p, p))
+    gram = _grams(a, w)
     rhs = np.empty((w.shape[1], p, c))
-    for i, aw in enumerate(_weighted(a, w)):
-        gram[i] = aw.T @ a
-        rhs[i] = aw.T @ b[:, i * c:(i + 1) * c]
+    for i in range(w.shape[1]):
+        rhs[i] = a.T @ (b[:, i * c:(i + 1) * c] * w[:, i, None])
     try:
         z = np.linalg.solve(gram + ridge * np.eye(p), rhs)
     except np.linalg.LinAlgError as exc:
@@ -226,15 +234,11 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     block = np.repeat(np.arange(w.shape[1]), c)  # weight block of each column
     radius, nonneg = problem.radius, problem.nonnegative
 
+    gram = _grams(a, w)
     bt = np.ascontiguousarray(b.T)
-    gram = np.empty((w.shape[1], p, p))
-    lin = np.empty((r, p))
-    energy = np.empty(r)  # objective at the origin, per column
-    for i, aw in enumerate(_weighted(a, w)):
-        cols = slice(i * c, (i + 1) * c)
-        gram[i] = aw.T @ a
-        lin[cols] = _rowwise(bt[cols], aw)
-        energy[cols] = (bt[cols] * bt[cols] * w[:, i]).sum(axis=1)
+    bw = bt * w.T[block]  # each column's target times its block's weights
+    lin = _rowwise(bw, a)
+    energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
     free = sorted(set(problem.free_coords))
     kept = [j for j in range(p) if j not in free]
     g_kf = gram[:, kept][:, :, free]

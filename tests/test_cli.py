@@ -1,13 +1,24 @@
+import copy
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_model
-from sparse_moe import evaluate, expert_forward, load_dataset, load_model, save_model
+from conftest import make_model, random_model
+from sparse_moe import (
+    ConfigError,
+    DataError,
+    evaluate,
+    expert_forward,
+    load_dataset,
+    load_model,
+    save_model,
+)
 from sparse_moe.cli import _prediction_lines, main
-from sparse_moe.model import PROB_FLOOR, prepare_inputs
+from sparse_moe.model import PROB_FLOOR, model_from_dict, model_to_dict, prepare_inputs
 
 
 @pytest.fixture
@@ -208,19 +219,63 @@ class TestPredict:
             want.append(label + " " + " ".join(f"{p:.9g}" for p in row))
         assert _prediction_lines(names, probs) == "\n".join(want) + "\n"
 
-    @pytest.mark.parametrize("corrupt", ["missing-key", "not-an-object"])
+    @pytest.mark.parametrize("corrupt", ["missing-key", "not-an-object", "not-json",
+                                         "deeply-nested"])
     def test_malformed_model_exit_3(self, xor_file, tmp_path, capsys, corrupt):
         model_out = tmp_path / "m.json"
         assert main(train_args(xor_file, model_out)) == 0
         doc = json.loads(model_out.read_text())
         if corrupt == "missing-key":
             del doc["nu"]
-        else:
+        elif corrupt == "not-an-object":
             doc = [doc]
-        model_out.write_text(json.dumps(doc))
+        text = json.dumps(doc)
+        if corrupt == "not-json":
+            text = text[:-1]
+        elif corrupt == "deeply-nested":  # deeper than the JSON decoder's recursion limit
+            text = "[" * 100_000 + "]" * 100_000
+        model_out.write_text(text)
         assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
                      "--out", str(tmp_path / "p.txt")]) == 3
         assert "error" in capsys.readouterr().err
+
+    # Written as JSON text, so that 1e400 parses to inf and NaN to nan.  A
+    # malformed field exits 3; hyperparameters that train would reject exit
+    # 2, as a bad selector budget does (test_gate_surrogate_bad_budget_exit_2).
+    @pytest.mark.parametrize("field, text, code", [
+        ("k", "1e400", 3),
+        ("scaler", '{"mean": [NaN, 0.0], "std": [1.0, 1.0]}', 3),
+        ("selector_mode", '["none"]', 2),
+        ("lambda_omega", "-1", 2),
+        ("lambda_nu", "1e400", 2),
+    ])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_invalid_model_field_rejected(self, xor_file, tmp_path, capsys, field, text,
+                                          code, command):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        doc = json.loads(model_out.read_text())
+        doc[field] = "@"
+        model_out.write_text(json.dumps(doc).replace('"@"', text))
+        args = [command, "--model", str(model_out), "--data", str(xor_file)]
+        if command == "predict":
+            args += ["--out", str(tmp_path / "p.txt")]
+        assert main(args) == code
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_overflowing_model_exit_4(self, xor_file, tmp_path, capsys, command):
+        # Finite weights whose logits overflow: exit 4, no non-finite output.
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        doc = json.loads(model_out.read_text())
+        doc["nu"][0][0] = 1e308
+        model_out.write_text(json.dumps(doc))
+        args = [command, "--model", str(model_out), "--data", str(xor_file)]
+        if command == "predict":
+            args += ["--out", str(tmp_path / "p.txt")]
+        assert main(args) == 4
+        assert "overflow" in capsys.readouterr().err
 
     def test_shape_mismatch_exit_3(self, xor_file, tmp_path, capsys):
         model_out = tmp_path / "m.json"
@@ -300,3 +355,64 @@ class TestInspect:
         report_out.write_text(json.dumps(report))
         assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 3
         assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# model-file fuzz: mutate a valid document at random places
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_documents(draw, base):
+    """base with one to three nodes deleted or replaced by any JSON value."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = draw(JSON_VALUES)
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+_BASE_MODEL = random_model(np.random.default_rng(5), k=2, q=2, dp=3, lambda_mu=1.5,
+                           selector_mode="l1")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "xor.csv"
+    assert main(["synth", "--preset", "two-cluster-xor", "--n", "10", "--seed", "3",
+                 "--out", str(data)]) == 0
+    return data, root / "m.json", root / "p.txt"
+
+
+@settings(deadline=None, max_examples=200)
+@given(doc=mutated_documents(model_to_dict(_BASE_MODEL)))
+def test_mutated_model_file(fuzz_files, doc):
+    # A mutated document loads or raises ConfigError or DataError.  Predict
+    # never raises: it exits 2 or 3 on a document that does not load, and
+    # otherwise 0, 3 (shape mismatch) or 4 (overflow).
+    data, model_path, out = fuzz_files
+    try:
+        model_from_dict(doc)
+        loaded = True
+    except (ConfigError, DataError):
+        loaded = False
+    model_path.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(out)])
+    assert code in ((0, 3, 4) if loaded else (2, 3))

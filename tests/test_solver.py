@@ -90,6 +90,14 @@ class TestUnconstrainedWls:
         with pytest.raises(SolverError):
             unconstrained_wls(a, np.array([1.0, 2.0]), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_weights(self, bad):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ConfigError, match="row weights"):
+            unconstrained_wls(a, np.ones(3), [1.0, bad, 1.0])
+        with pytest.raises(ConfigError, match="row weights"):
+            unconstrained_wls(a, np.ones((3, 2)), [[1.0, 1.0], [1.0, bad], [1.0, 1.0]])
+
     @pytest.mark.parametrize("ridge", [0.0, 1e-8])
     def test_matrix_target_matches_column_calls(self, rng, ridge):
         a = np.column_stack([rng.normal(0, 1, (40, 5)), np.ones(40)])
@@ -340,3 +348,47 @@ class TestBlockWeights:
         report = solve(WlsProblem(a, np.zeros((10, 0)), np.zeros((10, 0)), 1.0, (2,)))
         assert report.solution.shape == (0, 3)
         assert report.converged.shape == (0,)
+
+
+class TestGramReference:
+    """Both solvers against an independent reference, np.linalg.lstsq on
+    sqrt(w)-scaled rows, under block weights that span 1e-12 to 1e6 and
+    include exact zeros."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        m, p, g, c = 60, 5, 3, 2
+        a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
+        b = rng.normal(0, 1, (m, g * c))
+        w = 10.0 ** rng.uniform(-12, 6, (m, g))
+        w[rng.random((m, g)) < 0.2] = 0.0
+        w[0], w[1], w[2] = 1e-12, 1e6, 0.0
+        return a, b, w, c
+
+    @staticmethod
+    def _lstsq(a, b, w, c):
+        solutions = []
+        for i in range(w.shape[1]):
+            root = np.sqrt(w[:, i])[:, None]
+            z, *_ = np.linalg.lstsq(a * root, b[:, i * c:(i + 1) * c] * root, rcond=None)
+            solutions.append(z.T)
+        return np.vstack(solutions)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unconstrained_matches_lstsq(self, seed):
+        a, b, w, c = self._case(seed)
+        ref = self._lstsq(a, b, w, c)
+        np.testing.assert_allclose(unconstrained_wls(a, b, w), ref,
+                                   rtol=0, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("free", [(), (4,)])
+    def test_inactive_solve_matches_lstsq(self, seed, free):
+        a, b, w, c = self._case(seed)
+        ref = self._lstsq(a, b, w, c)
+        report = solve(WlsProblem(a, b, w, 1e9, free))
+        np.testing.assert_allclose(report.solution, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+        weights = np.repeat(w, c, axis=1)
+        residual = (weights * (a @ ref.T - b) ** 2).sum(axis=0)
+        np.testing.assert_allclose(report.final_objective, residual, rtol=1e-9)
