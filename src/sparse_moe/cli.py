@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -158,7 +159,10 @@ def cmd_inspect(args) -> int:
     )
     print(f"sparsity={float(np.mean(weights < thr)):.6f}")
     if args.report:
-        doc = json.loads(open(args.report, encoding="utf-8").read())
+        try:
+            doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{args.report}: not a JSON report file: {exc}") from exc
         hist = doc.get("selector_histogram", {}) if isinstance(doc, dict) else None
         if not isinstance(hist, dict):
             raise DataError(f"{args.report}: no selector histogram object in the report")

@@ -151,14 +151,23 @@ class MixtureModel:
 
 
 def prepare_inputs(features, scaler: Scaler):
-    """Standardize raw features and append the constant-1 bias column."""
+    """Standardize raw features and append the constant-1 bias column.
+
+    The result is feature-major (Fortran order): each column is contiguous,
+    so the passes down the rows of the design (the weighted Gram matrices,
+    right-hand sides and logits) run over long unit-stride columns.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[1] != scaler.mean.shape[0]:
         raise DimensionError(
             f"expected {scaler.mean.shape[0]} features, got {x.shape[1]}"
         )
-    z = (x - scaler.mean) / scaler.std
-    return np.hstack([z, np.ones((x.shape[0], 1))])
+    out = np.empty((x.shape[0], x.shape[1] + 1), order="F")
+    z = out[:, :-1]
+    np.subtract(x, scaler.mean, out=z)
+    np.divide(z, scaler.std, out=z)
+    out[:, -1] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +272,11 @@ def model_from_dict(doc: dict) -> MixtureModel:
     if doc.get("format_version") != 1:
         raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
     try:
+        k = doc["k"]
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise DataError(f"the field 'k' must be an integer, got {k!r}")
         hyper = Hyperparams(
-            k=int(doc["k"]),
+            k=k,
             lambda_nu=float(doc["lambda_nu"]),
             lambda_omega=float(doc["lambda_omega"]),
             lambda_mu=None if doc["lambda_mu"] is None else float(doc["lambda_mu"]),

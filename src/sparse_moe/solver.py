@@ -9,11 +9,15 @@ weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
 complement), a feasible unconstrained minimizer is returned as is, and
 every other column runs accelerated projected gradient (FISTA) with a
 monotone restart until its Frank-Wolfe duality gap certifies optimality.
+The set-up that depends only on the design, the weights and the free
+coordinates (Gram matrices, Schur complements, step sizes) is a
+:class:`Factorization`, which solves that have those in common can share.
 No external QP dependency.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,6 +37,19 @@ GAP_RTOL = 1e-10
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
+def _weight_blocks(row_weights, m):
+    """Row weights as an (m, g) matrix of g weight columns, checked finite
+    and nonnegative; ``(m,)`` weights are one column."""
+    w = np.asarray(row_weights, dtype=float)
+    if w.ndim < 2:
+        w = w.reshape(-1, 1)
+    if w.ndim != 2 or len(w) != m:
+        raise ConfigError("design/target/weight shapes inconsistent")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ConfigError("row weights must be finite and nonnegative")
+    return w
+
+
 def _blocks(design, target, row_weights):
     """Design (m, p), targets (m, r), weights (m, g) and block width c of a
     WLS batch, checked: the r = g * c target columns form g consecutive
@@ -40,18 +57,14 @@ def _blocks(design, target, row_weights):
     are one block.  Weights must be finite and nonnegative."""
     a = np.atleast_2d(np.asarray(design, dtype=float))
     b = np.asarray(target, dtype=float)
-    w = np.asarray(row_weights, dtype=float)
     m = a.shape[0]
-    if w.ndim < 2:
-        w = w.reshape(-1, 1)
-    if b.ndim not in (1, 2) or w.ndim != 2 or len(b) != m or len(w) != m:
+    if b.ndim not in (1, 2) or len(b) != m:
         raise ConfigError("design/target/weight shapes inconsistent")
+    w = _weight_blocks(row_weights, m)
     b = b.reshape(m, -1)
     c = b.shape[1] // max(w.shape[1], 1)
     if c * w.shape[1] != b.shape[1]:
         raise ConfigError("target columns do not form equal weight blocks")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ConfigError("row weights must be finite and nonnegative")
     return a, b, w, c
 
 
@@ -157,6 +170,52 @@ def _stacked(op, fallback, *stacks):
         return np.concatenate([_stacked(op, fallback, *part) for part in parts])
 
 
+@dataclass
+class Factorization:
+    """The part of :func:`solve`'s set-up that depends on the design, the
+    row weights and the free coordinates, but not on the targets.
+
+    For each weight block: the rows ``g_kf`` of its Gram matrix that couple
+    restricted to free coordinates, the inverse ``g_ff_inv`` of its free
+    block, ``coupling`` = g_kf g_ff_inv and the Schur complement ``schur``
+    of the free block.  ``lam`` is the largest eigenvalue of each Schur
+    complement, computed on first use.  Build one with :func:`factor`.
+    """
+
+    shape: tuple[int, int]  # (m, p) of the design
+    free: list[int]  # sorted free coordinates
+    kept: list[int]  # the restricted coordinates, the others
+    g_kf: np.ndarray  # (g, p_kept, p_free)
+    g_ff_inv: np.ndarray  # (g, p_free, p_free)
+    coupling: np.ndarray  # (g, p_kept, p_free)
+    schur: np.ndarray  # (g, p_kept, p_kept)
+
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.schur).max(axis=1, initial=0.0)
+
+
+def factor(design, row_weights, free_coords=()) -> Factorization:
+    """The :class:`Factorization` of a design under ``(m,)`` or ``(m, g)``
+    row weights (as in :class:`WlsProblem`), for the given free coordinates.
+
+    Every problem on the same design, weights and free coordinates shares
+    it, so a caller that solves many such problems (the gate M-step under
+    an all-ones selector, whose weights are unit) can build it once and
+    hand it to each :func:`solve`.
+    """
+    a = np.atleast_2d(np.asarray(design, dtype=float))
+    w = _weight_blocks(row_weights, a.shape[0])
+    free = sorted(set(free_coords))
+    kept = [j for j in range(a.shape[1]) if j not in free]
+    gram = _grams(a, w)
+    g_kf = gram[:, kept][:, :, free]
+    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
+    coupling = g_kf @ g_ff_inv
+    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
+    return Factorization(a.shape, free, kept, g_kf, g_ff_inv, coupling, schur)
+
+
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
     """Ridge-stabilized weighted least squares via the normal equations.
 
@@ -208,7 +267,8 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveReport:
+def solve(problem: WlsProblem, warm_start=None, collect_trace=False,
+          factorization: Factorization | None = None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
 
     The free coordinates are minimized out in closed form, leaving a
@@ -227,6 +287,12 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     scale, or at ``MAX_ITERS``.  Each weight block has its own S, L and
     factorizations, and every column uses its block's.  Columns never mix,
     so a batched column matches its single solve bit for bit.
+
+    Those per-block matrices are the problem's :class:`Factorization`,
+    built here unless ``factorization`` hands in one that :func:`factor`
+    built for the same design, weights and free coordinates; the result is
+    the same bit for bit.  One that does not fit the problem's shape, weight
+    blocks or free coordinates raises ConfigError.
     """
     a, b, w, c = _blocks(problem.design, problem.target, problem.row_weights)
     single = problem.target.ndim == 1
@@ -234,23 +300,23 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     block = np.repeat(np.arange(w.shape[1]), c)  # weight block of each column
     radius, nonneg = problem.radius, problem.nonnegative
 
-    gram = _grams(a, w)
+    fac = factor(a, w, problem.free_coords) if factorization is None else factorization
+    if (fac.shape != a.shape or len(fac.schur) != w.shape[1]
+            or fac.free != sorted(set(problem.free_coords))):
+        raise ConfigError("factorization does not match the problem's design, "
+                          "weight blocks or free coordinates")
+    free, kept = fac.free, fac.kept
     bt = np.ascontiguousarray(b.T)
     bw = bt * w.T[block]  # each column's target times its block's weights
     lin = _rowwise(bw, a)
     energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
-    free = sorted(set(problem.free_coords))
-    kept = [j for j in range(p) if j not in free]
-    g_kf = gram[:, kept][:, :, free]
-    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
-    coupling = g_kf @ g_ff_inv
-    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
     # Each column takes its block's matrices.  Column subsets are taken
     # with take(), which keeps rows contiguous, so that row-wise arithmetic
     # rounds the same in a batch as alone.
-    s_col, g_kf_col, inv_col = schur[block], g_kf[block], g_ff_inv[block]
+    s_col, g_kf_col, inv_col = fac.schur[block], fac.g_kf[block], fac.g_ff_inv[block]
     lin_f = lin.take(free, axis=1)
-    d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling[block].transpose(0, 2, 1))  # (r, pr)
+    coupling_t = fac.coupling[block].transpose(0, 2, 1)
+    d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling_t)  # (r, pr)
     offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
 
     warm = np.zeros((r, p)) if warm_start is None else np.reshape(warm_start, (r, p))
@@ -280,7 +346,7 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False) -> SolveRep
     cols = np.flatnonzero(gap > tol)
     iterations = 0
     if cols.size:
-        lam = np.linalg.eigvalsh(schur).max(axis=1, initial=0.0)
+        lam = fac.lam
         # A block with lam = 0 has an objective constant in x (zero design
         # or weights): any feasible point is optimal.
         cols = cols[lam[block[cols]] > 0.0]

@@ -9,9 +9,11 @@ rows share unit weights under an all-ones selector, and otherwise each
 row is a block weighted by its squared selector entries.  The selector
 update runs first in each outer iteration with gate and expert weights
 frozen, then responsibilities are refreshed and the gate and expert
-subproblems are solved.  The selectors need no solver: the l1 selector
-is exact water-filling in closed form and the l0 selector an exhaustive
-search over expert subsets, both as passes over all instances at once.
+subproblems are solved.  Without a selector the gate problems' weights
+never change, so a fit factors them once and reuses the factorization.
+The selectors need no solver: the l1 selector is exact water-filling in
+closed form and the l0 selector an exhaustive search over expert
+subsets, both as passes over all instances at once.
 
 The forward pass (the kernel in :mod:`sparse_moe.model`) runs once per EM
 iteration: the pass that scores an iteration's objective also gives the
@@ -43,7 +45,7 @@ from .model import (
     mixture_probs,
     prepare_inputs,
 )
-from .solver import WlsProblem, enumerate_subsets, solve, unconstrained_wls
+from .solver import WlsProblem, enumerate_subsets, factor, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -170,25 +172,30 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
 
 
-def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
+def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams, factorization=None):
     """Constrained LS fit of gated gate logits to log-responsibilities, in
     one solver call.
 
     Gate row i minimizes sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS
     problem with weights mu_ni^2 and targets log r_ni / mu_ni (0 where
     mu_ni^2 == 0, where the weight drops the row).  With an all-ones
-    selector the k rows share unit weights, and so one Gram matrix.  A
-    gate selected by no instance keeps its incumbent row.  Also returns
-    the solved rows' ``converged`` flags.
+    selector the k rows share unit weights, and so one Gram matrix.  That
+    problem's solver factorization depends on x_mat alone; a caller that
+    has it (``factor(x_mat, ones, (bias,))``) may pass it in.  A gate
+    selected by no instance keeps its incumbent row.  Also returns the
+    solved rows' ``converged`` flags.
     """
     nu = incumbent.nu.copy()
     rows = np.flatnonzero((mu != 0.0).any(axis=0))
     sel = mu[:, rows]
-    weights = np.ones(len(mu)) if np.all(mu == 1.0) else sel * sel
+    unit = np.all(mu == 1.0)
+    if factorization is not None and not unit:
+        raise ConfigError("a unit-weight gate factorization needs an all-ones selector")
+    weights = np.ones(len(mu)) if unit else sel * sel
     targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
                         where=sel * sel != 0.0)
     problem = WlsProblem(x_mat, targets, weights, lambda_nu, free_coords=(x_mat.shape[1] - 1,))
-    report = solve(problem, warm_start=nu[rows])
+    report = solve(problem, warm_start=nu[rows], factorization=factorization)
     nu[rows] = report.solution
     return GateParams(nu), report.converged
 
@@ -368,6 +375,11 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     converged = False
     solved = []  # converged flags of the gate and expert problems
     iterations_run = 0
+    # Without a selector the gate's weights stay unit, so its factorization
+    # is the same in every iteration: build it once.
+    gate_factor = None
+    if hyper.selector_mode == "none" and k > 1:
+        gate_factor = factor(x_mat, np.ones(n), (dp - 1,))
 
     inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
     for t in range(1, inner_iters + 1):
@@ -389,7 +401,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             r = _posterior(g, h)
 
         if k > 1:
-            gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu))
+            gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu), gate_factor)
             nu = gate.nu
             solved.append(done)
 

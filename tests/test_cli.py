@@ -263,6 +263,21 @@ class TestPredict:
         assert main(args) == code
         assert "error" in capsys.readouterr().err
 
+    # k must be a JSON integer: a float that int() would truncate, a
+    # boolean or a string is malformed, even where the gate rows agree.
+    @pytest.mark.parametrize("text", ["2.9", "true", '"2"'])
+    def test_non_integer_k_exit_3(self, xor_file, tmp_path, capsys, text):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        doc = json.loads(model_out.read_text())
+        doc["k"] = "@"
+        with pytest.raises(DataError, match="'k'"):
+            model_from_dict(json.loads(json.dumps(doc).replace('"@"', text)))
+        model_out.write_text(json.dumps(doc).replace('"@"', text))
+        assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
+                     "--out", str(tmp_path / "p.txt")]) == 3
+        assert "error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_overflowing_model_exit_4(self, xor_file, tmp_path, capsys, command):
         # Finite weights whose logits overflow: exit 4, no non-finite output.
@@ -345,6 +360,17 @@ class TestInspect:
         printed = float([l for l in out.splitlines() if l.startswith("sparsity=")][0].split("=")[1])
         # inspect prints 6 decimals
         assert printed == pytest.approx(json.loads(report_out.read_text())["sparsity"], abs=1e-6)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{"],
+                             ids=["deeply-nested", "truncated"])
+    def test_unreadable_report_exit_3(self, xor_file, tmp_path, capsys, text):
+        # Deeper than the JSON decoder's recursion limit, or not JSON.
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        report_out = tmp_path / "r.json"
+        report_out.write_text(text)
+        assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 3
+        assert "not a JSON report file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("report", [[{"selector_histogram": {"2": 5}}],
                                         {"selector_histogram": [2, 5]}])

@@ -12,15 +12,34 @@ from sparse_moe import (
     ExpertParams,
     GateParams,
     Hyperparams,
+    Scaler,
     expert_forward,
     gate_forward,
     load_model,
     predict_label,
     predict_proba,
+    prepare_inputs,
     save_model,
 )
 
 E_RATIO = math.e / (math.e + 1.0)  # 0.7310585786300049
+
+
+class TestPrepareInputs:
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_feature_major_with_exact_values(self, rng, n):
+        x = rng.normal(3.0, 2.0, (n, 4))
+        scaler = Scaler(rng.normal(0, 1, 4), rng.uniform(0.5, 2.0, 4))
+        out = prepare_inputs(x, scaler)
+        assert out.shape == (n, 5)
+        assert out.flags.f_contiguous
+        assert out[:, :-1].tobytes() == ((x - scaler.mean) / scaler.std).tobytes()
+        assert np.all(out[:, -1] == 1.0)
+
+    def test_one_raw_vector_is_one_row(self, rng):
+        x = rng.normal(0, 1, 3)
+        scaler = Scaler(np.zeros(3), np.full(3, 2.0))
+        np.testing.assert_array_equal(prepare_inputs(x, scaler), [[*(x / 2.0), 1.0]])
 
 
 class TestGateForward:

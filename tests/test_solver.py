@@ -14,6 +14,7 @@ from sparse_moe import (
     solve,
     unconstrained_wls,
 )
+from sparse_moe.solver import factor
 
 
 class TestProjectL1Ball:
@@ -290,52 +291,64 @@ class TestBatchedCertifiedSolve:
         np.testing.assert_array_equal(project_l1_ball(v, radius, nonneg), expected)
 
 
+LAYOUTS = ("C", "F")
+
+
 class TestBlockWeights:
     """(m, g) row weights: the r target columns form g consecutive blocks,
     block i weighted by weight column i."""
 
+    # Each runs on a row-major and on a feature-major (Fortran) design, the
+    # layout prepare_inputs builds.
+
     @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
     def test_blocks_equal_separate_solves_bitwise(self, rng, free, nonneg):
         m, p, g, c = 30, 4, 3, 2
-        a = rng.normal(0, 1, (m, p))
+        design = rng.normal(0, 1, (m, p))
         if free:
-            a[:, 3] = 1.0
+            design[:, 3] = 1.0
         b = rng.normal(0, 3, (m, g * c))
         w = rng.uniform(0.2, 2.0, (m, g))
         w[:, 1] = 0.0  # a zero-weight block (singular Gram) beside live ones
         warm = rng.normal(0, 1, (g * c, p))
-        joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
-        assert joint.solution.shape == (g * c, p)
-        assert joint.iterations > 0
-        for i in range(g):
-            cols = slice(i * c, (i + 1) * c)
-            alone = solve(WlsProblem(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(), 0.8,
-                                     free, nonneg), warm_start=warm[cols])
-            assert joint.solution[cols].tobytes() == alone.solution.tobytes()
-            assert joint.gap[cols].tobytes() == alone.gap.tobytes()
-            np.testing.assert_array_equal(joint.converged[cols], alone.converged)
+        for layout in LAYOUTS:
+            a = np.asarray(design, order=layout)
+            joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+            assert joint.solution.shape == (g * c, p)
+            assert joint.iterations > 0
+            for i in range(g):
+                cols = slice(i * c, (i + 1) * c)
+                alone = solve(WlsProblem(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
+                                         0.8, free, nonneg), warm_start=warm[cols])
+                assert joint.solution[cols].tobytes() == alone.solution.tobytes()
+                assert joint.gap[cols].tobytes() == alone.gap.tobytes()
+                np.testing.assert_array_equal(joint.converged[cols], alone.converged)
 
     def test_unconstrained_blocks_equal_separate_calls_bitwise(self, rng):
         m, p, g, c = 25, 3, 3, 2
-        a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
+        design = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
         b = rng.normal(0, 1, (m, g * c))
         w = rng.uniform(0.2, 2.0, (m, g))
         w[:, 2] = 0.0
-        joint = unconstrained_wls(a, b, w, ridge=1e-8)
-        for i in range(g):
-            cols = slice(i * c, (i + 1) * c)
-            alone = unconstrained_wls(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
-                                      ridge=1e-8)
-            assert joint[cols].tobytes() == alone.tobytes()
+        for layout in LAYOUTS:
+            a = np.asarray(design, order=layout)
+            joint = unconstrained_wls(a, b, w, ridge=1e-8)
+            for i in range(g):
+                cols = slice(i * c, (i + 1) * c)
+                alone = unconstrained_wls(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
+                                          ridge=1e-8)
+                assert joint[cols].tobytes() == alone.tobytes()
 
     def test_unit_blocks_equal_shared_weights(self, rng):
         # g blocks of all-ones weights give the shared-weight answer.
         m, p = 20, 3
-        a = rng.normal(0, 1, (m, p))
+        design = rng.normal(0, 1, (m, p))
         b = rng.normal(0, 1, (m, 4))
-        shared = solve(WlsProblem(a, b, np.ones(m), 0.7))
-        blocks = solve(WlsProblem(a, b, np.ones((m, 4)), 0.7))
-        assert shared.solution.tobytes() == blocks.solution.tobytes()
+        for layout in LAYOUTS:
+            a = np.asarray(design, order=layout)
+            shared = solve(WlsProblem(a, b, np.ones(m), 0.7))
+            blocks = solve(WlsProblem(a, b, np.ones((m, 4)), 0.7))
+            assert shared.solution.tobytes() == blocks.solution.tobytes()
 
     @pytest.mark.parametrize("shape", [(20, 3), (20, 0), (19, 2), (20, 2, 1)])
     def test_columns_must_split_into_equal_blocks(self, rng, shape):
@@ -348,6 +361,49 @@ class TestBlockWeights:
         report = solve(WlsProblem(a, np.zeros((10, 0)), np.zeros((10, 0)), 1.0, (2,)))
         assert report.solution.shape == (0, 3)
         assert report.converged.shape == (0,)
+
+
+class TestFactorization:
+    """solve with a prebuilt factorization, as the trainer hands the gate
+    M-step one, against solve building its own."""
+
+    @staticmethod
+    def _problem(rng, radius, weights):
+        m, p = 40, 5
+        a = np.asfortranarray(np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)]))
+        w = rng.uniform(0.2, 2.0, (m,) if weights == "shared" else (m, 3))
+        b = rng.normal(0, 3, (m, 3 * 2))
+        return WlsProblem(a, b, w, radius, free_coords=(p - 1,)), rng.normal(0, 1, (6, p))
+
+    @pytest.mark.parametrize("weights", ["shared", "blocks"])
+    @pytest.mark.parametrize("radius", [0.5, 1e6])  # binding, slack
+    def test_prebuilt_equals_built_bitwise(self, rng, radius, weights):
+        problem, warm = self._problem(rng, radius, weights)
+        fac = factor(problem.design, problem.row_weights, problem.free_coords)
+        own = solve(problem, warm_start=warm)
+        for _ in range(2):  # the lazily computed step sizes are reused too
+            handed = solve(problem, warm_start=warm, factorization=fac)
+            assert handed.iterations == own.iterations
+            assert handed.solution.tobytes() == own.solution.tobytes()
+            assert handed.gap.tobytes() == own.gap.tobytes()
+            assert handed.final_objective.tobytes() == own.final_objective.tobytes()
+        assert (radius < 1e6) == (own.iterations > 0)
+
+    @pytest.mark.parametrize("change", ["rows", "columns", "blocks", "free"])
+    def test_mismatched_factorization_raises(self, rng, change):
+        problem, _ = self._problem(rng, 0.5, "blocks")
+        a, w, free = problem.design, problem.row_weights, problem.free_coords
+        if change == "rows":
+            a, w = a[:-1], w[:-1]
+        elif change == "columns":
+            a = a[:, 1:]
+            free = (a.shape[1] - 1,)
+        elif change == "blocks":
+            w = w[:, 0]
+        else:
+            free = ()
+        with pytest.raises(ConfigError, match="factorization"):
+            solve(problem, factorization=factor(a, w, free))
 
 
 class TestGramReference:

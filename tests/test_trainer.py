@@ -14,6 +14,7 @@ from sparse_moe import (
     ExpertSelector,
     GateParams,
     Hyperparams,
+    Scaler,
     analytic_gate_gradient,
     analytic_selector_gradient,
     build_expert_targets,
@@ -34,8 +35,9 @@ from sparse_moe import (
     train_test_split,
 )
 from sparse_moe import trainer
+from sparse_moe import solver as solver_mod
 from sparse_moe.model import mixture_probs, prepare_inputs
-from sparse_moe.solver import WlsProblem, solve
+from sparse_moe.solver import WlsProblem, factor, solve
 
 
 def two_class_dataset(rng, n=20, d=2):
@@ -227,6 +229,29 @@ class TestMStepGate:
             np.testing.assert_allclose(g.nu[i], ref.solution, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(g.nu[2], incumbent[2])
         assert converged.shape == (2,) and converged.all()
+
+    @pytest.mark.parametrize("radius", [0.3, 1e6])
+    def test_prebuilt_factorization_gives_same_rows_bitwise(self, rng, radius):
+        n, k = 50, 3
+        x = prepare_inputs(rng.normal(0, 1, (n, 4)), Scaler(np.zeros(4), np.ones(4)))
+        mu = np.ones((n, k))
+        incumbent = GateParams(rng.normal(0, 0.1, (k, 5)))
+        fac = factor(x, np.ones(n), (4,))
+        for _ in range(2):
+            r = rng.dirichlet(np.ones(k), n)
+            own, done = m_step_gate(r, x, mu, radius, incumbent)
+            hoisted, done_hoisted = m_step_gate(r, x, mu, radius, incumbent, fac)
+            assert hoisted.nu.tobytes() == own.nu.tobytes()
+            np.testing.assert_array_equal(done_hoisted, done)
+
+    def test_prebuilt_factorization_needs_all_ones_selector(self, rng):
+        n = 10
+        x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
+        mu = np.ones((n, 2))
+        mu[0, 1] = 0.5
+        with pytest.raises(ConfigError, match="all-ones selector"):
+            m_step_gate(rng.dirichlet(np.ones(2), n), x, mu, 1.0,
+                        GateParams(np.zeros((2, 3))), factor(x, np.ones(n), (2,)))
 
     def test_no_gate_selected_keeps_incumbent(self, rng):
         n = 8
@@ -462,6 +487,58 @@ class TestSelectorNorm1:
                             selector_mode="l1", lambda_mu=1.5))
         assert calls["in_m_step"] > 0
         assert calls["elsewhere"] == 0
+
+
+class TestGateFactorization:
+    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
+        ("none", None, "full"), ("none", None, "fast"), ("l0", 1, "full"), ("l1", 1.5, "full"),
+    ])
+    def test_selector_free_fit_factors_gate_once(self, monkeypatch, selector_mode, lambda_mu,
+                                                 schedule):
+        # factor() calls made by fit itself, and made inside a gate M-step.
+        calls = {"fit": 0, "gate": 0, "experts": 0}
+        where = ["fit"]
+
+        def counting_factor(*args, **kwargs):
+            calls[where[-1]] += 1
+            return factor(*args, **kwargs)
+
+        def inside(name, step):
+            def wrapped(*args, **kwargs):
+                where.append(name)
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    where.pop()
+            return wrapped
+
+        monkeypatch.setattr(trainer, "factor", counting_factor)
+        monkeypatch.setattr(solver_mod, "factor", counting_factor)
+        monkeypatch.setattr(trainer, "m_step_gate", inside("gate", trainer.m_step_gate))
+        monkeypatch.setattr(trainer, "m_step_experts", inside("experts", trainer.m_step_experts))
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+                                        max_iters=4, selector_mode=selector_mode,
+                                        lambda_mu=lambda_mu, schedule=schedule))
+        gate_steps = report.iterations_run - (schedule == "fast")
+        assert gate_steps >= 2
+        if selector_mode == "none":
+            assert (calls["fit"], calls["gate"]) == (1, 0)
+        else:
+            assert (calls["fit"], calls["gate"]) == (0, gate_steps)
+        assert calls["experts"] > 0
+
+    def test_hoisted_fit_matches_per_step_factorization(self, monkeypatch, tmp_path):
+        # The same fit with the gate factorized on every M-step instead.
+        ds = generate_synthetic(preset_spec("grouped-four", 20, seed=3))
+        hyper = Hyperparams(k=3, lambda_nu=2.0, lambda_omega=2.0, seed=2, max_iters=6)
+        paths = [tmp_path / "hoisted.json", tmp_path / "per-step.json"]
+        save_model(fit(ds, hyper)[0], paths[0])
+        gate_step = trainer.m_step_gate
+        monkeypatch.setattr(trainer, "m_step_gate",
+                            lambda r, x, mu, lam, inc, fac: gate_step(r, x, mu, lam, inc))
+        save_model(fit(ds, hyper)[0], paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestOneSolverCallPerMStep:
