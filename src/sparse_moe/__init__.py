@@ -6,7 +6,6 @@ from .data import (
     Dataset,
     Scaler,
     SynthSpec,
-    apply_scaler,
     fit_scaler,
     generate_synthetic,
     load_dataset,
@@ -27,6 +26,7 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    enumerate_subsets,
     expert_forward,
     gate_forward,
     load_model,
@@ -38,7 +38,6 @@ from .model import (
 from .solver import (
     SolveReport,
     WlsProblem,
-    enumerate_subsets,
     project_l1_ball,
     solve,
     unconstrained_wls,

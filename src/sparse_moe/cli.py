@@ -12,16 +12,23 @@ penalty multipliers.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .data import generate_synthetic, load_dataset, preset_spec, save_dataset
+from .data import Dataset, generate_synthetic, load_dataset, preset_spec, save_dataset
 from .errors import ConfigError, DataError, DimensionError, SolverError, TrainingError
-from .model import Hyperparams, load_model, save_model
-from .trainer import evaluate, fit, predict_proba_batch
+from .model import (
+    SCHEDULES,
+    SELECTOR_MODES,
+    SPARSITY_THRESHOLD,
+    Hyperparams,
+    load_model,
+    read_json,
+    save_model,
+    sparsity,
+)
+from .trainer import SELECTOR_POLICIES, evaluate, fit, predict_proba_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,33 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--experts", type=int, required=True)
     train.add_argument("--lambda-gate", type=float, required=True)
     train.add_argument("--lambda-expert", type=float, required=True)
-    train.add_argument("--selector", choices=["none", "l0", "l1"], default="none")
+    train.add_argument("--selector", choices=SELECTOR_MODES, default="none")
     train.add_argument("--lambda-mu", type=float, default=None)
     train.add_argument("--iters", type=int, default=30)
     train.add_argument("--tol", type=float, default=1e-6)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--schedule", choices=["full", "fast"], default="full")
+    train.add_argument("--schedule", choices=SCHEDULES, default="full")
     train.add_argument("--model-out", required=True)
     train.add_argument("--report-out", default=None)
 
     predict = sub.add_parser("predict", help="write per-instance label and probabilities")
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
-    predict.add_argument(
-        "--selector-policy", choices=["ones", "gate-surrogate"], default="ones"
-    )
+    predict.add_argument("--selector-policy", choices=SELECTOR_POLICIES, default="ones")
     predict.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="print accuracy and mean NLL")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument(
-        "--selector-policy", choices=["ones", "gate-surrogate"], default="ones"
-    )
+    ev.add_argument("--selector-policy", choices=SELECTOR_POLICIES, default="ones")
 
     inspect = sub.add_parser("inspect", help="list surviving feature indices")
     inspect.add_argument("--model", required=True)
-    inspect.add_argument("--threshold", type=float, default=1e-6)
+    inspect.add_argument("--threshold", type=float, default=SPARSITY_THRESHOLD)
     inspect.add_argument("--report", default=None)
 
     synth = sub.add_parser("synth", help="write a synthetic dataset file")
@@ -107,14 +110,26 @@ def cmd_train(args) -> int:
 
 
 def _model_and_data(args):
-    """The model and data files of predict/evaluate, checked to match."""
+    """The model and data files of predict/evaluate, checked to match.
+
+    The data's class ids are renumbered to the model's stored class tokens;
+    a token the model does not know is a DataError.  A model file without
+    tokens takes the data's classes in first-appearance order.
+    """
     model = load_model(args.model)
     dataset = load_dataset(args.data)
-    if dataset.d != model.d or dataset.q != model.q:
-        raise DataError(
-            f"model expects d={model.d}, q={model.q}; data has d={dataset.d}, q={dataset.q}"
-        )
-    return model, dataset
+    if dataset.d != model.d:
+        raise DataError(f"model expects d={model.d}; data has d={dataset.d}")
+    if model.labels is None:
+        if dataset.q != model.q:
+            raise DataError(f"model expects q={model.q}; data has q={dataset.q}")
+        return model, dataset
+    ids = {token: c for c, token in enumerate(model.labels)}
+    unknown = [t for t in dataset.label_names if t not in ids]
+    if unknown:
+        raise DataError(f"class tokens {unknown} are not among the model's {list(model.labels)}")
+    remap = np.array([ids[t] for t in dataset.label_names])
+    return model, Dataset(dataset.features, remap[dataset.labels], model.labels)
 
 
 def cmd_predict(args) -> int:
@@ -143,8 +158,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model = load_model(args.model)
     thr = args.threshold
+    if not thr >= 0:
+        raise ConfigError(f"--threshold must be a nonnegative number, got {thr}")
+    model = load_model(args.model)
     nu = model.gate.nu
     omega = model.experts.omega
     for i in range(model.k):
@@ -154,19 +171,17 @@ def cmd_inspect(args) -> int:
         for i in range(model.k):
             alive = [str(j) for j in range(model.d) if abs(omega[l, i, j]) > thr]
             print(f"expert[class={l},expert={i}]: " + " ".join(alive))
-    weights = np.concatenate(
-        [np.abs(nu[:, :-1]).ravel(), np.abs(omega[:, :, :-1]).ravel()]
-    )
-    print(f"sparsity={float(np.mean(weights < thr)):.6f}")
+    print(f"sparsity={sparsity(model, thr):.6f}")
     if args.report:
-        try:
-            doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{args.report}: not a JSON report file: {exc}") from exc
+        doc = read_json(args.report, "report")
         hist = doc.get("selector_histogram", {}) if isinstance(doc, dict) else None
         if not isinstance(hist, dict):
             raise DataError(f"{args.report}: no selector histogram object in the report")
-        parts = " ".join(f"{k}:{v}" for k, v in sorted(hist.items()))
+        try:
+            counts = sorted(((int(k), v) for k, v in hist.items()), key=lambda kv: kv[0])
+        except ValueError as exc:
+            raise DataError(f"{args.report}: a selector histogram key is not an integer") from exc
+        parts = " ".join(f"{k}:{v}" for k, v in counts)
         print(f"active-experts-histogram: {parts}")
     return EXIT_OK
 

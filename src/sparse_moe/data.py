@@ -76,13 +76,6 @@ def fit_scaler(dataset: Dataset) -> Scaler:
     return Scaler(mean, std)
 
 
-def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
-    if scaler.mean.shape != (dataset.d,):
-        raise DataError("scaler dimension does not match dataset")
-    z = (dataset.features - scaler.mean) / scaler.std
-    return Dataset(z, dataset.labels, dataset.label_names)
-
-
 def _parse_number(cell: str):
     try:
         return float(cell)
@@ -218,33 +211,24 @@ def train_test_split(dataset: Dataset, fraction: float, seed: int):
 
 
 PRESETS = ("two-cluster-xor", "grouped-four", "noisy-subspace")
+# The XOR layout: (sign of dim 0, sign of dim 1, label) of each cluster.
+_XOR_SIGNS = ((1, 1, 0), (-1, -1, 0), (1, -1, 1), (-1, 1, 1))
 
 
 def preset_spec(name, n_per_cluster, noise_dims=0, seed=0) -> SynthSpec:
     """Named generator configurations used by the CLI and the test suite."""
-    if name == "two-cluster-xor":
-        clusters = (
-            ClusterSpec((2.0, 2.0), (0, 1), 0),
-            ClusterSpec((-2.0, -2.0), (0, 1), 0),
-            ClusterSpec((2.0, -2.0), (0, 1), 1),
-            ClusterSpec((-2.0, 2.0), (0, 1), 1),
-        )
+    if name in ("two-cluster-xor", "noisy-subspace"):
+        # noisy-subspace's clusters sit tighter than two-cluster-xor's: that
+        # keeps the informative signal weak enough that unregularized fits
+        # spread weight onto the appended noise columns.
+        offset = 2.0 if name == "two-cluster-xor" else 1.0
+        clusters = tuple(ClusterSpec((a * offset, b * offset), (0, 1), label)
+                         for a, b, label in _XOR_SIGNS)
         return SynthSpec(n_per_cluster, clusters, noise_dims, 1.0, seed)
     if name == "grouped-four":
         clusters = tuple(
             ClusterSpec(tuple(3.0 if j == c else 0.0 for j in range(4)), (c,), c)
             for c in range(4)
-        )
-        return SynthSpec(n_per_cluster, clusters, noise_dims, 1.0, seed)
-    if name == "noisy-subspace":
-        # Tighter clusters than two-cluster-xor: keeps the informative
-        # signal weak enough that unregularized fits spread weight onto
-        # the appended noise columns.
-        clusters = (
-            ClusterSpec((1.0, 1.0), (0, 1), 0),
-            ClusterSpec((-1.0, -1.0), (0, 1), 0),
-            ClusterSpec((1.0, -1.0), (0, 1), 1),
-            ClusterSpec((-1.0, 1.0), (0, 1), 1),
         )
         return SynthSpec(n_per_cluster, clusters, noise_dims, 1.0, seed)
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")

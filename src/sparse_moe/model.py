@@ -11,6 +11,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ from .errors import ConfigError, DataError, DimensionError
 PROB_FLOOR = 1e-12
 SELECTOR_MODES = ("none", "l0", "l1")
 SCHEDULES = ("full", "fast")
+# The magnitude below which a weight counts as pruned (sparsity, inspect's
+# default) and a selector entry as inactive (the fit report's histogram).
+SPARSITY_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,7 @@ class Hyperparams:
                 budget = int(self.lambda_mu)
                 if budget != self.lambda_mu:
                     raise ConfigError("l0 selector budget must be an integer")
-                if budget > self.k:
-                    raise ConfigError("l0 selector budget exceeds the expert count")
-                if math.comb(self.k, budget) > 1_000_000:
-                    raise ConfigError("l0 subset enumeration would exceed the guard")
+                _check_subset_budget(self.k, budget)
         if self.max_iters < 1:
             raise ConfigError("need at least one iteration")
         if not self.tol > 0:
@@ -119,14 +120,36 @@ class Hyperparams:
         return self
 
 
+def _check_subset_budget(k, budget):
+    """The l0 selector's rule: 1 <= budget <= k, and no more than a million
+    subsets of the largest size to enumerate."""
+    if budget < 1 or budget > k:
+        raise ConfigError(f"l0 subset budget {budget} out of range for k={k}")
+    if math.comb(k, budget) > 1_000_000:
+        raise ConfigError(f"C({k},{budget}) l0 subsets exceed the enumeration guard")
+
+
+def enumerate_subsets(k, budget):
+    """All subsets of {0..k-1} with 1 <= |S| <= budget, lexicographic within size."""
+    _check_subset_budget(k, budget)
+    for size in range(1, budget + 1):
+        yield from itertools.combinations(range(k), size)
+
+
 @dataclass(frozen=True)
 class MixtureModel:
-    """Immutable trained model; all forward operations are pure."""
+    """Immutable trained model; all forward operations are pure.
+
+    ``labels[c]`` is the class token of class id c, as in the training
+    data's ``Dataset.label_names``; None for a model file that predates
+    stored tokens.
+    """
 
     gate: GateParams
     experts: ExpertParams
     hyper: Hyperparams
     scaler: Scaler
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         q, k, dp = self.experts.omega.shape
@@ -136,6 +159,12 @@ class MixtureModel:
             raise DimensionError("expert count disagrees with hyperparameters")
         if self.scaler.mean.shape != (dp - 1,) or self.scaler.std.shape != (dp - 1,):
             raise DimensionError("scaler dimension disagrees with weights")
+        if self.labels is not None:
+            labels = tuple(self.labels)
+            if (len(labels) != q or not all(isinstance(t, str) for t in labels)
+                    or len(set(labels)) != q):
+                raise DataError(f"labels must be {q} distinct class tokens, got {labels!r}")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def k(self) -> int:
@@ -243,8 +272,17 @@ def predict_label(model: MixtureModel, x, mu_row=None) -> int:
     return int(np.argmax(predict_proba(model, x, mu_row)))
 
 
+def sparsity(model: MixtureModel, threshold=SPARSITY_THRESHOLD) -> float:
+    """Fraction of the non-bias gate and expert weights whose magnitude is
+    below ``threshold``."""
+    weights = np.concatenate(
+        [np.abs(model.gate.nu[:, :-1]).ravel(), np.abs(model.experts.omega[:, :, :-1]).ravel()]
+    )
+    return float(np.mean(weights < threshold))
+
+
 def model_to_dict(model: MixtureModel) -> dict:
-    return {
+    doc = {
         "format_version": 1,
         "k": model.k,
         "q": model.q,
@@ -260,13 +298,33 @@ def model_to_dict(model: MixtureModel) -> dict:
         "nu": model.gate.nu.tolist(),
         "omega": model.experts.omega.tolist(),
     }
+    if model.labels is not None:
+        doc["labels"] = list(model.labels)
+    return doc
+
+
+def _number(value, field):
+    """A JSON number, not a boolean, as a float."""
+    if type(value) not in (int, float):
+        raise DataError(f"the field {field!r} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, field):
+    """Nested lists of JSON numbers, not booleans, as a float array."""
+    arr = np.array(value, dtype=object)
+    if not all(type(v) in (int, float) for v in arr.flat):
+        raise DataError(f"the field {field!r} must hold JSON numbers")
+    return arr.astype(float)
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
     """The model a :func:`model_to_dict` document describes.  An unknown
     format version, or hyperparameters that ``Hyperparams.validate``
     rejects, raise ConfigError; any other malformed document raises
-    DataError."""
+    DataError, among them radii, scaler entries or weights that are not
+    JSON numbers and ``labels`` that are not q distinct strings.  A
+    document without ``labels`` gives a model whose ``labels`` is None."""
     if not isinstance(doc, dict):
         raise DataError("a model file must hold a JSON object")
     if doc.get("format_version") != 1:
@@ -275,18 +333,23 @@ def model_from_dict(doc: dict) -> MixtureModel:
         k = doc["k"]
         if isinstance(k, bool) or not isinstance(k, int):
             raise DataError(f"the field 'k' must be an integer, got {k!r}")
+        lambda_mu, labels = doc["lambda_mu"], doc.get("labels")
+        if "labels" in doc and not isinstance(labels, list):
+            raise DataError(f"the field 'labels' must be a list of class tokens, got {labels!r}")
         hyper = Hyperparams(
             k=k,
-            lambda_nu=float(doc["lambda_nu"]),
-            lambda_omega=float(doc["lambda_omega"]),
-            lambda_mu=None if doc["lambda_mu"] is None else float(doc["lambda_mu"]),
+            lambda_nu=_number(doc["lambda_nu"], "lambda_nu"),
+            lambda_omega=_number(doc["lambda_omega"], "lambda_omega"),
+            lambda_mu=None if lambda_mu is None else _number(lambda_mu, "lambda_mu"),
             selector_mode=doc["selector_mode"],
         )
+        scaler = doc["scaler"]
         model = MixtureModel(
-            gate=GateParams(np.array(doc["nu"], dtype=float)),
-            experts=ExpertParams(np.array(doc["omega"], dtype=float)),
+            gate=GateParams(_numbers(doc["nu"], "nu")),
+            experts=ExpertParams(_numbers(doc["omega"], "omega")),
             hyper=hyper,
-            scaler=Scaler(np.array(doc["scaler"]["mean"]), np.array(doc["scaler"]["std"])),
+            scaler=Scaler(_numbers(scaler["mean"], "scaler"), _numbers(scaler["std"], "scaler")),
+            labels=labels,
         )
     except KeyError as exc:
         raise DataError(f"model file lacks the field {exc}") from exc
@@ -298,18 +361,26 @@ def model_from_dict(doc: dict) -> MixtureModel:
     return model
 
 
+def write_json(doc, path) -> None:
+    """Write a model or fit-report document.  Sorted keys and repr floats
+    give byte-identical files for identical documents."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+
+def read_json(path, kind):
+    """The JSON document in a ``kind`` file ("model", "report").  Text that
+    does not decode, or nests past the decoder's recursion limit, raises
+    DataError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not a JSON {kind} file: {exc}") from exc
+
+
 def save_model(model: MixtureModel, path) -> None:
-    # sort_keys + repr floats give byte-identical files for identical models.
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> MixtureModel:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"{path}: not a JSON model file: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

@@ -18,9 +18,7 @@ No external QP dependency.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +114,6 @@ class SolveReport:
     final_objective: float | np.ndarray
     gap: float | np.ndarray
     converged: bool | np.ndarray
-    objective_trace: list = field(default_factory=list)
 
 
 def project_l1_ball(v, radius, nonnegative=False):
@@ -241,16 +238,6 @@ def unconstrained_wls(design, target, row_weights, ridge=0.0):
     return z if np.ndim(target) == 2 else z[0]
 
 
-def enumerate_subsets(k, budget):
-    """All subsets of {0..k-1} with 1 <= |S| <= budget, lexicographic within size."""
-    if budget < 1 or budget > k:
-        raise ConfigError(f"subset budget {budget} out of range for k={k}")
-    if math.comb(k, budget) > 1_000_000:
-        raise ConfigError(f"C({k},{budget}) exceeds the enumeration guard")
-    for size in range(1, budget + 1):
-        yield from itertools.combinations(range(k), size)
-
-
 def _rowwise(x, mat):
     """x @ mat one row at a time, so that a row's result does not depend on
     the other rows (a BLAS matrix product may round it differently)."""
@@ -267,7 +254,7 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def solve(problem: WlsProblem, warm_start=None, collect_trace=False,
+def solve(problem: WlsProblem, warm_start=None,
           factorization: Factorization | None = None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
 
@@ -342,7 +329,6 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False,
         ok &= np.all(x_u >= 0.0, axis=1)
     x[ok], gap[ok], half_grad[ok] = x_u[ok], gap_u[ok], half_grad_u[ok]
 
-    trace = [evaluate(x)[0]] if collect_trace else []
     cols = np.flatnonzero(gap > tol)
     iterations = 0
     if cols.size:
@@ -388,10 +374,8 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False,
             accepted = np.where(keep, accepted + 1, 0)
         done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radius, nonneg) <= tolw
         any_done = done.any()
-        if collect_trace or any_done or iterations == MAX_ITERS:
+        if any_done or iterations == MAX_ITERS:
             x[cols] = xw
-        if collect_trace:
-            trace.append(evaluate(x)[0])
         if any_done:
             go = ~done
             cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
@@ -404,8 +388,6 @@ def solve(problem: WlsProblem, warm_start=None, collect_trace=False,
     solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)
     converged = gap <= tol
     if single:
-        return SolveReport(
-            solution[0], iterations, float(obj[0]), float(gap[0]), bool(converged[0]),
-            [float(v[0]) for v in trace],
-        )
-    return SolveReport(solution, iterations, obj, gap, converged, trace)
+        return SolveReport(solution[0], iterations, float(obj[0]), float(gap[0]),
+                           bool(converged[0]))
+    return SolveReport(solution, iterations, obj, gap, converged)

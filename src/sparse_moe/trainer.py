@@ -24,9 +24,7 @@ depend on the selector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,24 +32,28 @@ from .data import Dataset, fit_scaler
 from .errors import ConfigError, TrainingError
 from .model import (
     PROB_FLOOR,
+    SPARSITY_THRESHOLD,
     ExpertParams,
     ExpertSelector,
     GateParams,
     Hyperparams,
     MixtureModel,
+    enumerate_subsets,
     expert_class_probs,
     gate_forward,
     gate_probs,
     mixture_probs,
     prepare_inputs,
+    sparsity,
+    write_json,
 )
-from .solver import WlsProblem, enumerate_subsets, factor, solve, unconstrained_wls
+from .solver import WlsProblem, factor, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
 DEAD_EXPERT_FRACTION = 1e-8
 RIDGE = 1e-8
-SPARSITY_THRESHOLD = 1e-6
+SELECTOR_POLICIES = ("ones", "gate-surrogate")
 
 
 @dataclass(frozen=True)
@@ -80,22 +82,13 @@ class FitReport:
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "trace": [asdict(r) for r in self.trace],
-            "iterations_run": self.iterations_run,
-            "converged": self.converged,
-            "sparsity": self.sparsity,
-            "selector_histogram": {str(k): v for k, v in self.selector_histogram.items()},
-            "constrained_solves": self.constrained_solves,
-            "solver_cap_hits": self.solver_cap_hits,
-        }
+        doc = asdict(self)
+        # Keys as text, so that the file lists them in text order (1, 10, 2).
+        doc["selector_histogram"] = {str(k): v for k, v in self.selector_histogram.items()}
+        return {"format_version": 1, **doc}
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        write_json(self.to_dict(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +117,18 @@ def e_step(model: MixtureModel, dataset: Dataset, selector: ExpertSelector) -> R
 # surrogate targets
 
 
-def build_expert_targets(labels, q, eps=EXPERT_TARGET_EPS):
-    """Log-clamped one-hot targets: 0 at the true class, log(eps) elsewhere."""
-    if not 0.0 < eps < 1.0:
-        raise ConfigError("expert target eps must lie in (0, 1)")
+def build_expert_targets(labels, q):
+    """Log-clamped one-hot targets: 0 at the true class,
+    log(EXPERT_TARGET_EPS) elsewhere."""
     labels = np.asarray(labels, dtype=int)
-    t = np.full((labels.shape[0], q), np.log(eps))
+    t = np.full((labels.shape[0], q), np.log(EXPERT_TARGET_EPS))
     t[np.arange(labels.shape[0]), labels] = 0.0
     return t
 
 
-def build_gate_targets(r, eps=GATE_TARGET_EPS):
-    """log responsibilities, clamped at eps to survive exact zeros."""
-    return np.log(np.maximum(np.asarray(r, dtype=float), eps))
+def build_gate_targets(r):
+    """log responsibilities, clamped at GATE_TARGET_EPS to survive exact zeros."""
+    return np.log(np.maximum(np.asarray(r, dtype=float), GATE_TARGET_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +427,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         g, h = forward()
         records.append(_trace_record(iterations_run, g, h, nu, omega, mu, hyper.selector_mode)[0])
 
-    model = MixtureModel(GateParams(nu), ExpertParams(omega), hyper, scaler)
-    weights = np.concatenate(
-        [np.abs(nu[:, :-1]).ravel(), np.abs(omega[:, :, :-1]).ravel()]
-    )
-    sparsity = float(np.mean(weights < SPARSITY_THRESHOLD))
+    model = MixtureModel(GateParams(nu), ExpertParams(omega), hyper, scaler,
+                         dataset.label_names)
     active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
     histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
     converged_flags = np.concatenate(solved)
@@ -447,7 +436,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         trace=records,
         iterations_run=iterations_run,
         converged=converged,
-        sparsity=sparsity,
+        sparsity=sparsity(model),
         selector_histogram=histogram,
         constrained_solves=converged_flags.size,
         solver_cap_hits=int(np.count_nonzero(~converged_flags)),
@@ -469,7 +458,7 @@ def _policy_mu(model: MixtureModel, x_mat, policy):
     ones = np.ones((x_mat.shape[0], model.k))
     if policy == "ones":
         return ones
-    if policy != "gate-surrogate":
+    if policy not in SELECTOR_POLICIES:
         raise ConfigError(f"unknown selector policy {policy!r}")
     if model.hyper.lambda_mu is None:
         raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
@@ -479,7 +468,7 @@ def _policy_mu(model: MixtureModel, x_mat, policy):
 
 def predict_proba_batch(model: MixtureModel, features, policy="ones"):
     """Mixture class probabilities (n, q) of raw feature rows under a
-    test-time selector policy ('ones' or 'gate-surrogate')."""
+    test-time selector policy (one of SELECTOR_POLICIES)."""
     x_mat = prepare_inputs(features, model.scaler)
     return mixture_probs(model, x_mat, _policy_mu(model, x_mat, policy))
 

@@ -11,10 +11,15 @@ from conftest import make_model, random_model
 from sparse_moe import (
     ConfigError,
     DataError,
+    Dataset,
+    Hyperparams,
     evaluate,
     expert_forward,
+    fit,
+    generate_synthetic,
     load_dataset,
     load_model,
+    preset_spec,
     save_model,
 )
 from sparse_moe.cli import _prediction_lines, main
@@ -361,6 +366,43 @@ class TestInspect:
         # inspect prints 6 decimals
         assert printed == pytest.approx(json.loads(report_out.read_text())["sparsity"], abs=1e-6)
 
+    def test_report_sparsity_is_inspect_line(self, tmp_path, capsys):
+        data = generate_synthetic(preset_spec("grouped-four", 15, noise_dims=3, seed=4))
+        model, report = fit(data, Hyperparams(k=2, lambda_nu=0.5, lambda_omega=0.5,
+                                              max_iters=5, seed=1))
+        assert 0.0 < report.sparsity < 1.0
+        model_out = tmp_path / "m.json"
+        save_model(model, model_out)
+        assert main(["inspect", "--model", str(model_out)]) == 0
+        assert f"sparsity={report.sparsity:.6f}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "-0.5"])
+    def test_bad_threshold_exit_2(self, xor_file, tmp_path, capsys, threshold):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_out), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert "--threshold" in captured.err and captured.out == ""
+
+    def test_histogram_in_numeric_order(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        report_out = tmp_path / "r.json"
+        report_out.write_text(json.dumps({"selector_histogram": {"1": 1, "10": 3, "2": 5}}))
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "active-experts-histogram: 1:1 2:5 10:3"
+
+    @pytest.mark.parametrize("key", ["two", "1.5", ""])
+    def test_histogram_key_not_integer_exit_3(self, xor_file, tmp_path, capsys, key):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        report_out = tmp_path / "r.json"
+        report_out.write_text(json.dumps({"selector_histogram": {"1": 4, key: 2}}))
+        assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 3
+        assert "not an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{"],
                              ids=["deeply-nested", "truncated"])
     def test_unreadable_report_exit_3(self, xor_file, tmp_path, capsys, text):
@@ -381,6 +423,116 @@ class TestInspect:
         report_out.write_text(json.dumps(report))
         assert main(["inspect", "--model", str(model_out), "--report", str(report_out)]) == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestClassTokens:
+    """The model file stores the training data's class tokens; predict
+    prints them and evaluate scores a data file by them, whatever the order
+    in which its tokens first appear."""
+
+    def run_both(self, tmp_path, model_out, data):
+        out = tmp_path / "p.txt"
+        assert main(["predict", "--model", str(model_out), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert main(["evaluate", "--model", str(model_out), "--data", str(data)]) == 0
+        return out.read_text().splitlines()
+
+    def test_reordered_rows_score_the_same(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        assert load_model(model_out).labels == ("0", "1")
+        capsys.readouterr()
+        rows = xor_file.read_text().splitlines()
+        # Class-1 rows first, so that token "1" appears first.
+        order = sorted(range(len(rows)), key=lambda i: not rows[i].endswith(",1"))
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(rows[i] + "\n" for i in order))
+        preds = self.run_both(tmp_path, model_out, xor_file)
+        metrics = capsys.readouterr().out
+        assert self.run_both(tmp_path, model_out, swapped) == [preds[i] for i in order]
+        assert capsys.readouterr().out == metrics
+
+    def test_unknown_token_exit_3(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(xor_file.read_text().replace(",1\n", ",zz\n"))
+        for command in ("predict", "evaluate"):
+            args = [command, "--model", str(model_out), "--data", str(renamed)]
+            if command == "predict":
+                args += ["--out", str(tmp_path / "p.txt")]
+            assert main(args) == 3
+            assert "'zz'" in capsys.readouterr().err
+
+    def test_subset_of_tokens_accepted(self, tmp_path, capsys):
+        data = tmp_path / "grouped.csv"
+        assert main(["synth", "--preset", "grouped-four", "--n", "10", "--seed", "2",
+                     "--out", str(data)]) == 0
+        model_out = tmp_path / "m.json"
+        assert main(train_args(data, model_out)) == 0
+        subset = tmp_path / "subset.csv"
+        rows = [r for r in data.read_text().splitlines() if r.endswith((",3", ",1"))]
+        subset.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_out), "--data", str(subset)]) == 0
+        full = load_dataset(data)
+        keep = np.isin(full.labels, [1, 3])
+        want = evaluate(load_model(model_out),
+                        Dataset(full.features[keep], full.labels[keep], full.label_names))
+        assert capsys.readouterr().out == (
+            f"accuracy={want['accuracy']:.6f} nll={want['nll']:.6f}\n")
+
+    def test_file_without_labels_keeps_first_appearance(self, xor_file, tmp_path, capsys):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        with_labels = self.run_both(tmp_path, model_out, xor_file)
+        doc = json.loads(model_out.read_text())
+        del doc["labels"]
+        model_out.write_text(json.dumps(doc))
+        assert load_model(model_out).labels is None
+        assert self.run_both(tmp_path, model_out, xor_file) == with_labels
+
+    @pytest.mark.parametrize("text", ['"01"', '["0"]', '["0", "0"]', "[0, 1]",
+                                      '["0", "1", "2"]', '{"0": 0, "1": 1}', "null"])
+    def test_malformed_labels_exit_3(self, xor_file, tmp_path, capsys, text):
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        doc = json.loads(model_out.read_text())
+        doc["labels"] = "@"
+        model_out.write_text(json.dumps(doc).replace('"@"', text))
+        assert main(["predict", "--model", str(model_out), "--data", str(xor_file),
+                     "--out", str(tmp_path / "p.txt")]) == 3
+        assert "error" in capsys.readouterr().err
+
+
+# Radii, lambda_mu, scaler entries and weights must be JSON numbers: a
+# numeric string or a boolean that float() would take is malformed.
+@pytest.mark.parametrize("path, text", [
+    ("lambda_nu", '"5"'),
+    ("lambda_nu", "true"),
+    ("lambda_omega", "false"),
+    ("lambda_mu", '"1.5"'),
+    ("nu.0.0", '"0.5"'),
+    ("omega.1.0.2", "true"),
+    ("scaler.mean.1", '"0"'),
+    ("scaler.std.0", "true"),
+])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_mistyped_model_field_exit_3(xor_file, tmp_path, capsys, path, text, command):
+    model_out = tmp_path / "m.json"
+    assert main(train_args(xor_file, model_out)) == 0
+    doc = json.loads(model_out.read_text())
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = "@"
+    model_out.write_text(json.dumps(doc).replace('"@"', text))
+    args = [command, "--model", str(model_out), "--data", str(xor_file)]
+    if command == "predict":
+        args += ["--out", str(tmp_path / "p.txt")]
+    assert main(args) == 3
+    assert "JSON number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from sparse_moe import (
     DataError,
     Dataset,
     SynthSpec,
-    apply_scaler,
     fit_scaler,
     generate_synthetic,
     load_dataset,
+    prepare_inputs,
     preset_spec,
     save_dataset,
     train_test_split,
@@ -177,22 +177,22 @@ class TestSaveDataset:
 class TestScaler:
     def test_standardizes_training_set(self, rng):
         ds = Dataset(rng.normal(3, 5, (50, 4)), rng.integers(0, 2, 50).clip(0, 1), ("a", "b"))
-        out = apply_scaler(ds, fit_scaler(ds))
-        assert np.all(np.abs(out.features.mean(axis=0)) < 1e-10)
-        np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-10)
+        z = prepare_inputs(ds.features, fit_scaler(ds))[:, :-1]
+        assert np.all(np.abs(z.mean(axis=0)) < 1e-10)
+        np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_feature_floored_to_zero(self):
         feats = np.column_stack([np.full(4, 7.0), np.arange(4.0)])
         ds = Dataset(feats, np.array([0, 1, 0, 1]), ("a", "b"))
-        out = apply_scaler(ds, fit_scaler(ds))
-        np.testing.assert_array_equal(out.features[:, 0], 0.0)
+        z = prepare_inputs(ds.features, fit_scaler(ds))[:, :-1]
+        np.testing.assert_array_equal(z[:, 0], 0.0)
 
     def test_idempotent_on_standardized_data(self, rng):
         z = rng.normal(0, 1, (200, 3))
         z = (z - z.mean(axis=0)) / z.std(axis=0)
         ds = Dataset(z, rng.integers(0, 2, 200).clip(0, 1), ("a", "b"))
-        out = apply_scaler(ds, fit_scaler(ds))
-        np.testing.assert_allclose(out.features, ds.features, atol=1e-10)
+        out = prepare_inputs(ds.features, fit_scaler(ds))[:, :-1]
+        np.testing.assert_allclose(out, ds.features, atol=1e-10)
 
 
 class TestGenerateSynthetic:

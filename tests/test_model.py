@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sparse_moe import (
     GateParams,
     Hyperparams,
     Scaler,
+    enumerate_subsets,
     expert_forward,
     gate_forward,
     load_model,
@@ -217,6 +219,26 @@ class TestHyperparams:
             Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode=selector_mode,
                         lambda_mu=lambda_mu).validate()
 
+    # One rule for both: 1 <= budget <= k and C(k, budget) <= 1_000_000
+    # (C(1414, 2) = 998_991, C(1415, 2) = 1_000_405).
+    @pytest.mark.parametrize("k, budget, ok", [
+        (3, 1, True), (3, 3, True), (5, 2, True), (1414, 2, True),
+        (3, 0, False), (3, 4, False), (1415, 2, False), (100, 50, False),
+    ])
+    def test_l0_budget_rule_shared_with_enumerate_subsets(self, k, budget, ok):
+        def accepted(call):
+            try:
+                call()
+            except ConfigError:
+                return False
+            return True
+
+        hyper = Hyperparams(k=k, lambda_nu=1.0, lambda_omega=1.0, lambda_mu=budget,
+                            selector_mode="l0")
+        assert accepted(hyper.validate) == ok
+        # The first subset is drawn only once the budget is checked.
+        assert accepted(lambda: next(enumerate_subsets(k, budget))) == ok
+
 
 class TestSerialization:
     def test_round_trip_exact(self, rng, tmp_path):
@@ -236,6 +258,13 @@ class TestSerialization:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_labels_round_trip(self, rng, tmp_path):
+        model = dataclasses.replace(random_model(rng, k=2, q=3, dp=3), labels=["b", "c", "a"])
+        assert model.labels == ("b", "c", "a")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).labels == ("b", "c", "a")
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"

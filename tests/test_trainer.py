@@ -93,10 +93,6 @@ class TestTargets:
         np.testing.assert_allclose(t, [[0.0, math.log(1e-3)]], atol=1e-12)
         assert t[0, 1] == pytest.approx(-6.907755, abs=1e-6)
 
-    def test_expert_targets_eps_precondition(self):
-        with pytest.raises(ConfigError):
-            build_expert_targets(np.array([0, 1]), 2, eps=1.0)
-
     def test_expert_targets_one_hot_structure(self, rng):
         labels = rng.integers(0, 3, 10)
         t = build_expert_targets(labels, 3)
