@@ -59,6 +59,7 @@ from .trainer import (
     m_step_selector_norm0,
     m_step_selector_norm1,
     predict_proba_batch,
+    to_model_classes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

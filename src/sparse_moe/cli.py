@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .data import Dataset, generate_synthetic, load_dataset, preset_spec, save_dataset
+from .data import generate_synthetic, load_dataset, preset_spec, save_dataset
 from .errors import ConfigError, DataError, DimensionError, SolverError, TrainingError
 from .model import (
     SCHEDULES,
@@ -28,7 +28,7 @@ from .model import (
     save_model,
     sparsity,
 )
-from .trainer import SELECTOR_POLICIES, evaluate, fit, predict_proba_batch
+from .trainer import SELECTOR_POLICIES, evaluate, fit, predict_proba_batch, to_model_classes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,26 +110,13 @@ def cmd_train(args) -> int:
 
 
 def _model_and_data(args):
-    """The model and data files of predict/evaluate, checked to match.
-
-    The data's class ids are renumbered to the model's stored class tokens;
-    a token the model does not know is a DataError.  A model file without
-    tokens takes the data's classes in first-appearance order.
-    """
+    """The model and data files of predict/evaluate, checked to match, with
+    the data's classes renumbered to the model's (``to_model_classes``)."""
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     if dataset.d != model.d:
         raise DataError(f"model expects d={model.d}; data has d={dataset.d}")
-    if model.labels is None:
-        if dataset.q != model.q:
-            raise DataError(f"model expects q={model.q}; data has q={dataset.q}")
-        return model, dataset
-    ids = {token: c for c, token in enumerate(model.labels)}
-    unknown = [t for t in dataset.label_names if t not in ids]
-    if unknown:
-        raise DataError(f"class tokens {unknown} are not among the model's {list(model.labels)}")
-    remap = np.array([ids[t] for t in dataset.label_names])
-    return model, Dataset(dataset.features, remap[dataset.labels], model.labels)
+    return model, to_model_classes(model, dataset)
 
 
 def cmd_predict(args) -> int:

@@ -9,6 +9,9 @@ weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
 complement), a feasible unconstrained minimizer is returned as is, and
 every other column runs accelerated projected gradient (FISTA) with a
 monotone restart until its Frank-Wolfe duality gap certifies optimality.
+Once an iterate's signs settle, one linear solve on that face of the ball
+(the active-set step of Osborne, Presnell & Turlach 2000) is tried as the
+next iterate, under the same certificate.
 The set-up that depends only on the design, the weights and the free
 coordinates (Gram matrices, Schur complements, step sizes) is a
 :class:`Factorization`, which solves that have those in common can share.
@@ -254,6 +257,35 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
+def _face_step(x, half_grad, s, d, tol, radius, nonneg):
+    """The exact minimizer of each row's objective on the face of the ball
+    that holds the row x, where it certifies.
+
+    The face is x's support A and signs sigma.  Its KKT system, the rows
+    S_AA x_A + theta sigma = d_A and sigma'x_A = radius, padded with
+    identity rows (right-hand side 0) off A, is one (p+1)x(p+1) solve per
+    row; a singular one leaves its row at x.  The solution is projected
+    onto the ball like a FISTA step, and is accepted where its Frank-Wolfe
+    gap is within tol and it does not raise the objective from x.  Returns
+    the candidates, their half gradients and the accepted rows.
+    """
+    n, p = x.shape
+    sigma = np.sign(x)
+    on = sigma != 0.0
+    kkt = np.zeros((n, p + 1, p + 1))
+    kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, np.eye(p))
+    kkt[:, :p, p] = kkt[:, p, :p] = sigma
+    rhs = np.column_stack([np.where(on, d, 0.0), np.full(n, radius)])[:, :, None]
+    start = np.column_stack([x, np.zeros(n)])[:, :, None]
+    sol = _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0,
+                   kkt, rhs, start)
+    z = project_l1_ball(sol[:, :p, 0], radius, nonneg)
+    hg_z = _rowwise(z, s) - d
+    rise = ((z - x) * (hg_z + half_grad)).sum(axis=1)
+    ok = (_fw_gap(hg_z, (z * hg_z).sum(axis=1), radius, nonneg) <= tol) & (rise <= 0.0)
+    return z, hg_z, ok
+
+
 def solve(problem: WlsProblem, warm_start=None,
           factorization: Factorization | None = None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
@@ -269,9 +301,13 @@ def solve(problem: WlsProblem, warm_start=None,
     than the rounding error of the change) is rejected and that column's
     momentum reset, so its next step is a plain projected gradient step,
     which cannot raise it; the objective is therefore non-increasing from
-    the warm start, up to rounding.  Each column stops,
-    and is frozen, once its Frank-Wolfe gap is within ``GAP_RTOL`` of its
-    scale, or at ``MAX_ITERS``.  Each weight block has its own S, L and
+    the warm start, up to rounding.  After a step that leaves a column's
+    sign pattern as it was, the exact minimizer on that face of the ball
+    (:func:`_face_step`) replaces the iterate if it certifies and does not
+    raise the objective; a pattern whose face step failed is not tried
+    again until it changes.  Each column stops, and is frozen, once its
+    Frank-Wolfe gap is within ``GAP_RTOL`` of its scale, or at
+    ``MAX_ITERS``.  Each weight block has its own S, L and
     factorizations, and every column uses its block's.  Columns never mix,
     so a batched column matches its single solve bit for bit.
 
@@ -346,6 +382,7 @@ def solve(problem: WlsProblem, warm_start=None,
         dw_step = dw / lam_w[:, None]
         xw_prev = xw
         accepted = np.zeros(cols.size, dtype=int)
+        tried = np.zeros(cols.size, dtype=bool)  # face step failed on this pattern
     while cols.size and iterations < MAX_ITERS:
         iterations += 1
         # FISTA momentum after c accepted steps since the last (re)start.
@@ -373,6 +410,18 @@ def solve(problem: WlsProblem, warm_start=None,
             hgw = np.where(keep[:, None], hg_z, hgw)
             accepted = np.where(keep, accepted + 1, 0)
         done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radius, nonneg) <= tolw
+        # Once a column's sign pattern repeats, try the exact face step.
+        # Its candidate depends on the pattern alone, so a pattern whose
+        # candidate failed is not tried again until it changes.
+        stable = np.all(np.sign(xw) == np.sign(xw_prev), axis=1)
+        tried &= stable
+        face = np.flatnonzero(~done & stable & ~tried)
+        if face.size:
+            z, hg_z, ok = _face_step(xw[face], hgw[face], s_w[face], dw[face], tolw[face],
+                                     radius, nonneg)
+            tried[face[~ok]] = True
+            face = face[ok]
+            xw[face], hgw[face], done[face] = z[ok], hg_z[ok], True
         any_done = done.any()
         if any_done or iterations == MAX_ITERS:
             x[cols] = xw
@@ -380,6 +429,7 @@ def solve(problem: WlsProblem, warm_start=None,
             go = ~done
             cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
             accepted, tolw, dw, dw_step = accepted[go], tolw[go], dw[go], dw_step[go]
+            tried = tried[go]
             s_w, descent = s_w[go], descent[go]
 
     obj, gap, _ = evaluate(x)

@@ -24,12 +24,13 @@ depend on the selector.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, fit_scaler
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .model import (
     PROB_FLOOR,
     SPARSITY_THRESHOLD,
@@ -80,6 +81,7 @@ class FitReport:
     selector_histogram: dict[int, int]
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
+    solver_iterations: int  # FISTA steps, summed over the gate and expert solve calls
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -134,6 +136,19 @@ def build_gate_targets(r):
 # ---------------------------------------------------------------------------
 # M-steps
 
+# The solve calls' FISTA steps, collected for the report of the fit in
+# progress (None outside a fit).
+_solver_steps: ContextVar[list[int] | None] = ContextVar("solver_steps", default=None)
+
+
+def _solve(problem, warm_start, factorization=None):
+    """solve(), with its steps added to the running fit's count."""
+    report = solve(problem, warm_start=warm_start, factorization=factorization)
+    steps = _solver_steps.get()
+    if steps is not None:
+        steps.append(report.iterations)
+    return report
+
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     """WLS update of every (class, expert) weight vector, in one solver call.
@@ -158,7 +173,7 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     else:
         warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
         problem = WlsProblem(x_mat, tiled, r[:, live], lambda_omega, free_coords=(dp - 1,))
-        report = solve(problem, warm_start=warm)
+        report = _solve(problem, warm)
         fitted, converged = report.solution, report.converged
     omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
     return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
@@ -187,7 +202,7 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams, factorization=No
     targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
                         where=sel * sel != 0.0)
     problem = WlsProblem(x_mat, targets, weights, lambda_nu, free_coords=(x_mat.shape[1] - 1,))
-    report = solve(problem, warm_start=nu[rows], factorization=factorization)
+    report = _solve(problem, nu[rows], factorization)
     nu[rows] = report.solution
     return GateParams(nu), report.converged
 
@@ -337,6 +352,16 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
 
 def fit(dataset: Dataset, hyper: Hyperparams):
     """Run EM and return the trained model plus a fit report."""
+    steps: list[int] = []
+    token = _solver_steps.set(steps)
+    try:
+        return _em(dataset, hyper, steps)
+    finally:
+        _solver_steps.reset(token)
+
+
+def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
+    """fit's EM loop; ``steps`` collects its solve calls' FISTA steps."""
     hyper.validate()
     scaler = fit_scaler(dataset)
     x_mat = prepare_inputs(dataset.features, scaler)
@@ -440,6 +465,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         selector_histogram=histogram,
         constrained_solves=converged_flags.size,
         solver_cap_hits=int(np.count_nonzero(~converged_flags)),
+        solver_iterations=sum(steps),
     )
     return model, report
 
@@ -473,9 +499,33 @@ def predict_proba_batch(model: MixtureModel, features, policy="ones"):
     return mixture_probs(model, x_mat, _policy_mu(model, x_mat, policy))
 
 
+def to_model_classes(model: MixtureModel, dataset: Dataset) -> Dataset:
+    """The dataset with its class ids renumbered to the model's class tokens.
+
+    A token the model does not know is a DataError; a subset of its tokens
+    is fine.  A model without tokens takes the data's ids as they are, and
+    must have as many classes.  A dataset whose tokens are already the
+    model's is returned as is, without a copy.
+    """
+    if model.labels is None:
+        if dataset.q != model.q:
+            raise DataError(f"model expects q={model.q}; data has q={dataset.q}")
+        return dataset
+    if dataset.label_names == model.labels:
+        return dataset
+    ids = {token: c for c, token in enumerate(model.labels)}
+    unknown = [t for t in dataset.label_names if t not in ids]
+    if unknown:
+        raise DataError(f"class tokens {unknown} are not among the model's {list(model.labels)}")
+    remap = np.array([ids[t] for t in dataset.label_names])
+    return Dataset(dataset.features, remap[dataset.labels], model.labels)
+
+
 def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> dict:
     """Accuracy and mean negative log-likelihood under a test-time selector
-    policy (see :func:`predict_proba_batch`)."""
+    policy (see :func:`predict_proba_batch`), with the dataset's classes
+    matched to the model's by token (see :func:`to_model_classes`)."""
+    dataset = to_model_classes(model, dataset)
     probs = predict_proba_batch(model, dataset.features, selector_policy)
     accuracy = float((probs.argmax(axis=1) == dataset.labels).mean())
     true_p = np.maximum(probs[np.arange(dataset.n), dataset.labels], PROB_FLOOR)

@@ -260,14 +260,16 @@ class TestBatchedCertifiedSolve:
         report = solve(problem)
         assert report.converged
         assert report.iterations < solver.MAX_ITERS
+        # Once the sign pattern repeats, the exact face step certifies.
+        assert report.iterations <= 2
         assert report.final_objective == pytest.approx(best, rel=1e-10)
         assert np.abs(report.solution).sum() <= 1.0 + 1e-12
 
     def test_cap_reported_as_not_converged(self, monkeypatch):
         problem, _ = ill_conditioned_face(0.01)
-        monkeypatch.setattr(solver, "MAX_ITERS", 3)
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
         report = solve(problem)
-        assert report.iterations == 3
+        assert report.iterations == 1
         assert not report.converged
         assert report.gap > 0.0
 
@@ -282,6 +284,56 @@ class TestBatchedCertifiedSolve:
         for j in range(2):
             np.testing.assert_allclose(report.solution[j], unconstrained_wls(a, b[:, j], w),
                                        rtol=0, atol=1e-10)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 12), st.booleans(), st.booleans(), st.floats(0.05, 5.0),
+           st.integers(0, 2**32 - 1))
+    def test_random_problems_certify_from_raw_design(self, p, nonneg, bias, radius, seed):
+        # Every returned certificate holds when recomputed from the raw
+        # design, whichever face step or FISTA step produced it.
+        rng = np.random.default_rng(seed)
+        m = p + int(rng.integers(1, 20))
+        a = rng.normal(0, 1, (m, p)) * rng.uniform(0.1, 3.0, p)
+        if bias:
+            a[:, -1] = 1.0
+        b = rng.normal(0, 3, m)
+        w = rng.uniform(0.1, 2.0, m)
+        free = (p - 1,) if bias else ()
+        kept = list(range(p - len(free)))
+        warm = rng.normal(0, 1, p)
+        report = solve(WlsProblem(a, b, w, radius, free, nonneg), warm_start=warm)
+        z = report.solution
+        assert report.converged
+        assert np.abs(z[kept]).sum() <= radius * (1 + 1e-12)
+        if nonneg:
+            assert np.all(z[kept] >= 0.0)
+
+        gram = (a * w[:, None]).T @ a
+        lin = a.T @ (w * b)
+
+        def gap_at(x, g):
+            """Frank-Wolfe gap over the ball in the restricted coordinates,
+            for the gradient g of the objective with the free ones minimized."""
+            worst = -g.min(initial=0.0) if nonneg else np.abs(g).max(initial=0.0)
+            return g @ x + radius * worst
+
+        def free_minimized(x_kept):
+            """x_kept with the free coordinates at their exact minimizer."""
+            full = np.zeros(p)
+            full[kept] = x_kept
+            if bias:
+                full[-1] = (lin[-1] - gram[-1, kept] @ x_kept) / gram[-1, -1]
+            return full
+
+        start = free_minimized(project_l1_ball(warm[kept], radius, nonneg))
+        origin = free_minimized(np.zeros(len(kept)))
+        energy = w @ b**2
+        start_obj = wls_objective(a, b, w, start)
+        scale = (max(energy, start_obj)
+                 + gap_at(np.zeros(len(kept)), 2.0 * (gram @ origin - lin)[kept]))
+        gap = gap_at(z[kept], 2.0 * (gram @ z - lin)[kept])
+        assert gap <= solver.GAP_RTOL * scale
+        assert report.final_objective <= start_obj + 1e-12 * scale
 
     @settings(deadline=None, max_examples=200)
     @given(

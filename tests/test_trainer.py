@@ -9,6 +9,7 @@ from conftest import make_model, random_model
 from oracles import central_difference, grid_search_l1, norm0_best_subset, wls_objective
 from sparse_moe import (
     ConfigError,
+    DataError,
     Dataset,
     ExpertParams,
     ExpertSelector,
@@ -32,6 +33,7 @@ from sparse_moe import (
     predict_proba_batch,
     preset_spec,
     save_model,
+    to_model_classes,
     train_test_split,
 )
 from sparse_moe import trainer
@@ -711,6 +713,47 @@ class TestEvaluate:
             evaluate(model, two_class_dataset(rng, n=4), "oracle")
 
 
+class TestModelClasses:
+    """evaluate matches a dataset's classes to the model's by token, as the
+    CLI does, whatever ids the dataset gave them."""
+
+    @staticmethod
+    def fitted():
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 40, seed=3))
+        model, _ = fit(ds, Hyperparams(k=2, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+                                       max_iters=10))
+        return model, ds
+
+    def test_renumbered_classes_score_the_same(self):
+        model, ds = self.fitted()
+        assert model.labels == ds.label_names == ("0", "1")
+        # The same rows as loading a file whose class-1 rows come first gives.
+        swapped = Dataset(ds.features, 1 - ds.labels, ("1", "0"))
+        metrics = evaluate(model, ds)
+        assert metrics["accuracy"] > 0.5
+        assert evaluate(model, swapped) == metrics
+
+    def test_unknown_token_raises(self):
+        model, ds = self.fitted()
+        with pytest.raises(DataError, match="'zz'"):
+            evaluate(model, Dataset(ds.features, ds.labels, ("0", "zz")))
+
+    def test_model_tokens_take_no_copy(self):
+        model, ds = self.fitted()
+        assert to_model_classes(model, ds) is ds
+        mapped = to_model_classes(model, Dataset(ds.features, 1 - ds.labels, ("1", "0")))
+        np.testing.assert_array_equal(mapped.labels, ds.labels)
+        assert mapped.label_names == model.labels
+
+    def test_model_without_tokens_keeps_ids(self, rng):
+        model = random_model(rng, k=2, q=2, dp=3)
+        assert model.labels is None
+        ds = two_class_dataset(rng, n=8)
+        assert to_model_classes(model, ds) is ds
+        with pytest.raises(DataError, match="q=2"):
+            to_model_classes(model, Dataset(ds.features, np.arange(8) % 3, ("a", "b", "c")))
+
+
 class TestPredictProbaBatch:
     """Batched scoring agrees with per-row predict_proba.  The batch's logits
     come from one matrix product and a single row's from a matrix-vector
@@ -758,3 +801,40 @@ class TestSolverCapHits:
         assert capped.to_dict()["solver_cap_hits"] == capped.solver_cap_hits
         # constrained_solves counts gate and expert problems, certified or not.
         assert capped.constrained_solves == clean.constrained_solves == 3 * (2 + 2 * 2)
+
+
+class TestSolverIterations:
+    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
+        ("none", None, "full"), ("none", None, "fast"), ("l0", 1, "full"), ("l1", 1.5, "full"),
+    ])
+    def test_report_sums_solve_iterations(self, monkeypatch, selector_mode, lambda_mu,
+                                          schedule):
+        counted = []
+
+        def counting_solve(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            counted.append(report.iterations)
+            return report
+
+        monkeypatch.setattr(trainer, "solve", counting_solve)
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        hyper = Hyperparams(k=4, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=4,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu,
+                            schedule=schedule)
+        _, report = fit(ds, hyper)
+        assert len(counted) > 0 and sum(counted) > 0
+        assert report.solver_iterations == sum(counted)
+        assert report.to_dict()["solver_iterations"] == sum(counted)
+        # A second fit counts its own solves only.
+        counted.clear()
+        _, again = fit(ds, hyper)
+        assert again.solver_iterations == sum(counted) == report.solver_iterations
+
+    def test_report_only_gains_the_key(self):
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=3))
+        _, report = fit(ds, Hyperparams(k=2, lambda_nu=0.5, lambda_omega=0.5, seed=1,
+                                        max_iters=3))
+        assert set(report.to_dict()) == {
+            "format_version", "trace", "iterations_run", "converged", "sparsity",
+            "selector_histogram", "constrained_solves", "solver_cap_hits", "solver_iterations",
+        }
