@@ -36,8 +36,6 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if labels.shape != (feats.shape[0],):
             raise DataError("labels length does not match feature rows")
-        if len(self.label_names) < 2:
-            raise DataError("need at least 2 classes")
         if labels.min() < 0 or labels.max() >= len(self.label_names):
             raise DataError("label id out of range")
 
@@ -120,8 +118,6 @@ def load_dataset(path) -> Dataset:
                            if _parse_number(cell.strip()) is None)
             raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
         ids.append(index.setdefault(row[-1].strip(), len(index)))
-    if len(index) < 2:
-        raise DataError(f"{path}: fewer than 2 classes present")
     return Dataset(feats, np.array(ids), tuple(index))
 
 

@@ -51,11 +51,12 @@ def _weight_blocks(row_weights, m):
     return w
 
 
-def _blocks(design, target, row_weights):
-    """Design (m, p), targets (m, r), weights (m, g) and block width c of a
-    WLS batch, checked: the r = g * c target columns form g consecutive
-    blocks, and block i is weighted by weight column i.  ``(m,)`` weights
-    are one block.  Weights must be finite and nonnegative."""
+def _blocks(design, target, row_weights, blocks=None):
+    """Design (m, p), targets (m, r), weights (m, g) and the weight block of
+    each target column, (r,), of a WLS batch, checked.  Column j is weighted
+    by weight column ``blocks[j]``; without an index the r target columns
+    form g equal consecutive blocks.  ``(m,)`` weights are one block.
+    Weights must be finite and nonnegative."""
     a = np.atleast_2d(np.asarray(design, dtype=float))
     b = np.asarray(target, dtype=float)
     m = a.shape[0]
@@ -63,10 +64,28 @@ def _blocks(design, target, row_weights):
         raise ConfigError("design/target/weight shapes inconsistent")
     w = _weight_blocks(row_weights, m)
     b = b.reshape(m, -1)
-    c = b.shape[1] // max(w.shape[1], 1)
-    if c * w.shape[1] != b.shape[1]:
-        raise ConfigError("target columns do not form equal weight blocks")
-    return a, b, w, c
+    g, r = w.shape[1], b.shape[1]
+    if blocks is None:
+        c = r // max(g, 1)
+        if c * g != r:
+            raise ConfigError("target columns do not form equal weight blocks")
+        return a, b, w, np.repeat(np.arange(g), c)
+    index = np.asarray(blocks)
+    if (index.shape != (r,) or index.dtype.kind not in "iu"
+            or r and not 0 <= index.min() <= index.max() < g):
+        raise ConfigError("the block index must name a weight block for each target column")
+    return a, b, w, index
+
+
+def _radii(radius, r):
+    """The radius of each of r target columns, (r,): one shared radius or
+    one per column, checked positive."""
+    rad = np.asarray(radius, dtype=float)
+    if rad.ndim == 0:
+        rad = np.full(r, rad)
+    if rad.shape != (r,) or not (rad > 0).all():
+        raise ConfigError("radius must be positive: one, or one per target column")
+    return rad
 
 
 @dataclass
@@ -78,24 +97,27 @@ class WlsProblem:
 
     ``target`` is ``(m,)`` for one problem or ``(m, r)`` for r problems
     that share the design.  ``row_weights`` is ``(m,)``, shared by all
-    problems, or ``(m, g)``: the r columns then form g equal consecutive
-    blocks, and block i is weighted by column i.  Coordinates listed in
-    ``free_coords`` bypass both constraints.
+    problems, or ``(m, g)``: g weight blocks, block i weighted by column i.
+    ``blocks`` gives the block of each target column, ``(r,)`` integers in
+    [0, g); without it the r columns form g equal consecutive blocks.
+    ``radius`` is one radius for every problem or ``(r,)``, one per column.
+    Coordinates listed in ``free_coords`` bypass both constraints.
     """
 
     design: np.ndarray
     target: np.ndarray
     row_weights: np.ndarray
-    radius: float
+    radius: float | np.ndarray
     free_coords: tuple[int, ...] = ()
     nonnegative: bool = False
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        self.design, _, weights, _ = _blocks(self.design, self.target, self.row_weights)
+        self.design, b, weights, self.blocks = _blocks(self.design, self.target,
+                                                       self.row_weights, self.blocks)
         self.target = np.asarray(self.target, dtype=float)
         self.row_weights = weights if np.ndim(self.row_weights) == 2 else weights[:, 0]
-        if not self.radius > 0:
-            raise ConfigError("radius must be positive")
+        _radii(self.radius, b.shape[1])
 
 
 @dataclass
@@ -123,20 +145,23 @@ def project_l1_ball(v, radius, nonnegative=False):
     """Euclidean projection of ``v`` onto {||z||_1 <= radius}.
 
     ``v`` is one vector or an ``(r, p)`` array whose rows are projected
-    independently.  When ``nonnegative`` is set, v is first clamped to the
-    nonnegative orthant, which makes the result the projection onto the
-    intersection of ball and orthant.  Sort-based soft thresholding (Duchi
-    et al. 2008): the threshold is the largest of (sum of the j largest
-    magnitudes - radius) / j over j, and 0 for a point inside the ball.
-    Exact up to float error.
+    independently, onto one ball or, for an ``(r,)`` radius, one each.
+    When ``nonnegative`` is set, v is first clamped to the nonnegative
+    orthant, which makes the result the projection onto the intersection of
+    ball and orthant.  Sort-based soft thresholding (Duchi et al. 2008):
+    the threshold is the largest of (sum of the j largest magnitudes -
+    radius) / j over j, and 0 for a point inside the ball.  Exact up to
+    float error.
     """
-    if not radius > 0:
+    radius = np.asarray(radius, dtype=float)
+    if not (radius > 0).all():
         raise ConfigError("radius must be positive")
     v = np.asarray(v, dtype=float)
     mag = np.maximum(v, 0.0) if nonnegative else np.abs(v)
     u = np.sort(mag, axis=-1)[..., ::-1]
     ranks = np.arange(1, v.shape[-1] + 1)
-    theta = ((np.cumsum(u, axis=-1) - radius) / ranks).max(axis=-1, keepdims=True, initial=0.0)
+    theta = ((np.cumsum(u, axis=-1) - radius[..., None]) / ranks).max(axis=-1, keepdims=True,
+                                                                      initial=0.0)
     shrunk = np.maximum(mag - theta, 0.0)
     return shrunk if nonnegative else np.sign(v) * shrunk
 
@@ -179,7 +204,8 @@ class Factorization:
     restricted to free coordinates, the inverse ``g_ff_inv`` of its free
     block, ``coupling`` = g_kf g_ff_inv and the Schur complement ``schur``
     of the free block.  ``lam`` is the largest eigenvalue of each Schur
-    complement, computed on first use.  Build one with :func:`factor`.
+    complement, computed on first use.  Build one with :func:`factor`, or
+    with :func:`join` from others.
     """
 
     shape: tuple[int, int]  # (m, p) of the design
@@ -189,9 +215,12 @@ class Factorization:
     g_ff_inv: np.ndarray  # (g, p_free, p_free)
     coupling: np.ndarray  # (g, p_kept, p_free)
     schur: np.ndarray  # (g, p_kept, p_kept)
+    parts: tuple[Factorization, ...] = ()  # those join() made this one of
 
     @functools.cached_property
     def lam(self) -> np.ndarray:
+        if self.parts:
+            return np.concatenate([part.lam for part in self.parts])
         return np.linalg.eigvalsh(self.schur).max(axis=1, initial=0.0)
 
 
@@ -216,19 +245,35 @@ def factor(design, row_weights, free_coords=()) -> Factorization:
     return Factorization(a.shape, free, kept, g_kf, g_ff_inv, coupling, schur)
 
 
+def join(*parts: Factorization) -> Factorization:
+    """The factorization whose weight blocks are the parts' blocks, in
+    order, for problems whose block index numbers them so.  The parts must
+    share the design shape and free coordinates.  Its ``lam`` is the parts',
+    each computed once per part, so a part reused across joins (the gate
+    block of every EM iteration) computes it once.
+    """
+    first = parts[0]
+    if any(part.shape != first.shape or part.free != first.free for part in parts):
+        raise ConfigError("joined factorizations must share the design and free coordinates")
+    stacked = (np.concatenate([getattr(part, name) for part in parts])
+               for name in ("g_kf", "g_ff_inv", "coupling", "schur"))
+    return Factorization(first.shape, first.free, first.kept, *stacked, parts=parts)
+
+
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
     """Ridge-stabilized weighted least squares via the normal equations.
 
     Solves (A'WA + ridge*I) z = A'Wb with a dense factorization.  A
     ``(m,)`` target gives a ``(p,)`` solution; an ``(m, r)`` target gives
     the ``(r, p)`` solutions of its columns.  Weights are ``(m,)`` or
-    ``(m, g)`` blocks as in :class:`WlsProblem`; the columns of a block
-    share one factorization.
+    ``(m, g)`` weights, the r target columns forming g equal consecutive
+    blocks as in :class:`WlsProblem`; the columns of a block share one
+    factorization.
     """
     if ridge < 0:
         raise ConfigError("ridge must be nonnegative")
-    a, b, w, c = _blocks(design, target, row_weights)
-    p = a.shape[1]
+    a, b, w, _ = _blocks(design, target, row_weights)
+    p, c = a.shape[1], b.shape[1] // max(w.shape[1], 1)
     gram = _grams(a, w)
     rhs = np.empty((w.shape[1], p, c))
     for i in range(w.shape[1]):
@@ -264,10 +309,11 @@ def _face_step(x, half_grad, s, d, tol, radius, nonneg):
     The face is x's support A and signs sigma.  Its KKT system, the rows
     S_AA x_A + theta sigma = d_A and sigma'x_A = radius, padded with
     identity rows (right-hand side 0) off A, is one (p+1)x(p+1) solve per
-    row; a singular one leaves its row at x.  The solution is projected
-    onto the ball like a FISTA step, and is accepted where its Frank-Wolfe
-    gap is within tol and it does not raise the objective from x.  Returns
-    the candidates, their half gradients and the accepted rows.
+    row, with the row's own radius; a singular one leaves its row at x.
+    The solution is projected onto the ball like a FISTA step, and is
+    accepted where its Frank-Wolfe gap is within tol and it does not raise
+    the objective from x.  Returns the candidates, their half gradients and
+    the accepted rows.
     """
     n, p = x.shape
     sigma = np.sign(x)
@@ -275,7 +321,7 @@ def _face_step(x, half_grad, s, d, tol, radius, nonneg):
     kkt = np.zeros((n, p + 1, p + 1))
     kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, np.eye(p))
     kkt[:, :p, p] = kkt[:, p, :p] = sigma
-    rhs = np.column_stack([np.where(on, d, 0.0), np.full(n, radius)])[:, :, None]
+    rhs = np.column_stack([np.where(on, d, 0.0), radius])[:, :, None]
     start = np.column_stack([x, np.zeros(n)])[:, :, None]
     sol = _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0,
                    kkt, rhs, start)
@@ -308,20 +354,23 @@ def solve(problem: WlsProblem, warm_start=None,
     again until it changes.  Each column stops, and is frozen, once its
     Frank-Wolfe gap is within ``GAP_RTOL`` of its scale, or at
     ``MAX_ITERS``.  Each weight block has its own S, L and
-    factorizations, and every column uses its block's.  Columns never mix,
-    so a batched column matches its single solve bit for bit.
+    factorizations, and every column uses its block's (the problem's
+    ``blocks`` index) and its own radius.  Columns never mix, so a batched
+    column matches its single solve bit for bit, whatever the other
+    columns' blocks, widths and radii.
 
     Those per-block matrices are the problem's :class:`Factorization`,
     built here unless ``factorization`` hands in one that :func:`factor`
-    built for the same design, weights and free coordinates; the result is
-    the same bit for bit.  One that does not fit the problem's shape, weight
-    blocks or free coordinates raises ConfigError.
+    (or :func:`join`) built for the same design, weights and free
+    coordinates; the result is the same bit for bit.  One that does not fit
+    the problem's shape, weight blocks or free coordinates raises
+    ConfigError.
     """
-    a, b, w, c = _blocks(problem.design, problem.target, problem.row_weights)
+    a, b, w, block = _blocks(problem.design, problem.target, problem.row_weights,
+                             problem.blocks)
     single = problem.target.ndim == 1
     p, r = a.shape[1], b.shape[1]
-    block = np.repeat(np.arange(w.shape[1]), c)  # weight block of each column
-    radius, nonneg = problem.radius, problem.nonnegative
+    radius, nonneg = _radii(problem.radius, r), problem.nonnegative
 
     fac = factor(a, w, problem.free_coords) if factorization is None else factorization
     if (fac.shape != a.shape or len(fac.schur) != w.shape[1]
@@ -378,7 +427,7 @@ def solve(problem: WlsProblem, warm_start=None,
         descent = np.eye(len(kept)) - s_w / lam_w[:, None, None]
         rounding = _ROUNDING * len(kept)
         # Working copies of the columns still iterating.
-        xw, hgw, tolw, dw = x[cols], half_grad[cols], tol[cols], d[cols]
+        xw, hgw, tolw, dw, radw = x[cols], half_grad[cols], tol[cols], d[cols], radius[cols]
         dw_step = dw / lam_w[:, None]
         xw_prev = xw
         accepted = np.zeros(cols.size, dtype=int)
@@ -388,7 +437,7 @@ def solve(problem: WlsProblem, warm_start=None,
         # FISTA momentum after c accepted steps since the last (re)start.
         beta = (np.maximum(accepted - 1, 0) / (accepted + 2.0))[:, None]
         y = xw + beta * (xw - xw_prev)
-        z = project_l1_ball(_rowwise(y, descent) + dw_step, radius, nonneg)
+        z = project_l1_ball(_rowwise(y, descent) + dw_step, radw, nonneg)
         hg_z = _rowwise(z, s_w) - dw
         # f(z) - f(x) = (z - x)'(Sz + Sx - 2d), without the cancellation of
         # subtracting two objective values.  Near a face of the ball, z - x
@@ -409,7 +458,7 @@ def solve(problem: WlsProblem, warm_start=None,
             xw = np.where(keep[:, None], z, xw)
             hgw = np.where(keep[:, None], hg_z, hgw)
             accepted = np.where(keep, accepted + 1, 0)
-        done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radius, nonneg) <= tolw
+        done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radw, nonneg) <= tolw
         # Once a column's sign pattern repeats, try the exact face step.
         # Its candidate depends on the pattern alone, so a pattern whose
         # candidate failed is not tried again until it changes.
@@ -418,7 +467,7 @@ def solve(problem: WlsProblem, warm_start=None,
         face = np.flatnonzero(~done & stable & ~tried)
         if face.size:
             z, hg_z, ok = _face_step(xw[face], hgw[face], s_w[face], dw[face], tolw[face],
-                                     radius, nonneg)
+                                     radw[face], nonneg)
             tried[face[~ok]] = True
             face = face[ok]
             xw[face], hgw[face], done[face] = z[ok], hg_z[ok], True
@@ -429,7 +478,7 @@ def solve(problem: WlsProblem, warm_start=None,
             go = ~done
             cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
             accepted, tolw, dw, dw_step = accepted[go], tolw[go], dw[go], dw_step[go]
-            tried = tried[go]
+            tried, radw = tried[go], radw[go]
             s_w, descent = s_w[go], descent[go]
 
     obj, gap, _ = evaluate(x)

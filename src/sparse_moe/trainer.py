@@ -3,14 +3,20 @@
 The gate and expert M-steps are L1-constrained weighted least-squares
 problems built by inverting the softmax (fitting logits to log-targets)
 and handed to the batched, gap-certified FISTA engine in
-:mod:`sparse_moe.solver`, one call per M-step.  The k*q expert problems
-form one block per expert, weighted by its responsibilities; the k gate
-rows share unit weights under an all-ones selector, and otherwise each
-row is a block weighted by its squared selector entries.  The selector
-update runs first in each outer iteration with gate and expert weights
-frozen, then responsibilities are refreshed and the gate and expert
-subproblems are solved.  Without a selector the gate problems' weights
-never change, so a fit factors them once and reuses the factorization.
+:mod:`sparse_moe.solver`, one call per EM iteration on the full
+schedule: both M-steps read the same responsibilities and neither reads
+the other's result, so the gate and expert problems form one batch, each
+column with its own radius.  The k*q expert problems form one block per
+expert, weighted by its responsibilities; the k gate rows share unit
+weights under an all-ones selector, and otherwise each row is a block
+weighted by its squared selector entries.  The fast schedule's inner
+iterations make a gate call and an unconstrained expert fit, and its
+final pass one expert call.  The selector update runs first in each
+outer iteration with gate and expert weights frozen, then
+responsibilities are refreshed and the gate and expert subproblems are
+solved.  Without a selector the gate problems' weights never change, so
+a fit factors them once and joins that factorization to each
+iteration's expert blocks.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -48,7 +54,7 @@ from .model import (
     sparsity,
     write_json,
 )
-from .solver import WlsProblem, factor, solve, unconstrained_wls
+from .solver import WlsProblem, factor, join, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -70,6 +76,7 @@ class TraceRecord:
     l1_penalty_omega: float
     selector_penalty: float
     penalized_total: float
+    observed_ll: float  # sum_n log sum_i g_ni h_ni, the likelihood EM is meant to raise
 
 
 @dataclass
@@ -81,7 +88,7 @@ class FitReport:
     selector_histogram: dict[int, int]
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
-    solver_iterations: int  # FISTA steps, summed over the gate and expert solve calls
+    solver_iterations: int  # FISTA steps, summed over the solve calls (a call's slowest column)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -102,17 +109,20 @@ def _label_probs(omega, x_mat, labels):
     return expert_class_probs(omega, x_mat)[np.arange(x_mat.shape[0]), labels]
 
 
-def _posterior(g, h) -> np.ndarray:
-    """Responsibilities from label likelihoods g and gate probabilities h."""
+def _posterior(g, h):
+    """Responsibilities from label likelihoods g and gate probabilities h,
+    and each row's evidence sum_i g_i h_i, (n, 1), from the same (floored)
+    joint."""
     joint = np.maximum(g * h, PROB_FLOOR)
-    return joint / joint.sum(axis=1, keepdims=True)
+    evidence = joint.sum(axis=1, keepdims=True)
+    return joint / evidence, evidence
 
 
 def e_step(model: MixtureModel, dataset: Dataset, selector: ExpertSelector) -> Responsibilities:
     """Posterior responsibility of each expert for each instance."""
     x_mat = prepare_inputs(dataset.features, model.scaler)
     g = _label_probs(model.experts.omega, x_mat, dataset.labels)
-    return Responsibilities(_posterior(g, gate_probs(model.gate.nu, x_mat, selector.mu)))
+    return Responsibilities(_posterior(g, gate_probs(model.gate.nu, x_mat, selector.mu))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +160,82 @@ def _solve(problem, warm_start, factorization=None):
     return report
 
 
+def _joined(arrays, axis):
+    """The arrays concatenated along axis; a lone array as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_omega=None,
+            gate_factor=None):
+    """The gate and expert M-steps of an EM iteration, with all of their
+    constrained problems in one solver call.
+
+    The gate rows ``nu`` are refit when ``lambda_nu`` is given (see
+    :func:`m_step_gate`), the experts ``omega`` when ``targets`` are (see
+    :func:`m_step_experts`; ``lambda_omega`` None fits them unconstrained).
+    The two read the same responsibilities, not each other's results, and
+    their problems share the design and the free bias, so they form one
+    batch: the gate's weight blocks first, then one block per live expert,
+    each column with its own radius.  ``gate_factor`` is the factorization
+    of the gate's unit-weight block; the expert blocks are then factored
+    here and joined to it.  Columns never mix in the solver, so every row
+    is what a call of its own would give.  Returns the new gate and expert
+    weights, the experts flagged for reinitialization, and the constrained
+    problems' ``converged`` flags, gate rows first.
+    """
+    n, dp = x_mat.shape
+    free = (dp - 1,)
+    # Each constrained part: targets, row weights, weight block of each
+    # column, warm start, radius.
+    parts = []
+    if lambda_nu is not None:
+        nu = nu.copy()
+        rows = np.flatnonzero((mu != 0.0).any(axis=0))
+        sel = mu[:, rows]
+        unit = np.all(mu == 1.0)
+        if gate_factor is not None and not unit:
+            raise ConfigError("a unit-weight gate factorization needs an all-ones selector")
+        gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+                                 where=sel * sel != 0.0)
+        if unit:  # one block: the rows share unit weights
+            parts.append((gate_targets, np.ones((n, 1)), np.zeros(len(rows), dtype=int),
+                          nu[rows], lambda_nu))
+        else:  # a block per row
+            parts.append((gate_targets, sel * sel, np.arange(len(rows)), nu[rows], lambda_nu))
+    flagged = []
+    fac = gate_factor
+    if targets is not None:
+        omega = omega.copy()
+        q = targets.shape[1]
+        live = r.sum(axis=0) > DEAD_EXPERT_FRACTION * n
+        flagged = np.flatnonzero(~live).tolist()
+        tiled = np.tile(targets, int(live.sum()))
+        r_live = r[:, live]
+        if lambda_omega is None:
+            fitted = unconstrained_wls(x_mat, tiled, r_live, ridge=RIDGE)
+            omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
+        else:  # a block per live expert
+            warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
+            parts.append((tiled, r_live, np.repeat(np.arange(r_live.shape[1]), q), warm,
+                          lambda_omega))
+            if fac is not None:
+                fac = join(fac, factor(x_mat, r_live, free))
+    converged = np.ones(0, dtype=bool)
+    if parts:
+        t, w, index, warm, radius = zip(*parts)
+        offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
+        problem = WlsProblem(x_mat, _joined(t, axis=1), _joined(w, axis=1),
+                             np.repeat(radius, [ti.shape[1] for ti in t]), free,
+                             blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
+        report = _solve(problem, _joined(warm, axis=0), fac)
+        solution, converged = report.solution, report.converged
+        if lambda_nu is not None:
+            nu[rows], solution = solution[:len(rows)], solution[len(rows):]
+        if targets is not None and lambda_omega is not None:
+            omega[:, live] = solution.reshape(-1, q, dp).transpose(1, 0, 2)
+    return nu, omega, flagged, converged
+
+
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     """WLS update of every (class, expert) weight vector, in one solver call.
 
@@ -162,21 +248,9 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags (none when unconstrained).
     """
-    n = r.shape[0]
-    q, dp = targets.shape[1], x_mat.shape[1]
-    omega = incumbent.omega.copy()
-    live = r.sum(axis=0) > DEAD_EXPERT_FRACTION * n
-    tiled = np.tile(targets, int(live.sum()))
-    if lambda_omega is None:
-        fitted = unconstrained_wls(x_mat, tiled, r[:, live], ridge=RIDGE)
-        converged = np.ones(0, dtype=bool)
-    else:
-        warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
-        problem = WlsProblem(x_mat, tiled, r[:, live], lambda_omega, free_coords=(dp - 1,))
-        report = _solve(problem, warm)
-        fitted, converged = report.solution, report.converged
-    omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
-    return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
+    _, omega, flagged, converged = _m_step(r, x_mat, None, incumbent.omega, targets=targets,
+                                           lambda_omega=lambda_omega)
+    return ExpertParams(omega), flagged, converged
 
 
 def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams, factorization=None):
@@ -192,19 +266,9 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams, factorization=No
     selected by no instance keeps its incumbent row.  Also returns the
     solved rows' ``converged`` flags.
     """
-    nu = incumbent.nu.copy()
-    rows = np.flatnonzero((mu != 0.0).any(axis=0))
-    sel = mu[:, rows]
-    unit = np.all(mu == 1.0)
-    if factorization is not None and not unit:
-        raise ConfigError("a unit-weight gate factorization needs an all-ones selector")
-    weights = np.ones(len(mu)) if unit else sel * sel
-    targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
-                        where=sel * sel != 0.0)
-    problem = WlsProblem(x_mat, targets, weights, lambda_nu, free_coords=(x_mat.shape[1] - 1,))
-    report = _solve(problem, nu[rows], factorization)
-    nu[rows] = report.solution
-    return GateParams(nu), report.converged
+    nu, _, _, converged = _m_step(r, x_mat, incumbent.nu, None, mu, lambda_nu,
+                                  gate_factor=factorization)
+    return GateParams(nu), converged
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +390,7 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
     """The objective at (nu, omega, mu), from its forward pass: label
     likelihoods g and gate probabilities h.  Returns the record and the
     responsibilities r, which the next E-step reuses."""
-    r = _posterior(g, h)
+    r, evidence = _posterior(g, h)
     ll = float(
         np.sum(r * (np.log(np.maximum(g, PROB_FLOOR)) + np.log(np.maximum(h, PROB_FLOOR))))
     )
@@ -340,6 +404,7 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
         l1_penalty_omega=pen_omega,
         selector_penalty=pen_mu,
         penalized_total=ll - pen_nu - pen_omega - pen_mu,
+        observed_ll=float(np.log(evidence).sum()),
     )
     if not np.isfinite(record.penalized_total):
         raise TrainingError(f"non-finite objective at iteration {iteration}")
@@ -363,6 +428,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
     """fit's EM loop; ``steps`` collects its solve calls' FISTA steps."""
     hyper.validate()
+    if dataset.q < 2:
+        raise DataError("fewer than 2 classes present")
     scaler = fit_scaler(dataset)
     x_mat = prepare_inputs(dataset.features, scaler)
     labels = dataset.labels
@@ -408,27 +475,32 @@ def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
                 mu = _selector_norm1(nu, x_mat, r, hyper.lambda_mu)
             # g depends on omega alone; only the gate sees the new selector.
             h = gate_probs(nu, x_mat, mu)
-            r = _posterior(g, h)
+            r, _ = _posterior(g, h)
 
         dead = np.flatnonzero(r.sum(axis=0) < DEAD_EXPERT_FRACTION * n)
         if dead.size:
             for i in dead:
                 reinit_expert(i)
             g, h = forward()
-            r = _posterior(g, h)
+            r, _ = _posterior(g, h)
 
-        if k > 1:
-            gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu), gate_factor)
-            nu = gate.nu
+        if hyper.schedule == "full":
+            nu, omega, flagged, done = _m_step(
+                r, x_mat, nu, omega, mu, hyper.lambda_nu if k > 1 else None, expert_targets,
+                hyper.lambda_omega, gate_factor=gate_factor
+            )
             solved.append(done)
-
-        # The fast schedule leaves the experts unconstrained until its final pass.
-        radius = hyper.lambda_omega if hyper.schedule == "full" else None
-        experts, flagged, done = m_step_experts(
-            r, x_mat, expert_targets, radius, ExpertParams(omega)
-        )
-        omega = experts.omega
-        solved.append(done)
+        else:
+            # The fast schedule leaves the experts unconstrained until its final pass.
+            if k > 1:
+                gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu),
+                                         gate_factor)
+                nu = gate.nu
+                solved.append(done)
+            experts, flagged, done = m_step_experts(r, x_mat, expert_targets, None,
+                                                    ExpertParams(omega))
+            omega = experts.omega
+            solved.append(done)
         for i in flagged:
             reinit_expert(i)
 

@@ -153,8 +153,6 @@ def load_dataset_reference(path):
             index[token] = len(names)
             names.append(token)
         ids.append(index[token])
-    if len(names) < 2:
-        raise DataError(f"{path}: fewer than 2 classes present")
     return Dataset(np.array(feats), np.array(ids), tuple(names))
 
 

@@ -90,6 +90,15 @@ class TestTrain:
         assert main(train_args(tmp_path, tmp_path / "m.json")) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_one_class_file_exit_3(self, xor_file, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("".join(r + "\n" for r in xor_file.read_text().splitlines()
+                               if r.endswith(",1")))
+        out = tmp_path / "m.json"
+        assert main(train_args(one, out)) == 3
+        assert "fewer than 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_hyper_exit_2(self, xor_file, tmp_path, capsys):
         args = train_args(xor_file, tmp_path / "m.json", selector="l0")
         assert main(args) == 2  # l0 without --lambda-mu
@@ -477,6 +486,24 @@ class TestClassTokens:
         assert main(["evaluate", "--model", str(model_out), "--data", str(subset)]) == 0
         full = load_dataset(data)
         keep = np.isin(full.labels, [1, 3])
+        want = evaluate(load_model(model_out),
+                        Dataset(full.features[keep], full.labels[keep], full.label_names))
+        assert capsys.readouterr().out == (
+            f"accuracy={want['accuracy']:.6f} nll={want['nll']:.6f}\n")
+
+    def test_one_class_file_scores(self, xor_file, tmp_path, capsys):
+        # The class-1 rows alone: the model's tokens say which class they are.
+        model_out = tmp_path / "m.json"
+        assert main(train_args(xor_file, model_out)) == 0
+        rows = xor_file.read_text().splitlines()
+        ones = [i for i, r in enumerate(rows) if r.endswith(",1")]
+        one = tmp_path / "one.csv"
+        one.write_text("".join(rows[i] + "\n" for i in ones))
+        preds = self.run_both(tmp_path, model_out, xor_file)
+        capsys.readouterr()
+        assert self.run_both(tmp_path, model_out, one) == [preds[i] for i in ones]
+        full = load_dataset(xor_file)
+        keep = full.labels == 1
         want = evaluate(load_model(model_out),
                         Dataset(full.features[keep], full.labels[keep], full.label_names))
         assert capsys.readouterr().out == (

@@ -38,9 +38,11 @@ class TestLoadDataset:
         assert ds.n == 2
         np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4]])
 
-    def test_single_class_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="fewer than 2 classes"):
-            load_dataset(write(tmp_path, "1,2,a\n3,4,a\n"))
+    def test_single_class_loads(self, tmp_path):
+        # One class is enough to score; fit is what needs two.
+        ds = load_dataset(write(tmp_path, "1,2,a\n3,4,a\n"))
+        assert ds.label_names == ("a",)
+        np.testing.assert_array_equal(ds.labels, [0, 0])
 
     def test_non_numeric_cell_reported(self, tmp_path):
         with pytest.raises(DataError, match="row 2, column 1"):

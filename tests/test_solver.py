@@ -14,7 +14,7 @@ from sparse_moe import (
     solve,
     unconstrained_wls,
 )
-from sparse_moe.solver import factor
+from sparse_moe.solver import factor, join
 
 
 class TestProjectL1Ball:
@@ -462,6 +462,105 @@ class TestFactorization:
             free = ()
         with pytest.raises(ConfigError, match="factorization"):
             solve(problem, factorization=factor(a, w, free))
+
+
+class TestMixedBlocks:
+    """A batch whose columns name their weight blocks (of unequal widths)
+    and carry their own radii, as the trainer's one call per EM iteration
+    poses its gate and expert problems, against one single solve per
+    column."""
+
+    @staticmethod
+    def _problem(rng, layout, k=3, q=2, m=40, p=5):
+        """The k gate problems (one unit block of width k, or k blocks of
+        width 1) followed by k expert blocks of width q, with the gate and
+        expert radii, warm starts and the number of gate blocks."""
+        a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
+        unit = layout == "unit-gate"
+        gate_w = np.ones((m, 1)) if unit else rng.uniform(0.0, 2.0, (m, k)) ** 2
+        gate_blocks = np.zeros(k, dtype=int) if unit else np.arange(k)
+        w = np.column_stack([gate_w, rng.uniform(0.05, 1.0, (m, k))])
+        blocks = np.concatenate([gate_blocks, gate_w.shape[1] + np.repeat(np.arange(k), q)])
+        radius = np.concatenate([np.full(k, rng.uniform(0.2, 2.0)),
+                                 np.full(k * q, rng.uniform(0.2, 2.0))])
+        b = rng.normal(0, 3, (m, len(blocks)))
+        warm = rng.normal(0, 1, (len(blocks), p))
+        return a, b, w, blocks, radius, warm, gate_w.shape[1]
+
+    @pytest.mark.parametrize("layout", ["unit-gate", "row-gate"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_equal_single_solves_bitwise(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, layout)
+        free = (a.shape[1] - 1,)
+        radius[rng.integers(len(radius))] = 1e6  # one slack column among binding ones
+        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+        joint = solve(problem, warm_start=warm)
+        assert joint.iterations > 0
+        # The same batch on a factorization joined from the gate's and the
+        # experts' blocks, built apart.
+        fac = join(factor(a, w[:, :gate_blocks], free), factor(a, w[:, gate_blocks:], free))
+        handed = solve(problem, warm_start=warm, factorization=fac)
+        for j in range(b.shape[1]):
+            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
+                           warm_start=warm[j])
+            for report in (joint, handed):
+                assert report.solution[j].tobytes() == single.solution.tobytes()
+                assert report.gap[j] == single.gap
+                assert report.final_objective[j] == single.final_objective
+                assert report.converged[j] == single.converged
+
+    def test_joined_factorization_reuses_part_lam(self, rng):
+        a, _, w, *_ = self._problem(rng, "unit-gate")
+        gate = factor(a, w[:, :1], (4,))
+        experts = factor(a, w[:, 1:], (4,))
+        joined = join(gate, experts)
+        whole = factor(a, w, (4,))
+        for name in ("g_kf", "g_ff_inv", "coupling", "schur"):
+            assert getattr(joined, name).tobytes() == getattr(whole, name).tobytes()
+        assert joined.lam.tobytes() == whole.lam.tobytes()
+        assert "lam" in vars(gate) and "lam" in vars(experts)  # cached on the parts
+        again = join(gate, factor(a, w[:, 1:], (4,)))
+        assert again.lam.tobytes() == whole.lam.tobytes()
+
+    def test_joined_parts_must_share_design_and_free_coordinates(self, rng):
+        a, _, w, *_ = self._problem(rng, "unit-gate")
+        with pytest.raises(ConfigError, match="joined"):
+            join(factor(a, w[:, :1], (4,)), factor(a, w[:, 1:], ()))
+        with pytest.raises(ConfigError, match="joined"):
+            join(factor(a, w[:, :1], (4,)), factor(a[:-1], w[:-1, 1:], (4,)))
+
+    @pytest.mark.parametrize("blocks", [[0, 1, 1], [0, 1, 1, 2, 0], [0, 1, 2, 3],
+                                        [0, -1, 1, 2], [0.0, 1.0, 1.0, 2.0]])
+    def test_bad_block_index_raises(self, rng, blocks):
+        # Four target columns over three weight blocks: wrong length, out of
+        # range, negative, not integers.
+        a = rng.normal(0, 1, (10, 3))
+        with pytest.raises(ConfigError, match="block index"):
+            WlsProblem(a, rng.normal(0, 1, (10, 4)), np.ones((10, 3)), 1.0, blocks=blocks)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_bad_radius_entry_raises(self, rng, bad):
+        a = rng.normal(0, 1, (10, 3))
+        b = rng.normal(0, 1, (10, 4))
+        problem = WlsProblem(a, b, np.ones(10), [1.0, 2.0, 0.5, 1.0])
+        with pytest.raises(ConfigError, match="radius"):
+            WlsProblem(a, b, np.ones(10), [1.0, 2.0, bad, 1.0])
+        problem.radius = np.array([1.0, bad, 0.5, 1.0])
+        with pytest.raises(ConfigError, match="radius"):
+            solve(problem)
+
+    def test_radius_of_wrong_length_raises(self, rng):
+        a = rng.normal(0, 1, (10, 3))
+        with pytest.raises(ConfigError, match="radius"):
+            WlsProblem(a, rng.normal(0, 1, (10, 4)), np.ones(10), [1.0, 2.0, 0.5])
+
+    def test_factorization_block_count_must_match(self, rng):
+        a, b, w, blocks, radius, *_ = self._problem(rng, "unit-gate")
+        problem = WlsProblem(a, b, w, radius, (4,), blocks=blocks)
+        short = join(factor(a, w[:, :1], (4,)), factor(a, w[:, 2:], (4,)))
+        with pytest.raises(ConfigError, match="factorization"):
+            solve(problem, factorization=short)
 
 
 class TestGramReference:

@@ -461,6 +461,8 @@ class TestSelectorNorm1:
             m_step_selector_norm1(model, rng.dirichlet(np.ones(2), 4), ds, budget)
 
     def test_fit_solves_only_gate_and_expert_problems(self, monkeypatch):
+        # Every solve call of a fit is made inside its M-step helper (called
+        # by fit, or by the two M-step wrappers).
         calls = {"in_m_step": 0, "elsewhere": 0}
         depth = [0]
 
@@ -478,11 +480,12 @@ class TestSelectorNorm1:
             return wrapped
 
         monkeypatch.setattr(trainer, "solve", counting_solve)
-        monkeypatch.setattr(trainer, "m_step_gate", counted(trainer.m_step_gate))
-        monkeypatch.setattr(trainer, "m_step_experts", counted(trainer.m_step_experts))
+        for name in ("_m_step", "m_step_gate", "m_step_experts"):
+            monkeypatch.setattr(trainer, name, counted(getattr(trainer, name)))
         ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
-        fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=4,
-                            selector_mode="l1", lambda_mu=1.5))
+        for schedule in ("full", "fast"):
+            fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=4,
+                                selector_mode="l1", lambda_mu=1.5, schedule=schedule))
         assert calls["in_m_step"] > 0
         assert calls["elsewhere"] == 0
 
@@ -493,38 +496,51 @@ class TestGateFactorization:
     ])
     def test_selector_free_fit_factors_gate_once(self, monkeypatch, selector_mode, lambda_mu,
                                                  schedule):
-        # factor() calls made by fit itself, and made inside a gate M-step.
-        calls = {"fit": 0, "gate": 0, "experts": 0}
-        where = ["fit"]
+        # Each factor() call: whether fit itself or an M-step made it, and
+        # its weight blocks (the gate's unit block is the one of all ones).
+        calls = []
+        depth = [0]
 
-        def counting_factor(*args, **kwargs):
-            calls[where[-1]] += 1
-            return factor(*args, **kwargs)
+        def counting_factor(design, row_weights, free_coords=()):
+            w = np.reshape(row_weights, (len(design), -1))
+            calls.append(("m_step" if depth[0] else "fit", w.shape[1],
+                          int(np.all(w == 1.0, axis=0).sum())))
+            return factor(design, row_weights, free_coords)
 
-        def inside(name, step):
+        def inside(step):
             def wrapped(*args, **kwargs):
-                where.append(name)
+                depth[0] += 1
                 try:
                     return step(*args, **kwargs)
                 finally:
-                    where.pop()
+                    depth[0] -= 1
             return wrapped
 
         monkeypatch.setattr(trainer, "factor", counting_factor)
         monkeypatch.setattr(solver_mod, "factor", counting_factor)
-        monkeypatch.setattr(trainer, "m_step_gate", inside("gate", trainer.m_step_gate))
-        monkeypatch.setattr(trainer, "m_step_experts", inside("experts", trainer.m_step_experts))
+        monkeypatch.setattr(trainer, "_m_step", inside(trainer._m_step))
+        k = 4
         ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
-        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+        _, report = fit(ds, Hyperparams(k=k, lambda_nu=5.0, lambda_omega=5.0, seed=1,
                                         max_iters=4, selector_mode=selector_mode,
                                         lambda_mu=lambda_mu, schedule=schedule))
         gate_steps = report.iterations_run - (schedule == "fast")
         assert gate_steps >= 2
+        from_fit = [c for c in calls if c[0] == "fit"]
+        in_steps = [c for c in calls if c[0] == "m_step"]
         if selector_mode == "none":
-            assert (calls["fit"], calls["gate"]) == (1, 0)
+            # The unit gate block is factored once, by fit; the M-steps
+            # factor the k expert blocks only (the fast schedule's inner
+            # expert fits need no factorization).
+            assert from_fit == [("fit", 1, 1)]
+            expert_steps = gate_steps if schedule == "full" else 1
+            assert in_steps == [("m_step", k, 0)] * expert_steps
         else:
-            assert (calls["fit"], calls["gate"]) == (0, gate_steps)
-        assert calls["experts"] > 0
+            # Each iteration's one call factors a block per selected gate
+            # row with the k expert blocks.
+            assert from_fit == []
+            assert len(in_steps) == gate_steps
+            assert all(k < blocks <= 2 * k for _, blocks, _ in in_steps)
 
     def test_hoisted_fit_matches_per_step_factorization(self, monkeypatch, tmp_path):
         # The same fit with the gate factorized on every M-step instead.
@@ -532,43 +548,97 @@ class TestGateFactorization:
         hyper = Hyperparams(k=3, lambda_nu=2.0, lambda_omega=2.0, seed=2, max_iters=6)
         paths = [tmp_path / "hoisted.json", tmp_path / "per-step.json"]
         save_model(fit(ds, hyper)[0], paths[0])
-        gate_step = trainer.m_step_gate
-        monkeypatch.setattr(trainer, "m_step_gate",
-                            lambda r, x, mu, lam, inc, fac: gate_step(r, x, mu, lam, inc))
-        save_model(fit(ds, hyper)[0], paths[1])
+        step = trainer._m_step
+        dropped = []
+
+        def per_step(*args, gate_factor=None, **kwargs):
+            dropped.append(gate_factor is not None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_m_step", per_step)
+        model, report = fit(ds, hyper)
+        save_model(model, paths[1])
+        assert dropped == [True] * report.iterations_run
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestOneSolverCallPerMStep:
+    """One solve call per EM iteration on the full schedule, for the gate
+    and expert problems together; the fast schedule's inner iterations make
+    a gate solve and an unconstrained expert fit, and its final pass one
+    expert solve."""
+
     @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
         ("none", None, "full"), ("l0", 1, "full"), ("l1", 1.5, "full"), ("l1", 1.5, "fast"),
     ])
     def test_each_m_step_makes_one_call(self, monkeypatch, selector_mode, lambda_mu, schedule):
         calls = []
+        widths = []
 
         def logged(name, fn):
             def wrapped(*args, **kwargs):
                 calls.append(name)
+                if name == "solve":
+                    widths.append(args[0].target.shape[1])
                 return fn(*args, **kwargs)
             return wrapped
 
         for name in ("solve", "unconstrained_wls", "m_step_gate", "m_step_experts"):
             monkeypatch.setattr(trainer, name, logged(name, getattr(trainer, name)))
-        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
-        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+        k, ds = 4, generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        _, report = fit(ds, Hyperparams(k=k, lambda_nu=5.0, lambda_omega=5.0, seed=1,
                                         max_iters=4, selector_mode=selector_mode,
                                         lambda_mu=lambda_mu, schedule=schedule))
+        assert sum(widths) == report.constrained_solves
+        if schedule == "full":
+            # fit calls neither wrapper; each iteration's one call holds
+            # every expert problem and at least one gate row.
+            assert report.iterations_run >= 2
+            assert calls == ["solve"] * report.iterations_run
+            assert all(w > ds.q * k for w in widths)
+            return
         steps, solvers = calls[0::2], calls[1::2]
         assert len(steps) == len(solvers)
-        assert steps.count("m_step_gate") == steps.count("m_step_experts") - (schedule == "fast")
+        assert steps.count("m_step_gate") == steps.count("m_step_experts") - 1
         for step, solver_call in zip(steps, solvers):
             assert step in ("m_step_gate", "m_step_experts")
             assert solver_call in ("solve", "unconstrained_wls")
-        if schedule == "fast":
-            assert solvers.count("unconstrained_wls") == len(steps) // 2
-            assert solvers[-1] == "solve"
-        else:
-            assert "unconstrained_wls" not in solvers
+        assert solvers.count("unconstrained_wls") == len(steps) // 2
+        assert solvers[-1] == "solve"
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l0", 1), ("l1", 1.5)])
+    def test_merged_fit_matches_separate_m_steps(self, monkeypatch, tmp_path, selector_mode,
+                                                 lambda_mu):
+        # The same fits with the gate and expert M-steps made by the two
+        # wrappers, one solve call each.
+        ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
+        hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu)
+        paths = [tmp_path / "merged.json", tmp_path / "separate.json"]
+        model, merged = fit(ds, hyper)
+        save_model(model, paths[0])
+        step = trainer._m_step
+        split = []
+
+        def separately(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None,
+                       lambda_omega=None, gate_factor=None):
+            if lambda_nu is None or targets is None:  # a wrapper's own call
+                return step(r, x_mat, nu, omega, mu, lambda_nu, targets, lambda_omega,
+                            gate_factor=gate_factor)
+            split.append(1)
+            gate, gate_done = trainer.m_step_gate(r, x_mat, mu, lambda_nu, GateParams(nu),
+                                                  gate_factor)
+            experts, flagged, done = trainer.m_step_experts(r, x_mat, targets, lambda_omega,
+                                                            ExpertParams(omega))
+            return gate.nu, experts.omega, flagged, np.concatenate([gate_done, done])
+
+        monkeypatch.setattr(trainer, "_m_step", separately)
+        model, separate = fit(ds, hyper)
+        save_model(model, paths[1])
+        assert len(split) == separate.iterations_run
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert separate.to_dict() | {"solver_iterations": 0} == (
+            merged.to_dict() | {"solver_iterations": 0})
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
     def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
@@ -658,6 +728,25 @@ class TestFit:
         _, report = fit(ds, hyper)
         assert report.iterations_run >= 2
         assert len(calls) <= report.iterations_run + 1
+
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
+    def test_observed_ll_is_the_models_log_likelihood(self, schedule):
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 25, seed=4))
+        model, report = fit(ds, Hyperparams(k=2, lambda_nu=3.0, lambda_omega=3.0, seed=2,
+                                            max_iters=6, schedule=schedule))
+        x_mat = prepare_inputs(ds.features, model.scaler)
+        probs = mixture_probs(model, x_mat, np.ones((ds.n, model.k)))
+        want = np.log(probs[np.arange(ds.n), ds.labels]).sum()
+        assert report.trace[-1].observed_ll == pytest.approx(want, rel=1e-12)
+        assert all(t.observed_ll < 0.0 for t in report.trace)
+        assert [t["observed_ll"] for t in report.to_dict()["trace"]] == [
+            t.observed_ll for t in report.trace]
+
+    def test_single_class_rejected(self):
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 10, seed=1))
+        one = Dataset(ds.features[ds.labels == 1], np.zeros(20, dtype=int), ("1",))
+        with pytest.raises(DataError, match="fewer than 2 classes"):
+            fit(one, Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0, seed=1, max_iters=3))
 
     def test_tolerance_stops_early(self):
         ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=6))
