@@ -167,6 +167,8 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         raise ConfigError("noise_dims must be nonnegative")
     if not (np.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
         raise ConfigError("noise_sigma must be finite and nonnegative")
+    if spec.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     d_total = d + spec.noise_dims
     rng = np.random.default_rng(spec.seed)
     blocks = []

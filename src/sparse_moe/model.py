@@ -117,6 +117,8 @@ class Hyperparams:
             raise ConfigError("tolerance must be positive")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         return self
 
 

@@ -13,14 +13,13 @@ Once an iterate's signs settle, one linear solve on that face of the ball
 (the active-set step of Osborne, Presnell & Turlach 2000) is tried as the
 next iterate, under the same certificate.
 The set-up that depends only on the design, the weights and the free
-coordinates (Gram matrices, Schur complements, step sizes) is a
+coordinates (Gram matrices, Schur complements) is a
 :class:`Factorization`, which solves that have those in common can share.
 No external QP dependency.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,9 +202,8 @@ class Factorization:
     For each weight block: the rows ``g_kf`` of its Gram matrix that couple
     restricted to free coordinates, the inverse ``g_ff_inv`` of its free
     block, ``coupling`` = g_kf g_ff_inv and the Schur complement ``schur``
-    of the free block.  ``lam`` is the largest eigenvalue of each Schur
-    complement, computed on first use.  Build one with :func:`factor`, or
-    with :func:`join` from others.
+    of the free block.  Build one with :func:`factor`, or with :func:`join`
+    from others.
     """
 
     shape: tuple[int, int]  # (m, p) of the design
@@ -215,13 +213,6 @@ class Factorization:
     g_ff_inv: np.ndarray  # (g, p_free, p_free)
     coupling: np.ndarray  # (g, p_kept, p_free)
     schur: np.ndarray  # (g, p_kept, p_kept)
-    parts: tuple[Factorization, ...] = ()  # those join() made this one of
-
-    @functools.cached_property
-    def lam(self) -> np.ndarray:
-        if self.parts:
-            return np.concatenate([part.lam for part in self.parts])
-        return np.linalg.eigvalsh(self.schur).max(axis=1, initial=0.0)
 
 
 def factor(design, row_weights, free_coords=()) -> Factorization:
@@ -248,16 +239,14 @@ def factor(design, row_weights, free_coords=()) -> Factorization:
 def join(*parts: Factorization) -> Factorization:
     """The factorization whose weight blocks are the parts' blocks, in
     order, for problems whose block index numbers them so.  The parts must
-    share the design shape and free coordinates.  Its ``lam`` is the parts',
-    each computed once per part, so a part reused across joins (the gate
-    block of every EM iteration) computes it once.
+    share the design shape and free coordinates.
     """
     first = parts[0]
     if any(part.shape != first.shape or part.free != first.free for part in parts):
         raise ConfigError("joined factorizations must share the design and free coordinates")
     stacked = (np.concatenate([getattr(part, name) for part in parts])
                for name in ("g_kf", "g_ff_inv", "coupling", "schur"))
-    return Factorization(first.shape, first.free, first.kept, *stacked, parts=parts)
+    return Factorization(first.shape, first.free, first.kept, *stacked)
 
 
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
@@ -417,12 +406,13 @@ def solve(problem: WlsProblem, warm_start=None,
     cols = np.flatnonzero(gap > tol)
     iterations = 0
     if cols.size:
-        lam = fac.lam
-        # A block with lam = 0 has an objective constant in x (zero design
-        # or weights): any feasible point is optimal.
-        cols = cols[lam[block[cols]] > 0.0]
+        # lambda_max(S) of the blocks that the iterating columns use, and of
+        # no other.  A block with lam = 0 has an objective constant in x
+        # (zero design or weights): any feasible point is optimal.
+        used, of_col = np.unique(block[cols], return_inverse=True)
+        lam_w = np.linalg.eigvalsh(fac.schur[used]).max(axis=1, initial=0.0)[of_col]
+        cols, lam_w = cols[lam_w > 0.0], lam_w[lam_w > 0.0]
         # A gradient step of size 1/L from y is y @ descent + d / lam.
-        lam_w = lam[block[cols]]
         s_w = s_col[cols]
         descent = np.eye(len(kept)) - s_w / lam_w[:, None, None]
         rounding = _ROUNDING * len(kept)

@@ -3,16 +3,17 @@
 The gate and expert M-steps are L1-constrained weighted least-squares
 problems built by inverting the softmax (fitting logits to log-targets)
 and handed to the batched, gap-certified FISTA engine in
-:mod:`sparse_moe.solver`, one call per EM iteration on the full
-schedule: both M-steps read the same responsibilities and neither reads
+:mod:`sparse_moe.solver`.  Every M-step of a fit, on either schedule, is
+one call of one helper, which poses all of its constrained problems in one
+solver call: both M-steps read the same responsibilities and neither reads
 the other's result, so the gate and expert problems form one batch, each
 column with its own radius.  The k*q expert problems form one block per
 expert, weighted by its responsibilities; the k gate rows share unit
 weights under an all-ones selector, and otherwise each row is a block
 weighted by its squared selector entries.  The fast schedule's inner
-iterations make a gate call and an unconstrained expert fit, and its
-final pass one expert call.  The selector update runs first in each
-outer iteration with gate and expert weights frozen, then
+iterations fit the experts unconstrained (a plain WLS call) and its final
+pass the experts alone.  The selector update runs first in each outer
+iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
 solved.  Without a selector the gate problems' weights never change, so
 a fit factors them once and joins that factorization to each
@@ -30,7 +31,6 @@ depend on the selector.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -146,20 +146,6 @@ def build_gate_targets(r):
 # ---------------------------------------------------------------------------
 # M-steps
 
-# The solve calls' FISTA steps, collected for the report of the fit in
-# progress (None outside a fit).
-_solver_steps: ContextVar[list[int] | None] = ContextVar("solver_steps", default=None)
-
-
-def _solve(problem, warm_start, factorization=None):
-    """solve(), with its steps added to the running fit's count."""
-    report = solve(problem, warm_start=warm_start, factorization=factorization)
-    steps = _solver_steps.get()
-    if steps is not None:
-        steps.append(report.iterations)
-    return report
-
-
 def _joined(arrays, axis):
     """The arrays concatenated along axis; a lone array as it is, uncopied."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
@@ -177,11 +163,13 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
     their problems share the design and the free bias, so they form one
     batch: the gate's weight blocks first, then one block per live expert,
     each column with its own radius.  ``gate_factor`` is the factorization
-    of the gate's unit-weight block; the expert blocks are then factored
+    of the gate's unit-weight block, for a caller that refits the gate
+    under an all-ones selector; constrained expert blocks are then factored
     here and joined to it.  Columns never mix in the solver, so every row
     is what a call of its own would give.  Returns the new gate and expert
-    weights, the experts flagged for reinitialization, and the constrained
-    problems' ``converged`` flags, gate rows first.
+    weights, the experts flagged for reinitialization, the constrained
+    problems' ``converged`` flags, gate rows first, and the solver call's
+    FISTA steps (0 when it made none).
     """
     n, dp = x_mat.shape
     free = (dp - 1,)
@@ -193,8 +181,6 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
         rows = np.flatnonzero((mu != 0.0).any(axis=0))
         sel = mu[:, rows]
         unit = np.all(mu == 1.0)
-        if gate_factor is not None and not unit:
-            raise ConfigError("a unit-weight gate factorization needs an all-ones selector")
         gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
                                  where=sel * sel != 0.0)
         if unit:  # one block: the rows share unit weights
@@ -220,20 +206,20 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
                           lambda_omega))
             if fac is not None:
                 fac = join(fac, factor(x_mat, r_live, free))
-    converged = np.ones(0, dtype=bool)
+    converged, steps = np.ones(0, dtype=bool), 0
     if parts:
         t, w, index, warm, radius = zip(*parts)
         offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
         problem = WlsProblem(x_mat, _joined(t, axis=1), _joined(w, axis=1),
                              np.repeat(radius, [ti.shape[1] for ti in t]), free,
                              blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
-        report = _solve(problem, _joined(warm, axis=0), fac)
-        solution, converged = report.solution, report.converged
+        report = solve(problem, warm_start=_joined(warm, axis=0), factorization=fac)
+        solution, converged, steps = report.solution, report.converged, report.iterations
         if lambda_nu is not None:
             nu[rows], solution = solution[:len(rows)], solution[len(rows):]
         if targets is not None and lambda_omega is not None:
             omega[:, live] = solution.reshape(-1, q, dp).transpose(1, 0, 2)
-    return nu, omega, flagged, converged
+    return nu, omega, flagged, converged, steps
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
@@ -248,26 +234,24 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags (none when unconstrained).
     """
-    _, omega, flagged, converged = _m_step(r, x_mat, None, incumbent.omega, targets=targets,
-                                           lambda_omega=lambda_omega)
+    _, omega, flagged, converged, _ = _m_step(r, x_mat, None, incumbent.omega, targets=targets,
+                                              lambda_omega=lambda_omega)
     return ExpertParams(omega), flagged, converged
 
 
-def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams, factorization=None):
+def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
     """Constrained LS fit of gated gate logits to log-responsibilities, in
     one solver call.
 
     Gate row i minimizes sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS
     problem with weights mu_ni^2 and targets log r_ni / mu_ni (0 where
     mu_ni^2 == 0, where the weight drops the row).  With an all-ones
-    selector the k rows share unit weights, and so one Gram matrix.  That
-    problem's solver factorization depends on x_mat alone; a caller that
-    has it (``factor(x_mat, ones, (bias,))``) may pass it in.  A gate
+    selector the k rows share unit weights, and so one Gram matrix.  A gate
     selected by no instance keeps its incumbent row.  Also returns the
-    solved rows' ``converged`` flags.
+    solved rows' ``converged`` flags.  :func:`fit` makes this step through
+    the same helper, together with the expert step.
     """
-    nu, _, _, converged = _m_step(r, x_mat, incumbent.nu, None, mu, lambda_nu,
-                                  gate_factor=factorization)
+    nu, _, _, converged, _ = _m_step(r, x_mat, incumbent.nu, None, mu, lambda_nu)
     return GateParams(nu), converged
 
 
@@ -417,16 +401,6 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
 
 def fit(dataset: Dataset, hyper: Hyperparams):
     """Run EM and return the trained model plus a fit report."""
-    steps: list[int] = []
-    token = _solver_steps.set(steps)
-    try:
-        return _em(dataset, hyper, steps)
-    finally:
-        _solver_steps.reset(token)
-
-
-def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
-    """fit's EM loop; ``steps`` collects its solve calls' FISTA steps."""
     hyper.validate()
     if dataset.q < 2:
         raise DataError("fewer than 2 classes present")
@@ -457,16 +431,19 @@ def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
     records = [record]
     prev_total = record.penalized_total
     converged = False
-    solved = []  # converged flags of the gate and expert problems
+    solved = []  # each M-step's converged flags and solver steps
     iterations_run = 0
     # Without a selector the gate's weights stay unit, so its factorization
     # is the same in every iteration: build it once.
     gate_factor = None
     if hyper.selector_mode == "none" and k > 1:
         gate_factor = factor(x_mat, np.ones(n), (dp - 1,))
+    # The fast schedule leaves the experts unconstrained until its final
+    # pass, which takes the last of its iterations.
+    fast = hyper.schedule == "fast"
+    lambda_omega = None if fast else hyper.lambda_omega
 
-    inner_iters = hyper.max_iters if hyper.schedule == "full" else hyper.max_iters - 1
-    for t in range(1, inner_iters + 1):
+    for t in range(1, hyper.max_iters - fast + 1):
         iterations_run = t
         if hyper.selector_mode != "none" and k > 1:
             if hyper.selector_mode == "l0":
@@ -484,23 +461,11 @@ def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
             g, h = forward()
             r, _ = _posterior(g, h)
 
-        if hyper.schedule == "full":
-            nu, omega, flagged, done = _m_step(
-                r, x_mat, nu, omega, mu, hyper.lambda_nu if k > 1 else None, expert_targets,
-                hyper.lambda_omega, gate_factor=gate_factor
-            )
-            solved.append(done)
-        else:
-            # The fast schedule leaves the experts unconstrained until its final pass.
-            if k > 1:
-                gate, done = m_step_gate(r, x_mat, mu, hyper.lambda_nu, GateParams(nu),
-                                         gate_factor)
-                nu = gate.nu
-                solved.append(done)
-            experts, flagged, done = m_step_experts(r, x_mat, expert_targets, None,
-                                                    ExpertParams(omega))
-            omega = experts.omega
-            solved.append(done)
+        nu, omega, flagged, *result = _m_step(
+            r, x_mat, nu, omega, mu, hyper.lambda_nu if k > 1 else None, expert_targets,
+            lambda_omega, gate_factor=gate_factor
+        )
+        solved.append(result)
         for i in flagged:
             reinit_expert(i)
 
@@ -513,13 +478,11 @@ def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
             break
         prev_total = rec.penalized_total
 
-    if hyper.schedule == "fast":
+    if fast:
         # Final pass: the constrained expert problems are solved exactly once.
-        experts, flagged, done = m_step_experts(
-            r, x_mat, expert_targets, hyper.lambda_omega, ExpertParams(omega)
-        )
-        omega = experts.omega
-        solved.append(done)
+        _, omega, _, *result = _m_step(r, x_mat, nu, omega, targets=expert_targets,
+                                       lambda_omega=hyper.lambda_omega)
+        solved.append(result)
         iterations_run += 1
         g, h = forward()
         records.append(_trace_record(iterations_run, g, h, nu, omega, mu, hyper.selector_mode)[0])
@@ -528,7 +491,8 @@ def _em(dataset: Dataset, hyper: Hyperparams, steps: list[int]):
                          dataset.label_names)
     active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
     histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
-    converged_flags = np.concatenate(solved)
+    flags, steps = zip(*solved)
+    converged_flags = np.concatenate(flags)
     report = FitReport(
         trace=records,
         iterations_run=iterations_run,

@@ -77,6 +77,13 @@ class TestSynth:
         assert "noise_dims" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--preset", "two-cluster-xor", "--n", "5", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_missing_data_flag_exit_2(self, capsys):
@@ -102,6 +109,12 @@ class TestTrain:
     def test_bad_hyper_exit_2(self, xor_file, tmp_path, capsys):
         args = train_args(xor_file, tmp_path / "m.json", selector="l0")
         assert main(args) == 2  # l0 without --lambda-mu
+
+    def test_negative_seed_exit_2(self, xor_file, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(train_args(xor_file, out, seed=-1)) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("selector, lambda_mu", [("l0", "inf"), ("l1", "inf"),
                                                      ("l1", "nan"), ("l0", "nan")])

@@ -510,7 +510,7 @@ class TestMixedBlocks:
                 assert report.final_objective[j] == single.final_objective
                 assert report.converged[j] == single.converged
 
-    def test_joined_factorization_reuses_part_lam(self, rng):
+    def test_joined_factorization_equals_whole(self, rng):
         a, _, w, *_ = self._problem(rng, "unit-gate")
         gate = factor(a, w[:, :1], (4,))
         experts = factor(a, w[:, 1:], (4,))
@@ -518,10 +518,33 @@ class TestMixedBlocks:
         whole = factor(a, w, (4,))
         for name in ("g_kf", "g_ff_inv", "coupling", "schur"):
             assert getattr(joined, name).tobytes() == getattr(whole, name).tobytes()
-        assert joined.lam.tobytes() == whole.lam.tobytes()
-        assert "lam" in vars(gate) and "lam" in vars(experts)  # cached on the parts
-        again = join(gate, factor(a, w[:, 1:], (4,)))
-        assert again.lam.tobytes() == whole.lam.tobytes()
+
+    def test_step_size_only_for_iterating_blocks(self, rng, monkeypatch):
+        # The gate's unit block has a radius so large that the unconstrained
+        # shortcut certifies its columns; only the expert blocks iterate, so
+        # only their Schur complements are decomposed for a step size.
+        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, "unit-gate")
+        free = (a.shape[1] - 1,)
+        radius[blocks < gate_blocks] = 1e6
+        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+        fac = factor(a, w, free)
+        decomposed = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(mats):
+            decomposed.extend(m.tobytes() for m in mats)
+            return eigvalsh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        joint = solve(problem, warm_start=warm, factorization=fac)
+        assert joint.iterations > 0
+        assert decomposed == [s.tobytes() for s in fac.schur[gate_blocks:]]
+        monkeypatch.undo()
+        for j in range(b.shape[1]):
+            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
+                           warm_start=warm[j])
+            assert joint.solution[j].tobytes() == single.solution.tobytes()
+            assert joint.converged[j] == single.converged
 
     def test_joined_parts_must_share_design_and_free_coordinates(self, rng):
         a, _, w, *_ = self._problem(rng, "unit-gate")
