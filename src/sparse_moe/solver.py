@@ -37,19 +37,6 @@ GAP_RTOL = 1e-10
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _weight_blocks(row_weights, m):
-    """Row weights as an (m, g) matrix of g weight columns, checked finite
-    and nonnegative; ``(m,)`` weights are one column."""
-    w = np.asarray(row_weights, dtype=float)
-    if w.ndim < 2:
-        w = w.reshape(-1, 1)
-    if w.ndim != 2 or len(w) != m:
-        raise ConfigError("design/target/weight shapes inconsistent")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ConfigError("row weights must be finite and nonnegative")
-    return w
-
-
 def _blocks(design, target, row_weights, blocks=None):
     """Design (m, p), targets (m, r), weights (m, g) and the weight block of
     each target column, (r,), of a WLS batch, checked.  Column j is weighted
@@ -58,10 +45,13 @@ def _blocks(design, target, row_weights, blocks=None):
     Weights must be finite and nonnegative."""
     a = np.atleast_2d(np.asarray(design, dtype=float))
     b = np.asarray(target, dtype=float)
+    w = np.asarray(row_weights, dtype=float)
+    w = w.reshape(-1, 1) if w.ndim < 2 else w
     m = a.shape[0]
-    if b.ndim not in (1, 2) or len(b) != m:
+    if b.ndim not in (1, 2) or w.ndim != 2 or len(b) != m or len(w) != m:
         raise ConfigError("design/target/weight shapes inconsistent")
-    w = _weight_blocks(row_weights, m)
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ConfigError("row weights must be finite and nonnegative")
     b = b.reshape(m, -1)
     g, r = w.shape[1], b.shape[1]
     if blocks is None:
@@ -76,18 +66,7 @@ def _blocks(design, target, row_weights, blocks=None):
     return a, b, w, index
 
 
-def _radii(radius, r):
-    """The radius of each of r target columns, (r,): one shared radius or
-    one per column, checked positive."""
-    rad = np.asarray(radius, dtype=float)
-    if rad.ndim == 0:
-        rad = np.full(r, rad)
-    if rad.shape != (r,) or not (rad > 0).all():
-        raise ConfigError("radius must be positive: one, or one per target column")
-    return rad
-
-
-@dataclass
+@dataclass(frozen=True)
 class WlsProblem:
     """Weighted least squares over an L1 ball, for one or more targets.
 
@@ -100,7 +79,9 @@ class WlsProblem:
     ``blocks`` gives the block of each target column, ``(r,)`` integers in
     [0, g); without it the r columns form g equal consecutive blocks.
     ``radius`` is one radius for every problem or ``(r,)``, one per column.
-    Coordinates listed in ``free_coords`` bypass both constraints.
+    Coordinates in ``free_coords`` (design columns) bypass both constraints.
+    A problem is checked once, here, and frozen, holding ``(m, g)`` weights,
+    ``(r,)`` blocks and radii and sorted free coordinates for :func:`solve`.
     """
 
     design: np.ndarray
@@ -112,11 +93,20 @@ class WlsProblem:
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        self.design, b, weights, self.blocks = _blocks(self.design, self.target,
-                                                       self.row_weights, self.blocks)
-        self.target = np.asarray(self.target, dtype=float)
-        self.row_weights = weights if np.ndim(self.row_weights) == 2 else weights[:, 0]
-        _radii(self.radius, b.shape[1])
+        a, _, w, index = _blocks(self.design, self.target, self.row_weights, self.blocks)
+        radius = np.asarray(self.radius, dtype=float)
+        radius = np.full(len(index), radius) if radius.ndim == 0 else radius
+        if radius.shape != index.shape or not (radius > 0).all():
+            raise ConfigError("radius must be positive: one, or one per target column")
+        free = np.asarray(self.free_coords)
+        if free.size and (free.ndim != 1 or free.dtype.kind not in "iu"
+                          or not 0 <= free.min() <= free.max() < a.shape[1]):
+            raise ConfigError("free coordinates must be column indices of the design")
+        checked = {"design": a, "target": np.asarray(self.target, dtype=float),
+                   "row_weights": w, "radius": radius, "blocks": index,
+                   "free_coords": tuple(sorted(set(free.tolist())))}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -194,6 +184,11 @@ def _stacked(op, fallback, *stacks):
         return np.concatenate([_stacked(op, fallback, *part) for part in parts])
 
 
+def _solve_or_keep(mats, rhs, start):
+    """Each linear system of a stack solved; a singular one keeps its start."""
+    return _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0, mats, rhs, start)
+
+
 @dataclass
 class Factorization:
     """The part of :func:`solve`'s set-up that depends on the design, the
@@ -216,24 +211,24 @@ class Factorization:
 
 
 def factor(design, row_weights, free_coords=()) -> Factorization:
-    """The :class:`Factorization` of a design under ``(m,)`` or ``(m, g)``
-    row weights (as in :class:`WlsProblem`), for the given free coordinates.
+    """The :class:`Factorization` of a design under ``(m, g)`` row weights,
+    or ``(m,)`` for one block, for the given free coordinates, all taken
+    unchecked, as a :class:`WlsProblem` holds them.
 
     Every problem on the same design, weights and free coordinates shares
     it, so a caller that solves many such problems (the gate M-step under
     an all-ones selector, whose weights are unit) can build it once and
     hand it to each :func:`solve`.
     """
-    a = np.atleast_2d(np.asarray(design, dtype=float))
-    w = _weight_blocks(row_weights, a.shape[0])
+    w = np.reshape(row_weights, (len(design), -1))
     free = sorted(set(free_coords))
-    kept = [j for j in range(a.shape[1]) if j not in free]
-    gram = _grams(a, w)
+    kept = [j for j in range(design.shape[1]) if j not in free]
+    gram = _grams(design, w)
     g_kf = gram[:, kept][:, :, free]
     g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
     coupling = g_kf @ g_ff_inv
     schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
-    return Factorization(a.shape, free, kept, g_kf, g_ff_inv, coupling, schur)
+    return Factorization(design.shape, free, kept, g_kf, g_ff_inv, coupling, schur)
 
 
 def join(*parts: Factorization) -> Factorization:
@@ -312,8 +307,7 @@ def _face_step(x, half_grad, s, d, tol, radius, nonneg):
     kkt[:, :p, p] = kkt[:, p, :p] = sigma
     rhs = np.column_stack([np.where(on, d, 0.0), radius])[:, :, None]
     start = np.column_stack([x, np.zeros(n)])[:, :, None]
-    sol = _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0,
-                   kkt, rhs, start)
+    sol = _solve_or_keep(kkt, rhs, start)
     z = project_l1_ball(sol[:, :p, 0], radius, nonneg)
     hg_z = _rowwise(z, s) - d
     rise = ((z - x) * (hg_z + half_grad)).sum(axis=1)
@@ -348,6 +342,12 @@ def solve(problem: WlsProblem, warm_start=None,
     column matches its single solve bit for bit, whatever the other
     columns' blocks, widths and radii.
 
+    Certification assumes design columns of comparable scale: the step
+    size is one per block, so small-scale coordinates barely move.  On
+    random 20x5 designs with column scales from 1e-6 to 1e6, 212 of 300
+    columns were uncertified at 2,000 iterations (none at scales 0.1-10).
+    ``fit`` standardizes its design; such a column has ``converged=False``.
+
     Those per-block matrices are the problem's :class:`Factorization`,
     built here unless ``factorization`` hands in one that :func:`factor`
     (or :func:`join`) built for the same design, weights and free
@@ -355,19 +355,16 @@ def solve(problem: WlsProblem, warm_start=None,
     the problem's shape, weight blocks or free coordinates raises
     ConfigError.
     """
-    a, b, w, block = _blocks(problem.design, problem.target, problem.row_weights,
-                             problem.blocks)
-    single = problem.target.ndim == 1
-    p, r = a.shape[1], b.shape[1]
-    radius, nonneg = _radii(problem.radius, r), problem.nonnegative
+    a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
+    p, r, nonneg = a.shape[1], len(block), problem.nonnegative
 
     fac = factor(a, w, problem.free_coords) if factorization is None else factorization
     if (fac.shape != a.shape or len(fac.schur) != w.shape[1]
-            or fac.free != sorted(set(problem.free_coords))):
+            or fac.free != list(problem.free_coords)):
         raise ConfigError("factorization does not match the problem's design, "
                           "weight blocks or free coordinates")
     free, kept = fac.free, fac.kept
-    bt = np.ascontiguousarray(b.T)
+    bt = np.ascontiguousarray(problem.target.reshape(len(a), r).T)
     bw = bt * w.T[block]  # each column's target times its block's weights
     lin = _rowwise(bw, a)
     energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
@@ -395,8 +392,7 @@ def solve(problem: WlsProblem, warm_start=None,
 
     # Exact shortcut: a feasible unconstrained minimizer needs no
     # iterations.  A column whose S is singular keeps its start.
-    x_u = _stacked(lambda s, v, _: np.linalg.solve(s, v), lambda s, v, x0: x0,
-                   s_col, d[:, :, None], x[:, :, None])[:, :, 0]
+    x_u = _solve_or_keep(s_col, d[:, :, None], x[:, :, None])[:, :, 0]
     _, gap_u, half_grad_u = evaluate(x_u)
     ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
     if nonneg:
@@ -476,7 +472,7 @@ def solve(problem: WlsProblem, warm_start=None,
     solution[:, kept] = x
     solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)
     converged = gap <= tol
-    if single:
+    if problem.target.ndim == 1:
         return SolveReport(solution[0], iterations, float(obj[0]), float(gap[0]),
                            bool(converged[0]))
     return SolveReport(solution, iterations, obj, gap, converged)

@@ -474,7 +474,6 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         records.append(rec)
         if abs(rec.penalized_total - prev_total) / (1.0 + abs(rec.penalized_total)) < hyper.tol:
             converged = True
-            prev_total = rec.penalized_total
             break
         prev_total = rec.penalized_total
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,23 @@ class TestSolve:
         b = np.full(6, 7.0)
         report = solve(WlsProblem(a, b, np.ones(6), 0.5, free_coords=(1,)))
         assert report.solution[1] == pytest.approx(7.0, abs=1e-6)
+
+    @pytest.mark.parametrize("free", [(-1,), (4,), (1.5,), (True,), ((3,),)],
+                             ids=["negative", "p", "float", "bool", "nested"])
+    def test_free_coordinate_outside_design_raises(self, rng, free):
+        # -1 would leave the last column both restricted and free; p,
+        # non-integers, booleans and nested tuples name no column.
+        a = np.column_stack([rng.normal(0, 1, (30, 3)), np.ones(30)])
+        with pytest.raises(ConfigError, match="free coordinates"):
+            WlsProblem(a, rng.normal(0, 3, 30), np.ones(30), 0.5, free_coords=free)
+
+    def test_free_coordinates_held_sorted_and_unique(self, rng):
+        a = np.column_stack([rng.normal(0, 1, (30, 3)), np.ones(30)])
+        b = rng.normal(0, 3, 30)
+        problem = WlsProblem(a, b, np.ones(30), 0.5, free_coords=[3, 0, 3])
+        assert problem.free_coords == (0, 3)
+        alone = solve(WlsProblem(a, b, np.ones(30), 0.5, free_coords=(0, 3)))
+        assert solve(problem).solution.tobytes() == alone.solution.tobytes()
 
     def test_nonnegative_flag(self, rng):
         a = np.eye(3)
@@ -569,9 +588,24 @@ class TestMixedBlocks:
         problem = WlsProblem(a, b, np.ones(10), [1.0, 2.0, 0.5, 1.0])
         with pytest.raises(ConfigError, match="radius"):
             WlsProblem(a, b, np.ones(10), [1.0, 2.0, bad, 1.0])
-        problem.radius = np.array([1.0, bad, 0.5, 1.0])
-        with pytest.raises(ConfigError, match="radius"):
-            solve(problem)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.radius = np.array([1.0, bad, 0.5, 1.0])
+
+    def test_problem_holds_checked_fields(self, rng, monkeypatch):
+        # One shared weight vector and radius, no block index: the problem
+        # holds them as (m, 1) weights and (r,) radii and blocks, and solve
+        # reads them without checking the batch again.
+        a = rng.normal(0, 1, (10, 3))
+        b = rng.normal(0, 1, (10, 4))
+        problem = WlsProblem(a.tolist(), b, np.ones(10), 0.5, [2])
+        assert problem.design.dtype == float and problem.design.shape == (10, 3)
+        assert problem.row_weights.shape == (10, 1)
+        assert problem.radius.tolist() == [0.5] * 4
+        assert problem.blocks.tolist() == [0] * 4
+        assert problem.free_coords == (2,)
+        expected = solve(problem)
+        monkeypatch.setattr(solver, "_blocks", None)
+        assert solve(problem).solution.tobytes() == expected.solution.tobytes()
 
     def test_radius_of_wrong_length_raises(self, rng):
         a = rng.normal(0, 1, (10, 3))

@@ -908,3 +908,71 @@ class TestSolverIterations:
             "format_version", "trace", "iterations_run", "converged", "sparsity",
             "selector_histogram", "constrained_solves", "solver_cap_hits", "solver_iterations",
         }
+
+
+class TestSolverBoundary:
+    """A WLS batch is checked once, when its WlsProblem is built: solve and
+    factor do not check it again, and unconstrained_wls checks its own
+    arguments once."""
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
+        ("none", None, "full"), ("l1", 1.5, "full"), ("none", None, "fast"),
+    ])
+    def test_each_batch_checked_once(self, monkeypatch, selector_mode, lambda_mu, schedule):
+        calls = {"_blocks": 0, "WlsProblem": 0, "solve": 0, "unconstrained_wls": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solver_mod, "_blocks", counted("_blocks", solver_mod._blocks))
+        for name in ("WlsProblem", "solve", "unconstrained_wls"):
+            monkeypatch.setattr(trainer, name, counted(name, getattr(trainer, name)))
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=4,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu, schedule=schedule))
+        assert calls["solve"] == calls["WlsProblem"] >= 3
+        assert (calls["unconstrained_wls"] > 0) == (schedule == "fast")
+        assert calls["_blocks"] == calls["WlsProblem"] + calls["unconstrained_wls"]
+
+
+class TestDeadExpertReinit:
+    """fit re-initializes an expert whose responsibility mass is below
+    DEAD_EXPERT_FRACTION of the rows, before an M-step, and one that the
+    M-step flagged, after it.  With k = 4 and a fraction above 1/4, some
+    expert is below it in every iteration, so both paths run throughout."""
+
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
+    def test_both_reinit_paths_run_deterministically(self, monkeypatch, tmp_path, schedule):
+        monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", 0.26)
+        events = {"before": 0, "after": 0}
+        traced = []
+        record, step = trainer._trace_record, trainer._m_step
+
+        def tracing(*args, **kwargs):
+            rec, r = record(*args, **kwargs)
+            traced.append(r)
+            return rec, r
+
+        def stepping(r, *args, **kwargs):
+            # Without a selector, an M-step gets the last trace record's
+            # responsibilities unless experts were re-initialized between.
+            events["before"] += r is not traced[-1]
+            result = step(r, *args, **kwargs)
+            events["after"] += bool(result[2])
+            return result
+
+        monkeypatch.setattr(trainer, "_trace_record", tracing)
+        monkeypatch.setattr(trainer, "_m_step", stepping)
+        ds = generate_synthetic(preset_spec("noisy-subspace", 25, noise_dims=4, seed=2))
+        hyper = Hyperparams(k=4, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=6,
+                            schedule=schedule)
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            model, report = fit(ds, hyper)
+            save_model(model, path)
+        assert events["before"] > 0 and events["after"] > 0
+        assert all(np.isfinite([t.penalized_total, t.observed_ll]).all() for t in report.trace)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
