@@ -69,8 +69,13 @@ class Scaler:
 
 
 def fit_scaler(dataset: Dataset) -> Scaler:
-    mean = dataset.features.mean(axis=0)
-    std = np.maximum(dataset.features.std(axis=0), STD_FLOOR)
+    """Per-feature mean and std (floored at STD_FLOOR) of the dataset; a
+    feature whose mean or std overflows float is a DataError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.features.mean(axis=0)
+        std = np.maximum(dataset.features.std(axis=0), STD_FLOOR)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise DataError("feature mean or standard deviation overflows float; rescale the features")
     return Scaler(mean, std)
 
 

@@ -12,9 +12,9 @@ monotone restart until its Frank-Wolfe duality gap certifies optimality.
 Once an iterate's signs settle, one linear solve on that face of the ball
 (the active-set step of Osborne, Presnell & Turlach 2000) is tried as the
 next iterate, under the same certificate.
-The set-up that depends only on the design, the weights and the free
-coordinates (Gram matrices, Schur complements) is a
-:class:`Factorization`, which solves that have those in common can share.
+The costly part of the set-up is the stack of weighted Gram matrices,
+one per block (:func:`grams`); a caller that solves many batches under
+the same weights can build it once and hand it to each solve.
 No external QP dependency.
 """
 
@@ -42,7 +42,8 @@ def _blocks(design, target, row_weights, blocks=None):
     each target column, (r,), of a WLS batch, checked.  Column j is weighted
     by weight column ``blocks[j]``; without an index the r target columns
     form g equal consecutive blocks.  ``(m,)`` weights are one block.
-    Weights must be finite and nonnegative."""
+    The design and targets must be finite, the weights finite and
+    nonnegative."""
     a = np.atleast_2d(np.asarray(design, dtype=float))
     b = np.asarray(target, dtype=float)
     w = np.asarray(row_weights, dtype=float)
@@ -52,6 +53,8 @@ def _blocks(design, target, row_weights, blocks=None):
         raise ConfigError("design/target/weight shapes inconsistent")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ConfigError("row weights must be finite and nonnegative")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError("design and targets must be finite")
     b = b.reshape(m, -1)
     g, r = w.shape[1], b.shape[1]
     if blocks is None:
@@ -82,6 +85,9 @@ class WlsProblem:
     Coordinates in ``free_coords`` (design columns) bypass both constraints.
     A problem is checked once, here, and frozen, holding ``(m, g)`` weights,
     ``(r,)`` blocks and radii and sorted free coordinates for :func:`solve`.
+    It holds the caller's arrays, not copies (a float array is kept as it
+    is), so they must not change after the problem is built: the check
+    would not see the change.
     """
 
     design: np.ndarray
@@ -155,18 +161,19 @@ def project_l1_ball(v, radius, nonnegative=False):
     return shrunk if nonnegative else np.sign(v) * shrunk
 
 
-def _grams(a, w):
-    """The weighted Gram matrix A'diag(w_i)A of each weight column i, (g, p, p).
+def grams(design, row_weights):
+    """The weighted Gram matrix A'diag(w_i)A of each column i of ``(m, g)``
+    row weights, ``(g, p, p)``, from arguments taken unchecked.
 
-    Each is S'S for S the rows of a scaled by sqrt(w_i), in one reused
+    Each is S'S for S the design rows scaled by sqrt(w_i), in one reused
     buffer; NumPy computes S'S as a symmetric rank-k update (BLAS syrk),
     half the multiplications of a general product, and exactly symmetric.
     """
-    gram = np.empty((w.shape[1], a.shape[1], a.shape[1]))
-    s = np.empty_like(a)
-    root = np.sqrt(w)
-    for i in range(w.shape[1]):
-        np.multiply(a, root[:, i, None], out=s)
+    gram = np.empty((row_weights.shape[1], design.shape[1], design.shape[1]))
+    s = np.empty_like(design)
+    root = np.sqrt(row_weights)
+    for i in range(row_weights.shape[1]):
+        np.multiply(design, root[:, i, None], out=s)
         np.matmul(s.T, s, out=gram[i])
     return gram
 
@@ -189,61 +196,6 @@ def _solve_or_keep(mats, rhs, start):
     return _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0, mats, rhs, start)
 
 
-@dataclass
-class Factorization:
-    """The part of :func:`solve`'s set-up that depends on the design, the
-    row weights and the free coordinates, but not on the targets.
-
-    For each weight block: the rows ``g_kf`` of its Gram matrix that couple
-    restricted to free coordinates, the inverse ``g_ff_inv`` of its free
-    block, ``coupling`` = g_kf g_ff_inv and the Schur complement ``schur``
-    of the free block.  Build one with :func:`factor`, or with :func:`join`
-    from others.
-    """
-
-    shape: tuple[int, int]  # (m, p) of the design
-    free: list[int]  # sorted free coordinates
-    kept: list[int]  # the restricted coordinates, the others
-    g_kf: np.ndarray  # (g, p_kept, p_free)
-    g_ff_inv: np.ndarray  # (g, p_free, p_free)
-    coupling: np.ndarray  # (g, p_kept, p_free)
-    schur: np.ndarray  # (g, p_kept, p_kept)
-
-
-def factor(design, row_weights, free_coords=()) -> Factorization:
-    """The :class:`Factorization` of a design under ``(m, g)`` row weights,
-    or ``(m,)`` for one block, for the given free coordinates, all taken
-    unchecked, as a :class:`WlsProblem` holds them.
-
-    Every problem on the same design, weights and free coordinates shares
-    it, so a caller that solves many such problems (the gate M-step under
-    an all-ones selector, whose weights are unit) can build it once and
-    hand it to each :func:`solve`.
-    """
-    w = np.reshape(row_weights, (len(design), -1))
-    free = sorted(set(free_coords))
-    kept = [j for j in range(design.shape[1]) if j not in free]
-    gram = _grams(design, w)
-    g_kf = gram[:, kept][:, :, free]
-    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
-    coupling = g_kf @ g_ff_inv
-    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
-    return Factorization(design.shape, free, kept, g_kf, g_ff_inv, coupling, schur)
-
-
-def join(*parts: Factorization) -> Factorization:
-    """The factorization whose weight blocks are the parts' blocks, in
-    order, for problems whose block index numbers them so.  The parts must
-    share the design shape and free coordinates.
-    """
-    first = parts[0]
-    if any(part.shape != first.shape or part.free != first.free for part in parts):
-        raise ConfigError("joined factorizations must share the design and free coordinates")
-    stacked = (np.concatenate([getattr(part, name) for part in parts])
-               for name in ("g_kf", "g_ff_inv", "coupling", "schur"))
-    return Factorization(first.shape, first.free, first.kept, *stacked)
-
-
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
     """Ridge-stabilized weighted least squares via the normal equations.
 
@@ -258,7 +210,7 @@ def unconstrained_wls(design, target, row_weights, ridge=0.0):
         raise ConfigError("ridge must be nonnegative")
     a, b, w, _ = _blocks(design, target, row_weights)
     p, c = a.shape[1], b.shape[1] // max(w.shape[1], 1)
-    gram = _grams(a, w)
+    gram = grams(a, w)
     rhs = np.empty((w.shape[1], p, c))
     for i in range(w.shape[1]):
         rhs[i] = a.T @ (b[:, i * c:(i + 1) * c] * w[:, i, None])
@@ -315,8 +267,7 @@ def _face_step(x, half_grad, s, d, tol, radius, nonneg):
     return z, hg_z, ok
 
 
-def solve(problem: WlsProblem, warm_start=None,
-          factorization: Factorization | None = None) -> SolveReport:
+def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
 
     The free coordinates are minimized out in closed form, leaving a
@@ -324,23 +275,22 @@ def solve(problem: WlsProblem, warm_start=None,
     complement of the free block of A'WA) and linear term -2d.  Columns
     whose unconstrained minimizer S^-1 d is feasible and certified are
     returned with no iteration.  The rest start from the projected warm
-    start (zero by default) and take FISTA steps of size 1/L, with
-    L = 2 lambda_max(S) and momentum (c - 1) / (c + 2) after c accepted
-    steps.  A momentum step that would raise a column's objective (by more
-    than the rounding error of the change) is rejected and that column's
-    momentum reset, so its next step is a plain projected gradient step,
-    which cannot raise it; the objective is therefore non-increasing from
-    the warm start, up to rounding.  After a step that leaves a column's
-    sign pattern as it was, the exact minimizer on that face of the ball
-    (:func:`_face_step`) replaces the iterate if it certifies and does not
-    raise the objective; a pattern whose face step failed is not tried
-    again until it changes.  Each column stops, and is frozen, once its
-    Frank-Wolfe gap is within ``GAP_RTOL`` of its scale, or at
-    ``MAX_ITERS``.  Each weight block has its own S, L and
-    factorizations, and every column uses its block's (the problem's
-    ``blocks`` index) and its own radius.  Columns never mix, so a batched
-    column matches its single solve bit for bit, whatever the other
-    columns' blocks, widths and radii.
+    start (r*p finite values, zero by default) and take FISTA steps of
+    size 1/L, with L = 2 lambda_max(S) and momentum (c - 1) / (c + 2)
+    after c accepted steps.  A momentum step that would raise a column's
+    objective (by more than the rounding error of the change) is rejected
+    and that column's momentum reset, so its next step is a plain
+    projected gradient step, which cannot raise it; the objective is
+    therefore non-increasing from the warm start, up to rounding.  After a
+    step that leaves a column's sign pattern as it was, the exact minimizer
+    on that face of the ball (:func:`_face_step`) replaces the iterate if
+    it certifies and does not raise the objective; a pattern whose face
+    step failed is not tried again until it changes.  Each column stops,
+    and is frozen, once its Frank-Wolfe gap is within ``GAP_RTOL`` of its
+    scale, or at ``MAX_ITERS``.  Each weight block has its own S and L,
+    and every column uses its block's (the problem's ``blocks`` index) and
+    its own radius.  Columns never mix, so a batched column matches its
+    single solve bit for bit, whatever the other columns' blocks and radii.
 
     Certification assumes design columns of comparable scale: the step
     size is one per block, so small-scale coordinates barely move.  On
@@ -348,22 +298,33 @@ def solve(problem: WlsProblem, warm_start=None,
     columns were uncertified at 2,000 iterations (none at scales 0.1-10).
     ``fit`` standardizes its design; such a column has ``converged=False``.
 
-    Those per-block matrices are the problem's :class:`Factorization`,
-    built here unless ``factorization`` hands in one that :func:`factor`
-    (or :func:`join`) built for the same design, weights and free
-    coordinates; the result is the same bit for bit.  One that does not fit
-    the problem's shape, weight blocks or free coordinates raises
-    ConfigError.
+    The set-up starts from the Gram stack of the problem's design and
+    weights, built here with :func:`grams` unless ``gram`` hands it in
+    (a caller that solves many problems under the same weights can build
+    it once); the result is the same bit for bit.  A stack that is not
+    ``(g, p, p)``, or a bad warm start, raises ConfigError.
     """
     a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
     p, r, nonneg = a.shape[1], len(block), problem.nonnegative
+    gram = grams(a, w) if gram is None else gram
+    if np.shape(gram) != (w.shape[1], p, p):
+        raise ConfigError("the Gram stack must be (g, p, p) for the problem's g weight blocks "
+                          "and p design columns")
+    warm = np.zeros((r, p)) if warm_start is None else np.asarray(warm_start, dtype=float)
+    if warm.size != r * p or not np.isfinite(warm).all():
+        raise ConfigError("the warm start must be r*p finite values, one row per column")
+    warm = warm.reshape(r, p)
 
-    fac = factor(a, w, problem.free_coords) if factorization is None else factorization
-    if (fac.shape != a.shape or len(fac.schur) != w.shape[1]
-            or fac.free != list(problem.free_coords)):
-        raise ConfigError("factorization does not match the problem's design, "
-                          "weight blocks or free coordinates")
-    free, kept = fac.free, fac.kept
+    # Each block's rows g_kf of its Gram matrix that couple restricted to
+    # free coordinates, the inverse of its free block, the coupling
+    # g_kf g_ff^-1 and the Schur complement of the free block.
+    free = list(problem.free_coords)
+    kept = [j for j in range(p) if j not in free]
+    g_kf = gram[:, kept][:, :, free]
+    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
+    coupling = g_kf @ g_ff_inv
+    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
+
     bt = np.ascontiguousarray(problem.target.reshape(len(a), r).T)
     bw = bt * w.T[block]  # each column's target times its block's weights
     lin = _rowwise(bw, a)
@@ -371,13 +332,11 @@ def solve(problem: WlsProblem, warm_start=None,
     # Each column takes its block's matrices.  Column subsets are taken
     # with take(), which keeps rows contiguous, so that row-wise arithmetic
     # rounds the same in a batch as alone.
-    s_col, g_kf_col, inv_col = fac.schur[block], fac.g_kf[block], fac.g_ff_inv[block]
+    s_col, g_kf_col, inv_col = schur[block], g_kf[block], g_ff_inv[block]
     lin_f = lin.take(free, axis=1)
-    coupling_t = fac.coupling[block].transpose(0, 2, 1)
+    coupling_t = coupling[block].transpose(0, 2, 1)
     d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling_t)  # (r, pr)
     offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
-
-    warm = np.zeros((r, p)) if warm_start is None else np.reshape(warm_start, (r, p))
 
     def evaluate(x):
         """Objective, Frank-Wolfe gap and half gradient of each row of x."""
@@ -406,7 +365,7 @@ def solve(problem: WlsProblem, warm_start=None,
         # no other.  A block with lam = 0 has an objective constant in x
         # (zero design or weights): any feasible point is optimal.
         used, of_col = np.unique(block[cols], return_inverse=True)
-        lam_w = np.linalg.eigvalsh(fac.schur[used]).max(axis=1, initial=0.0)[of_col]
+        lam_w = np.linalg.eigvalsh(schur[used]).max(axis=1, initial=0.0)[of_col]
         cols, lam_w = cols[lam_w > 0.0], lam_w[lam_w > 0.0]
         # A gradient step of size 1/L from y is y @ descent + d / lam.
         s_w = s_col[cols]

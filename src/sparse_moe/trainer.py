@@ -16,8 +16,8 @@ pass the experts alone.  The selector update runs first in each outer
 iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
 solved.  Without a selector the gate problems' weights never change, so
-a fit factors them once and joins that factorization to each
-iteration's expert blocks.
+a fit builds their Gram matrix once and stacks it on each iteration's
+expert Grams.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -54,7 +54,7 @@ from .model import (
     sparsity,
     write_json,
 )
-from .solver import WlsProblem, factor, join, solve, unconstrained_wls
+from .solver import WlsProblem, grams, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -146,13 +146,8 @@ def build_gate_targets(r):
 # ---------------------------------------------------------------------------
 # M-steps
 
-def _joined(arrays, axis):
-    """The arrays concatenated along axis; a lone array as it is, uncopied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
-
-
 def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_omega=None,
-            gate_factor=None):
+            gate_gram=None):
     """The gate and expert M-steps of an EM iteration, with all of their
     constrained problems in one solver call.
 
@@ -162,17 +157,16 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
     The two read the same responsibilities, not each other's results, and
     their problems share the design and the free bias, so they form one
     batch: the gate's weight blocks first, then one block per live expert,
-    each column with its own radius.  ``gate_factor`` is the factorization
-    of the gate's unit-weight block, for a caller that refits the gate
-    under an all-ones selector; constrained expert blocks are then factored
-    here and joined to it.  Columns never mix in the solver, so every row
-    is what a call of its own would give.  Returns the new gate and expert
+    each column with its own radius.  ``gate_gram``, the ``(1, p, p)`` Gram
+    stack of the gate's unit weights, is for a caller that refits the gate
+    under an all-ones selector; the constrained expert blocks' Grams are
+    stacked on it.  Columns never mix in the solver, so every row is what a
+    call of its own would give.  Returns the new gate and expert
     weights, the experts flagged for reinitialization, the constrained
     problems' ``converged`` flags, gate rows first, and the solver call's
     FISTA steps (0 when it made none).
     """
     n, dp = x_mat.shape
-    free = (dp - 1,)
     # Each constrained part: targets, row weights, weight block of each
     # column, warm start, radius.
     parts = []
@@ -189,7 +183,7 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
         else:  # a block per row
             parts.append((gate_targets, sel * sel, np.arange(len(rows)), nu[rows], lambda_nu))
     flagged = []
-    fac = gate_factor
+    gram = gate_gram
     if targets is not None:
         omega = omega.copy()
         q = targets.shape[1]
@@ -204,16 +198,16 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
             warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
             parts.append((tiled, r_live, np.repeat(np.arange(r_live.shape[1]), q), warm,
                           lambda_omega))
-            if fac is not None:
-                fac = join(fac, factor(x_mat, r_live, free))
+            if gram is not None:
+                gram = np.concatenate([gram, grams(x_mat, r_live)])
     converged, steps = np.ones(0, dtype=bool), 0
     if parts:
         t, w, index, warm, radius = zip(*parts)
         offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
-        problem = WlsProblem(x_mat, _joined(t, axis=1), _joined(w, axis=1),
-                             np.repeat(radius, [ti.shape[1] for ti in t]), free,
+        problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1),
+                             np.repeat(radius, [ti.shape[1] for ti in t]), (dp - 1,),
                              blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
-        report = solve(problem, warm_start=_joined(warm, axis=0), factorization=fac)
+        report = solve(problem, warm_start=np.concatenate(warm), gram=gram)
         solution, converged, steps = report.solution, report.converged, report.iterations
         if lambda_nu is not None:
             nu[rows], solution = solution[:len(rows)], solution[len(rows):]
@@ -433,11 +427,11 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     converged = False
     solved = []  # each M-step's converged flags and solver steps
     iterations_run = 0
-    # Without a selector the gate's weights stay unit, so its factorization
+    # Without a selector the gate's weights stay unit, so its Gram matrix
     # is the same in every iteration: build it once.
-    gate_factor = None
+    gate_gram = None
     if hyper.selector_mode == "none" and k > 1:
-        gate_factor = factor(x_mat, np.ones(n), (dp - 1,))
+        gate_gram = grams(x_mat, np.ones((n, 1)))
     # The fast schedule leaves the experts unconstrained until its final
     # pass, which takes the last of its iterations.
     fast = hyper.schedule == "fast"
@@ -463,7 +457,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 
         nu, omega, flagged, *result = _m_step(
             r, x_mat, nu, omega, mu, hyper.lambda_nu if k > 1 else None, expert_targets,
-            lambda_omega, gate_factor=gate_factor
+            lambda_omega, gate_gram=gate_gram
         )
         solved.append(result)
         for i in flagged:

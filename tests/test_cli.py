@@ -136,6 +136,17 @@ class TestTrain:
         assert "L1 radii must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_feature_scale_exit_3(self, tmp_path, capsys):
+        # The features' squared deviations overflow float: a data error,
+        # exit 3, with no RuntimeWarning (pytest makes one an error).
+        data = tmp_path / "huge.csv"
+        data.write_text("".join(f"{s * 1e200!r},{i % 3},{'ab'[i % 2]}\n"
+                                for i, s in enumerate([1, -1, -1, 1] * 5)))
+        out = tmp_path / "m.json"
+        assert main(train_args(data, out)) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_model_files(self, xor_file, tmp_path, capsys):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
         assert main(train_args(xor_file, m1)) == 0

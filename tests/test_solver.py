@@ -16,7 +16,7 @@ from sparse_moe import (
     solve,
     unconstrained_wls,
 )
-from sparse_moe.solver import factor, join
+from sparse_moe.solver import grams
 
 
 class TestProjectL1Ball:
@@ -440,8 +440,33 @@ class TestBlockWeights:
         assert report.converged.shape == (0,)
 
 
+class TestNonFiniteInputs:
+    """A non-finite design, target or warm start is a ConfigError, not a
+    NaN solution or a RuntimeWarning from inside the solver."""
+
+    @pytest.mark.parametrize("where", ["design", "target"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_design_and_target_must_be_finite(self, rng, where, bad):
+        a, b = rng.normal(0, 1, (10, 3)), rng.normal(0, 1, (10, 2))
+        (a if where == "design" else b)[4, 1] = bad
+        with pytest.raises(ConfigError, match="design and targets must be finite"):
+            WlsProblem(a, b, np.ones(10), 0.5, (2,))
+        with pytest.raises(ConfigError, match="design and targets must be finite"):
+            unconstrained_wls(a, b, np.ones(10))
+
+    @pytest.mark.parametrize("warm", [np.zeros(5), np.full((2, 4), np.nan),
+                                      np.full((2, 4), np.inf), np.zeros((2, 3))])
+    def test_warm_start_must_be_r_by_p_finite_values(self, rng, warm):
+        a = np.column_stack([rng.normal(0, 1, (10, 3)), np.ones(10)])
+        problem = WlsProblem(a, rng.normal(0, 1, (10, 2)), np.ones(10), 0.5, (3,))
+        with pytest.raises(ConfigError, match="warm start"):
+            solve(problem, warm_start=warm)
+        flat = solve(problem, warm_start=np.ones(8))  # any r*p finite values
+        assert flat.solution.tobytes() == solve(problem, np.ones((2, 4))).solution.tobytes()
+
+
 class TestFactorization:
-    """solve with a prebuilt factorization, as the trainer hands the gate
+    """solve with a prebuilt Gram stack, as the trainer hands the gate
     M-step one, against solve building its own."""
 
     @staticmethod
@@ -456,31 +481,28 @@ class TestFactorization:
     @pytest.mark.parametrize("radius", [0.5, 1e6])  # binding, slack
     def test_prebuilt_equals_built_bitwise(self, rng, radius, weights):
         problem, warm = self._problem(rng, radius, weights)
-        fac = factor(problem.design, problem.row_weights, problem.free_coords)
+        gram = grams(problem.design, problem.row_weights)
         own = solve(problem, warm_start=warm)
-        for _ in range(2):  # the lazily computed step sizes are reused too
-            handed = solve(problem, warm_start=warm, factorization=fac)
+        for _ in range(2):  # the handed-in stack is reused unchanged
+            handed = solve(problem, warm_start=warm, gram=gram)
             assert handed.iterations == own.iterations
             assert handed.solution.tobytes() == own.solution.tobytes()
             assert handed.gap.tobytes() == own.gap.tobytes()
             assert handed.final_objective.tobytes() == own.final_objective.tobytes()
         assert (radius < 1e6) == (own.iterations > 0)
 
-    @pytest.mark.parametrize("change", ["rows", "columns", "blocks", "free"])
+    @pytest.mark.parametrize("change", ["columns", "blocks"])
     def test_mismatched_factorization_raises(self, rng, change):
+        # A Gram stack has no row count, and the free coordinates come
+        # from the problem alone, so only its shape can mismatch.
         problem, _ = self._problem(rng, 0.5, "blocks")
-        a, w, free = problem.design, problem.row_weights, problem.free_coords
-        if change == "rows":
-            a, w = a[:-1], w[:-1]
-        elif change == "columns":
+        a, w = problem.design, problem.row_weights
+        if change == "columns":
             a = a[:, 1:]
-            free = (a.shape[1] - 1,)
-        elif change == "blocks":
-            w = w[:, 0]
         else:
-            free = ()
-        with pytest.raises(ConfigError, match="factorization"):
-            solve(problem, factorization=factor(a, w, free))
+            w = w[:, :1]
+        with pytest.raises(ConfigError, match="Gram stack"):
+            solve(problem, gram=grams(a, w))
 
 
 class TestMixedBlocks:
@@ -516,10 +538,10 @@ class TestMixedBlocks:
         problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
         joint = solve(problem, warm_start=warm)
         assert joint.iterations > 0
-        # The same batch on a factorization joined from the gate's and the
-        # experts' blocks, built apart.
-        fac = join(factor(a, w[:, :gate_blocks], free), factor(a, w[:, gate_blocks:], free))
-        handed = solve(problem, warm_start=warm, factorization=fac)
+        # The same batch on a stack of the gate's and the experts' Grams,
+        # built apart.
+        gram = np.concatenate([grams(a, w[:, :gate_blocks]), grams(a, w[:, gate_blocks:])])
+        handed = solve(problem, warm_start=warm, gram=gram)
         for j in range(b.shape[1]):
             single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
                            warm_start=warm[j])
@@ -530,13 +552,10 @@ class TestMixedBlocks:
                 assert report.converged[j] == single.converged
 
     def test_joined_factorization_equals_whole(self, rng):
+        # The part Grams, stacked, equal the whole stack bit for bit.
         a, _, w, *_ = self._problem(rng, "unit-gate")
-        gate = factor(a, w[:, :1], (4,))
-        experts = factor(a, w[:, 1:], (4,))
-        joined = join(gate, experts)
-        whole = factor(a, w, (4,))
-        for name in ("g_kf", "g_ff_inv", "coupling", "schur"):
-            assert getattr(joined, name).tobytes() == getattr(whole, name).tobytes()
+        stacked = np.concatenate([grams(a, w[:, :1]), grams(a, w[:, 1:])])
+        assert stacked.tobytes() == grams(a, w).tobytes()
 
     def test_step_size_only_for_iterating_blocks(self, rng, monkeypatch):
         # The gate's unit block has a radius so large that the unconstrained
@@ -546,7 +565,10 @@ class TestMixedBlocks:
         free = (a.shape[1] - 1,)
         radius[blocks < gate_blocks] = 1e6
         problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
-        fac = factor(a, w, free)
+        # The expert blocks' Schur complements of the free (bias) block.
+        gram = grams(a, w)[gate_blocks:]
+        g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
+        schur = gram[:, :-1, :-1] - g_kf @ np.linalg.inv(g_ff) @ g_kf.transpose(0, 2, 1)
         decomposed = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -555,22 +577,15 @@ class TestMixedBlocks:
             return eigvalsh(mats)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        joint = solve(problem, warm_start=warm, factorization=fac)
+        joint = solve(problem, warm_start=warm)
         assert joint.iterations > 0
-        assert decomposed == [s.tobytes() for s in fac.schur[gate_blocks:]]
+        assert decomposed == [s.tobytes() for s in schur]
         monkeypatch.undo()
         for j in range(b.shape[1]):
             single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
                            warm_start=warm[j])
             assert joint.solution[j].tobytes() == single.solution.tobytes()
             assert joint.converged[j] == single.converged
-
-    def test_joined_parts_must_share_design_and_free_coordinates(self, rng):
-        a, _, w, *_ = self._problem(rng, "unit-gate")
-        with pytest.raises(ConfigError, match="joined"):
-            join(factor(a, w[:, :1], (4,)), factor(a, w[:, 1:], ()))
-        with pytest.raises(ConfigError, match="joined"):
-            join(factor(a, w[:, :1], (4,)), factor(a[:-1], w[:-1, 1:], (4,)))
 
     @pytest.mark.parametrize("blocks", [[0, 1, 1], [0, 1, 1, 2, 0], [0, 1, 2, 3],
                                         [0, -1, 1, 2], [0.0, 1.0, 1.0, 2.0]])
@@ -613,11 +628,12 @@ class TestMixedBlocks:
             WlsProblem(a, rng.normal(0, 1, (10, 4)), np.ones(10), [1.0, 2.0, 0.5])
 
     def test_factorization_block_count_must_match(self, rng):
+        # A Gram stack one block short of the problem's weight blocks.
         a, b, w, blocks, radius, *_ = self._problem(rng, "unit-gate")
         problem = WlsProblem(a, b, w, radius, (4,), blocks=blocks)
-        short = join(factor(a, w[:, :1], (4,)), factor(a, w[:, 2:], (4,)))
-        with pytest.raises(ConfigError, match="factorization"):
-            solve(problem, factorization=short)
+        short = np.concatenate([grams(a, w[:, :1]), grams(a, w[:, 2:])])
+        with pytest.raises(ConfigError, match="Gram stack"):
+            solve(problem, gram=short)
 
 
 class TestGramReference:

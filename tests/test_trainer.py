@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from sparse_moe import (
 from sparse_moe import trainer
 from sparse_moe import solver as solver_mod
 from sparse_moe.model import mixture_probs, prepare_inputs
-from sparse_moe.solver import WlsProblem, factor, solve
+from sparse_moe.solver import WlsProblem, grams, solve
 
 
 def two_class_dataset(rng, n=20, d=2):
@@ -470,29 +471,19 @@ class TestGateFactorization:
     ])
     def test_selector_free_fit_factors_gate_once(self, monkeypatch, selector_mode, lambda_mu,
                                                  schedule):
-        # Each factor() call: whether fit itself or an M-step made it, and
-        # its weight blocks (the gate's unit block is the one of all ones).
+        # Each grams() call: the function that made it (fit, _m_step,
+        # solve or unconstrained_wls) and its weight blocks (the gate's unit
+        # block is the one of all ones).
         calls = []
-        depth = [0]
 
-        def counting_factor(design, row_weights, free_coords=()):
-            w = np.reshape(row_weights, (len(design), -1))
-            calls.append(("m_step" if depth[0] else "fit", w.shape[1],
-                          int(np.all(w == 1.0, axis=0).sum())))
-            return factor(design, row_weights, free_coords)
+        def counting_grams(design, row_weights):
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((caller, row_weights.shape[1],
+                          int(np.all(row_weights == 1.0, axis=0).sum())))
+            return grams(design, row_weights)
 
-        def inside(step):
-            def wrapped(*args, **kwargs):
-                depth[0] += 1
-                try:
-                    return step(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
-            return wrapped
-
-        monkeypatch.setattr(trainer, "factor", counting_factor)
-        monkeypatch.setattr(solver_mod, "factor", counting_factor)
-        monkeypatch.setattr(trainer, "_m_step", inside(trainer._m_step))
+        monkeypatch.setattr(trainer, "grams", counting_grams)
+        monkeypatch.setattr(solver_mod, "grams", counting_grams)
         k = 4
         ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
         _, report = fit(ds, Hyperparams(k=k, lambda_nu=5.0, lambda_omega=5.0, seed=1,
@@ -500,21 +491,26 @@ class TestGateFactorization:
                                         lambda_mu=lambda_mu, schedule=schedule))
         gate_steps = report.iterations_run - (schedule == "fast")
         assert gate_steps >= 2
-        from_fit = [c for c in calls if c[0] == "fit"]
-        in_steps = [c for c in calls if c[0] == "m_step"]
-        if selector_mode == "none":
-            # The unit gate block is factored once, by fit; the M-steps
-            # factor the k expert blocks only (the fast schedule's inner
-            # expert fits need no factorization).
-            assert from_fit == [("fit", 1, 1)]
-            expert_steps = gate_steps if schedule == "full" else 1
-            assert in_steps == [("m_step", k, 0)] * expert_steps
+        by = {caller: [c[1:] for c in calls if c[0] == caller]
+              for caller in ("fit", "_m_step", "solve", "unconstrained_wls")}
+        assert sum(map(len, by.values())) == len(calls)
+        if selector_mode == "none" and schedule == "full":
+            # The unit gate block is built once, by fit; each M-step builds
+            # the k expert blocks only and stacks them on it.
+            assert by == {"fit": [(1, 1)], "_m_step": [(k, 0)] * gate_steps, "solve": [],
+                          "unconstrained_wls": []}
+        elif selector_mode == "none":
+            # The inner iterations' gate solves take fit's stack, their
+            # expert fits build the k expert blocks, and the final pass's
+            # expert solve builds its own.
+            assert by == {"fit": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
+                          "unconstrained_wls": [(k, 0)] * gate_steps}
         else:
-            # Each iteration's one call factors a block per selected gate
+            # Each iteration's one call builds a block per selected gate
             # row with the k expert blocks.
-            assert from_fit == []
-            assert len(in_steps) == gate_steps
-            assert all(k < blocks <= 2 * k for _, blocks, _ in in_steps)
+            assert by["fit"] == by["_m_step"] == by["unconstrained_wls"] == []
+            assert len(by["solve"]) == gate_steps
+            assert all(k < blocks <= 2 * k for blocks, _ in by["solve"])
 
     def test_hoisted_fit_matches_per_step_factorization(self, monkeypatch, tmp_path):
         # The same fit with the gate factorized on every M-step instead.
@@ -525,8 +521,8 @@ class TestGateFactorization:
         step = trainer._m_step
         dropped = []
 
-        def per_step(*args, gate_factor=None, **kwargs):
-            dropped.append(gate_factor is not None)
+        def per_step(*args, gate_gram=None, **kwargs):
+            dropped.append(gate_gram is not None)
             return step(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "_m_step", per_step)
@@ -603,10 +599,10 @@ class TestOneSolverCallPerMStep:
         split = []
 
         def separately(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None,
-                       lambda_omega=None, gate_factor=None):
+                       lambda_omega=None, gate_gram=None):
             if lambda_nu is None or targets is None:  # a wrapper's own call
                 return step(r, x_mat, nu, omega, mu, lambda_nu, targets, lambda_omega,
-                            gate_factor=gate_factor)
+                            gate_gram=gate_gram)
             split.append(1)
             gate, gate_done = trainer.m_step_gate(r, x_mat, mu, lambda_nu, GateParams(nu))
             experts, flagged, done = trainer.m_step_experts(r, x_mat, targets, lambda_omega,
