@@ -6,12 +6,14 @@ nonnegative orthant), with selected coordinates (the bias) exempt from the
 constraint.  One call solves a batch of right-hand sides that share the
 design; they form blocks, each with its own row weights and so its own
 weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
-complement), a feasible unconstrained minimizer is returned as is, and
-every other column runs accelerated projected gradient (FISTA) with a
-monotone restart until its Frank-Wolfe duality gap certifies optimality.
-Once an iterate's signs settle, one linear solve on that face of the ball
-(the active-set step of Osborne, Presnell & Turlach 2000) is tried as the
-next iterate, under the same certificate.
+complement), and a feasible unconstrained minimizer is returned as is.
+Every other column first tries one exact face step: a linear solve on the
+face of the ball that holds the projection of its unconstrained minimizer
+(the active-set step of Osborne, Presnell & Turlach 2000).  The columns
+that step does not certify run accelerated projected gradient (FISTA)
+with a monotone restart until their Frank-Wolfe duality gap certifies
+optimality; once an iterate's signs settle, the face step is tried again
+on the iterate's face, under the same certificate.
 The costly part of the set-up is the stack of weighted Gram matrices,
 one per block (:func:`grams`); a caller that solves many batches under
 the same weights can build it once and hand it to each solve.
@@ -122,8 +124,10 @@ class SolveReport:
     For a ``(m,)`` target, ``solution`` is ``(p,)`` and ``final_objective``,
     ``gap`` and ``converged`` are scalars; for a ``(m, r)`` target they are
     ``(r, p)`` and ``(r,)`` arrays, one entry per column.  ``iterations``
-    is the number of accelerated steps run (0 when every column was
-    certified without iterating).  ``gap`` is the Frank-Wolfe duality gap
+    is the number of FISTA steps run, by the slowest column; a column
+    certified before the loop, by the unconstrained shortcut or the first
+    face step, takes none, so a call whose columns all certify there
+    reports 0.  ``gap`` is the Frank-Wolfe duality gap
     of the solution, which bounds its objective's excess over the optimum;
     ``converged`` is False for a column that reached ``MAX_ITERS`` without
     certifying.
@@ -146,7 +150,8 @@ def project_l1_ball(v, radius, nonnegative=False):
     ball and orthant.  Sort-based soft thresholding (Duchi et al. 2008):
     the threshold is the largest of (sum of the j largest magnitudes -
     radius) / j over j, and 0 for a point inside the ball.  Exact up to
-    float error.
+    float error.  A NaN or an infinite magnitude in ``v`` raises
+    ConfigError (with ``nonnegative``, -inf is clamped to 0 first).
     """
     radius = np.asarray(radius, dtype=float)
     if not (radius > 0).all():
@@ -157,6 +162,9 @@ def project_l1_ball(v, radius, nonnegative=False):
     ranks = np.arange(1, v.shape[-1] + 1)
     theta = ((np.cumsum(u, axis=-1) - radius[..., None]) / ranks).max(axis=-1, keepdims=True,
                                                                       initial=0.0)
+    # A NaN or an infinite magnitude makes its row's threshold non-finite.
+    if not np.isfinite(theta).all():
+        raise ConfigError("the vector to project must be finite")
     shrunk = np.maximum(mag - theta, 0.0)
     return shrunk if nonnegative else np.sign(v) * shrunk
 
@@ -206,8 +214,8 @@ def unconstrained_wls(design, target, row_weights, ridge=0.0):
     blocks as in :class:`WlsProblem`; the columns of a block share one
     factorization.
     """
-    if ridge < 0:
-        raise ConfigError("ridge must be nonnegative")
+    if not 0.0 <= ridge < np.inf:
+        raise ConfigError("ridge must be finite and nonnegative")
     a, b, w, _ = _blocks(design, target, row_weights)
     p, c = a.shape[1], b.shape[1] // max(w.shape[1], 1)
     gram = grams(a, w)
@@ -238,21 +246,21 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def _face_step(x, half_grad, s, d, tol, radius, nonneg):
+def _face_step(x, half_grad, sigma, s, d, tol, radius, nonneg):
     """The exact minimizer of each row's objective on the face of the ball
-    that holds the row x, where it certifies.
+    given by the row's sign pattern sigma, where it certifies.
 
-    The face is x's support A and signs sigma.  Its KKT system, the rows
+    The face is sigma's support A and signs.  Its KKT system, the rows
     S_AA x_A + theta sigma = d_A and sigma'x_A = radius, padded with
     identity rows (right-hand side 0) off A, is one (p+1)x(p+1) solve per
     row, with the row's own radius; a singular one leaves its row at x.
     The solution is projected onto the ball like a FISTA step, and is
     accepted where its Frank-Wolfe gap is within tol and it does not raise
-    the objective from x.  Returns the candidates, their half gradients and
-    the accepted rows.
+    the objective from x, the current iterate with half gradient
+    half_grad.  Returns the candidates, their half gradients and the
+    accepted rows.
     """
     n, p = x.shape
-    sigma = np.sign(x)
     on = sigma != 0.0
     kkt = np.zeros((n, p + 1, p + 1))
     kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, np.eye(p))
@@ -273,9 +281,14 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     The free coordinates are minimized out in closed form, leaving a
     problem in the restricted coordinates x with Hessian 2S (S the Schur
     complement of the free block of A'WA) and linear term -2d.  Columns
-    whose unconstrained minimizer S^-1 d is feasible and certified are
-    returned with no iteration.  The rest start from the projected warm
-    start (r*p finite values, zero by default) and take FISTA steps of
+    whose unconstrained minimizer x_u = S^-1 d is feasible and certified
+    are returned with no iteration.  For every other column, the exact
+    minimizer on the face of the ball that holds x_u's projection onto
+    the ball (:func:`_face_step`; on an orthonormal design, the optimal
+    face) is tried before the first FISTA step.  It is kept if it
+    certifies and does not raise the objective from the projected warm
+    start (r*p finite values, zero by default).  Only the columns it
+    fails iterate: from the projected warm start, they take FISTA steps of
     size 1/L, with L = 2 lambda_max(S) and momentum (c - 1) / (c + 2)
     after c accepted steps.  A momentum step that would raise a column's
     objective (by more than the rounding error of the change) is rejected
@@ -287,7 +300,8 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     it certifies and does not raise the objective; a pattern whose face
     step failed is not tried again until it changes.  Each column stops,
     and is frozen, once its Frank-Wolfe gap is within ``GAP_RTOL`` of its
-    scale, or at ``MAX_ITERS``.  Each weight block has its own S and L,
+    scale, or at ``MAX_ITERS``.  ``iterations`` counts FISTA steps only.
+    Each weight block has its own S and L,
     and every column uses its block's (the problem's ``blocks`` index) and
     its own radius.  Columns never mix, so a batched column matches its
     single solve bit for bit, whatever the other columns' blocks and radii.
@@ -358,7 +372,17 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
         ok &= np.all(x_u >= 0.0, axis=1)
     x[ok], gap[ok], half_grad[ok] = x_u[ok], gap_u[ok], half_grad_u[ok]
 
+    # One exact face step before the first FISTA step, on the face of the
+    # projected unconstrained minimizer (on an orthonormal design, the
+    # optimal face), under the loop's certificate and its test against
+    # the projected warm start.
     cols = np.flatnonzero(gap > tol)
+    if cols.size:
+        sigma = np.sign(project_l1_ball(x_u[cols], radius[cols], nonneg))
+        z, hg_z, ok = _face_step(x[cols], half_grad[cols], sigma, s_col[cols], d[cols],
+                                 tol[cols], radius[cols], nonneg)
+        x[cols[ok]], half_grad[cols[ok]] = z[ok], hg_z[ok]
+        cols = cols[~ok]
     iterations = 0
     if cols.size:
         # lambda_max(S) of the blocks that the iterating columns use, and of
@@ -407,12 +431,13 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
         # Once a column's sign pattern repeats, try the exact face step.
         # Its candidate depends on the pattern alone, so a pattern whose
         # candidate failed is not tried again until it changes.
-        stable = np.all(np.sign(xw) == np.sign(xw_prev), axis=1)
+        sign = np.sign(xw)
+        stable = np.all(sign == np.sign(xw_prev), axis=1)
         tried &= stable
         face = np.flatnonzero(~done & stable & ~tried)
         if face.size:
-            z, hg_z, ok = _face_step(xw[face], hgw[face], s_w[face], dw[face], tolw[face],
-                                     radw[face], nonneg)
+            z, hg_z, ok = _face_step(xw[face], hgw[face], sign[face], s_w[face], dw[face],
+                                     tolw[face], radw[face], nonneg)
             tried[face[~ok]] = True
             face = face[ok]
             xw[face], hgw[face], done[face] = z[ok], hg_z[ok], True

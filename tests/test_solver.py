@@ -38,6 +38,18 @@ class TestProjectL1Ball:
         with pytest.raises(ConfigError):
             project_l1_ball([1.0], 0.0)
 
+    @pytest.mark.parametrize("bad, nonneg", [(np.nan, False), (np.inf, False), (-np.inf, False),
+                                             (np.nan, True), (np.inf, True)])
+    def test_non_finite_vector_raises(self, bad, nonneg):
+        with pytest.raises(ConfigError, match="finite"):
+            project_l1_ball([bad, 1.0], 1.0, nonneg)
+        with pytest.raises(ConfigError, match="finite"):
+            project_l1_ball([[0.5, 0.5], [bad, 1.0]], [1.0, 2.0], nonneg)
+
+    def test_nonnegative_clamps_minus_inf(self):
+        # Clamped to the orthant first, -inf projects like 0.
+        np.testing.assert_array_equal(project_l1_ball([-np.inf, 1.0], 1.0, True), [0.0, 1.0])
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
@@ -101,6 +113,11 @@ class TestUnconstrainedWls:
         with pytest.raises(ConfigError, match="row weights"):
             unconstrained_wls(a, np.ones((3, 2)), [[1.0, 1.0], [1.0, bad], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_ridge(self, rng, ridge):
+        with pytest.raises(ConfigError, match="ridge"):
+            unconstrained_wls(rng.normal(0, 1, (10, 3)), np.ones(10), np.ones(10), ridge=ridge)
+
     @pytest.mark.parametrize("ridge", [0.0, 1e-8])
     def test_matrix_target_matches_column_calls(self, rng, ridge):
         a = np.column_stack([rng.normal(0, 1, (40, 5)), np.ones(40)])
@@ -140,15 +157,24 @@ class TestSolve:
 
     def test_monotone_objective_trace(self, rng, monkeypatch):
         # The objective after t iterations is that of a solve capped at t.
-        a = rng.normal(0, 1, (10, 4))
-        b = rng.normal(0, 3, 10)
-        problem = WlsProblem(a, b, np.ones(10), 0.5)
-        iterations = solve(problem).iterations
-        trace = []
-        for t in range(iterations + 1):
-            monkeypatch.setattr(solver, "MAX_ITERS", t)
-            trace.append(solve(problem).final_objective)
+        def objective_trace(m, p):
+            a = rng.normal(0, 1, (m, p))
+            b = rng.normal(0, 3, m)
+            problem = WlsProblem(a, b, np.ones(m), 0.5)
+            iterations = solve(problem).iterations
+            trace = []
+            for t in range(iterations + 1):
+                monkeypatch.setattr(solver, "MAX_ITERS", t)
+                trace.append(solve(problem).final_objective)
+            monkeypatch.undo()
+            return iterations, trace
+
+        # The 10x4 problem certifies before the first FISTA step; the
+        # larger one runs the loop.
+        _, small = objective_trace(10, 4)
+        iterations, trace = objective_trace(30, 10)
         assert iterations > 0
+        assert np.all(np.diff(small) <= 1e-10)
         assert np.all(np.diff(trace) <= 1e-10)
 
     def test_warm_start_no_worse(self, rng):
@@ -233,20 +259,26 @@ def ill_conditioned_face(eps):
 class TestBatchedCertifiedSolve:
     @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
     def test_batched_columns_equal_single_solves(self, rng, free, nonneg):
-        m, p, r = 30, 4, 3
-        a = rng.normal(0, 1, (m, p))
-        if free:
-            a[:, 3] = 1.0
-        b = rng.normal(0, 3, (m, r))
-        w = rng.uniform(0.2, 2.0, m)
-        warm = rng.normal(0, 1, (r, p))
-        batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
-        assert batched.solution.shape == (r, p)
-        assert batched.iterations > 0
-        for j in range(r):
-            single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg), warm_start=warm[j])
-            np.testing.assert_allclose(batched.solution[j], single.solution, rtol=0, atol=1e-12)
-            assert batched.converged[j] and single.converged
+        def batched_against_single(m, p, r=3):
+            a = rng.normal(0, 1, (m, p))
+            if free:
+                a[:, 3] = 1.0
+            b = rng.normal(0, 3, (m, r))
+            w = rng.uniform(0.2, 2.0, m)
+            warm = rng.normal(0, 1, (r, p))
+            batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+            assert batched.solution.shape == (r, p)
+            for j in range(r):
+                single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg), warm_start=warm[j])
+                np.testing.assert_allclose(batched.solution[j], single.solution, rtol=0,
+                                           atol=1e-12)
+                assert batched.converged[j] and single.converged
+            return batched
+
+        # A 30x4 batch may certify before the first FISTA step; the larger
+        # one runs the loop.
+        batched_against_single(30, 4)
+        assert batched_against_single(40, 10).iterations > 0
 
     @pytest.mark.parametrize("nonneg", [False, True])
     def test_gap_is_recomputable_and_within_threshold(self, rng, nonneg):
@@ -532,24 +564,31 @@ class TestMixedBlocks:
     @pytest.mark.parametrize("seed", range(4))
     def test_columns_equal_single_solves_bitwise(self, layout, seed):
         rng = np.random.default_rng(seed)
-        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, layout)
-        free = (a.shape[1] - 1,)
-        radius[rng.integers(len(radius))] = 1e6  # one slack column among binding ones
-        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
-        joint = solve(problem, warm_start=warm)
-        assert joint.iterations > 0
-        # The same batch on a stack of the gate's and the experts' Grams,
-        # built apart.
-        gram = np.concatenate([grams(a, w[:, :gate_blocks]), grams(a, w[:, gate_blocks:])])
-        handed = solve(problem, warm_start=warm, gram=gram)
-        for j in range(b.shape[1]):
-            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
-                           warm_start=warm[j])
-            for report in (joint, handed):
-                assert report.solution[j].tobytes() == single.solution.tobytes()
-                assert report.gap[j] == single.gap
-                assert report.final_objective[j] == single.final_objective
-                assert report.converged[j] == single.converged
+
+        def joint_against_single(p):
+            a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, layout, p=p)
+            free = (a.shape[1] - 1,)
+            radius[rng.integers(len(radius))] = 1e6  # one slack column among binding ones
+            problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+            joint = solve(problem, warm_start=warm)
+            # The same batch on a stack of the gate's and the experts' Grams,
+            # built apart.
+            gram = np.concatenate([grams(a, w[:, :gate_blocks]), grams(a, w[:, gate_blocks:])])
+            handed = solve(problem, warm_start=warm, gram=gram)
+            for j in range(b.shape[1]):
+                single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j],
+                                          free), warm_start=warm[j])
+                for report in (joint, handed):
+                    assert report.solution[j].tobytes() == single.solution.tobytes()
+                    assert report.gap[j] == single.gap
+                    assert report.final_objective[j] == single.final_objective
+                    assert report.converged[j] == single.converged
+            return joint
+
+        # A batch of width 5 may certify before the first FISTA step; the
+        # wider one runs the loop.
+        joint_against_single(5)
+        assert joint_against_single(10).iterations > 0
 
     def test_joined_factorization_equals_whole(self, rng):
         # The part Grams, stacked, equal the whole stack bit for bit.
@@ -560,8 +599,10 @@ class TestMixedBlocks:
     def test_step_size_only_for_iterating_blocks(self, rng, monkeypatch):
         # The gate's unit block has a radius so large that the unconstrained
         # shortcut certifies its columns; only the expert blocks iterate, so
-        # only their Schur complements are decomposed for a step size.
-        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, "unit-gate")
+        # only their Schur complements are decomposed for a step size.  The
+        # design is wide enough that the face step before the loop leaves
+        # columns of every expert block to iterate.
+        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, "unit-gate", p=10)
         free = (a.shape[1] - 1,)
         radius[blocks < gate_blocks] = 1e6
         problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
@@ -634,6 +675,61 @@ class TestMixedBlocks:
         short = np.concatenate([grams(a, w[:, :1]), grams(a, w[:, 2:])])
         with pytest.raises(ConfigError, match="Gram stack"):
             solve(problem, gram=short)
+
+
+class TestFaceStepBeforeLoop:
+    """The exact face step on the sign pattern of the projected
+    unconstrained minimizer, tried before the first FISTA step."""
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_orthonormal_design_certifies_without_iterating(self, rng, nonneg):
+        # With A'A = I the constrained minimizer is the projection of the
+        # unconstrained one, A'b: the projection's face is the optimal face.
+        q, _ = np.linalg.qr(rng.normal(0, 1, (40, 6)))
+        b = rng.normal(0, 1, (40, 4))
+        report = solve(WlsProblem(q, b, np.ones(40), 0.7, nonnegative=nonneg))
+        assert report.iterations == 0
+        assert report.converged.all()
+        np.testing.assert_allclose(report.solution, project_l1_ball((q.T @ b).T, 0.7, nonneg),
+                                   rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_batches_certify_without_rising(self, seed, nonneg):
+        # Mixed weight blocks, per-column radii and a free bias: every
+        # column's certificate holds when recomputed from the raw design,
+        # and no column ends above its projected warm start.
+        rng = np.random.default_rng(seed)
+        p, g, r = int(rng.integers(2, 11)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        m = p + int(rng.integers(1, 40))
+        a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
+        b = rng.normal(0, 3, (m, r))
+        w = rng.uniform(0.05, 2.0, (m, g))
+        blocks = rng.integers(0, g, r)
+        radius = rng.uniform(0.05, 5.0, r)
+        warm = rng.normal(0, 1, (r, p))
+        report = solve(WlsProblem(a, b, w, radius, (p - 1,), nonneg, blocks), warm_start=warm)
+        kept = slice(0, p - 1)
+        for j in range(r):
+            wj, bj, rad, z = w[:, blocks[j]], b[:, j], radius[j], report.solution[j]
+            gram = (a * wj[:, None]).T @ a
+            lin = a.T @ (wj * bj)
+
+            def gap_at(x, grad):
+                worst = -grad.min(initial=0.0) if nonneg else np.abs(grad).max(initial=0.0)
+                return grad @ x + rad * worst
+
+            def bias_minimized(x_kept):
+                return np.append(x_kept, (lin[-1] - gram[-1, kept] @ x_kept) / gram[-1, -1])
+
+            start = bias_minimized(project_l1_ball(warm[j, kept], rad, nonneg))
+            origin = bias_minimized(np.zeros(p - 1))
+            start_obj = wls_objective(a, bj, wj, start)
+            scale = (max(wj @ bj**2, start_obj)
+                     + gap_at(np.zeros(p - 1), 2.0 * (gram @ origin - lin)[kept]))
+            assert report.converged[j]
+            assert gap_at(z[kept], 2.0 * (gram @ z - lin)[kept]) <= solver.GAP_RTOL * scale
+            assert report.final_objective[j] <= start_obj + 1e-12 * scale
 
 
 class TestGramReference:
