@@ -7,13 +7,10 @@ constraint.  One call solves a batch of right-hand sides that share the
 design; they form blocks, each with its own row weights and so its own
 weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
 complement), and a feasible unconstrained minimizer is returned as is.
-Every other column first tries one exact face step: a linear solve on the
-face of the ball that holds the projection of its unconstrained minimizer
-(the active-set step of Osborne, Presnell & Turlach 2000).  The columns
-that step does not certify run accelerated projected gradient (FISTA)
-with a monotone restart until their Frank-Wolfe duality gap certifies
-optimality; once an iterate's signs settle, the face step is tried again
-on the iterate's face, under the same certificate.
+Every other column runs the primal active-set method of Osborne,
+Presnell & Turlach (2000): exact linear solves on a support with signs,
+on the face of the ball or inside it, that drop and add one coordinate at
+a time until the column's Frank-Wolfe duality gap certifies optimality.
 The costly part of the set-up is the stack of weighted Gram matrices,
 one per block (:func:`grams`); a caller that solves many batches under
 the same weights can build it once and hand it to each solve.
@@ -35,8 +32,6 @@ MAX_ITERS = 10_000
 # origin.  The last term grows with the radius, as does the rounding error
 # of the gap, so a huge inactive radius still certifies.
 GAP_RTOL = 1e-10
-# Relative rounding error of a step's objective change, per coordinate.
-_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _blocks(design, target, row_weights, blocks=None):
@@ -124,13 +119,11 @@ class SolveReport:
     For a ``(m,)`` target, ``solution`` is ``(p,)`` and ``final_objective``,
     ``gap`` and ``converged`` are scalars; for a ``(m, r)`` target they are
     ``(r, p)`` and ``(r,)`` arrays, one entry per column.  ``iterations``
-    is the number of FISTA steps run, by the slowest column; a column
-    certified before the loop, by the unconstrained shortcut or the first
-    face step, takes none, so a call whose columns all certify there
-    reports 0.  ``gap`` is the Frank-Wolfe duality gap
-    of the solution, which bounds its objective's excess over the optimum;
-    ``converged`` is False for a column that reached ``MAX_ITERS`` without
-    certifying.
+    counts the active-set rounds after the first, by the slowest column: 0
+    where every column certifies by the first round.  ``gap`` is the
+    Frank-Wolfe duality gap of the solution, which bounds its objective's
+    excess over the optimum; ``converged`` is False for a column still
+    uncertified after ``MAX_ITERS`` rounds.
     """
 
     solution: np.ndarray
@@ -150,8 +143,9 @@ def project_l1_ball(v, radius, nonnegative=False):
     ball and orthant.  Sort-based soft thresholding (Duchi et al. 2008):
     the threshold is the largest of (sum of the j largest magnitudes -
     radius) / j over j, and 0 for a point inside the ball.  Exact up to
-    float error.  A NaN or an infinite magnitude in ``v`` raises
-    ConfigError (with ``nonnegative``, -inf is clamped to 0 first).
+    float error.  A NaN or an infinite magnitude in ``v``, or an L1 norm
+    that overflows, raises ConfigError (with ``nonnegative``, -inf is
+    clamped to 0 first).
     """
     radius = np.asarray(radius, dtype=float)
     if not (radius > 0).all():
@@ -160,11 +154,13 @@ def project_l1_ball(v, radius, nonnegative=False):
     mag = np.maximum(v, 0.0) if nonnegative else np.abs(v)
     u = np.sort(mag, axis=-1)[..., ::-1]
     ranks = np.arange(1, v.shape[-1] + 1)
-    theta = ((np.cumsum(u, axis=-1) - radius[..., None]) / ranks).max(axis=-1, keepdims=True,
-                                                                      initial=0.0)
-    # A NaN or an infinite magnitude makes its row's threshold non-finite.
+    # A NaN, an infinite magnitude or magnitudes whose sum overflows make
+    # their row's threshold non-finite.
+    with np.errstate(over="ignore"):
+        total = np.cumsum(u, axis=-1)
+    theta = ((total - radius[..., None]) / ranks).max(axis=-1, keepdims=True, initial=0.0)
     if not np.isfinite(theta).all():
-        raise ConfigError("the vector to project must be finite")
+        raise ConfigError("the vector to project and its L1 norm must be finite")
     shrunk = np.maximum(mag - theta, 0.0)
     return shrunk if nonnegative else np.sign(v) * shrunk
 
@@ -246,33 +242,64 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def _face_step(x, half_grad, sigma, s, d, tol, radius, nonneg):
-    """The exact minimizer of each row's objective on the face of the ball
-    given by the row's sign pattern sigma, where it certifies.
+def _evaluate(x, half_grad, d, offset, radius, nonneg):
+    """Objective and Frank-Wolfe gap of each row of x, from its half
+    gradient Sx - d."""
+    x_hg = (x * half_grad).sum(axis=1)
+    return x_hg - (x * d).sum(axis=1) + offset, _fw_gap(half_grad, x_hg, radius, nonneg)
 
-    The face is sigma's support A and signs.  Its KKT system, the rows
-    S_AA x_A + theta sigma = d_A and sigma'x_A = radius, padded with
-    identity rows (right-hand side 0) off A, is one (p+1)x(p+1) solve per
-    row, with the row's own radius; a singular one leaves its row at x.
-    The solution is projected onto the ball like a FISTA step, and is
-    accepted where its Frank-Wolfe gap is within tol and it does not raise
-    the objective from x, the current iterate with half gradient
-    half_grad.  Returns the candidates, their half gradients and the
-    accepted rows.
-    """
+
+def _support_step(x, half_grad, sign, s, unit, radius):
+    """The step from each row x (half gradient h) to the minimizer on its
+    support A, with signs sigma, within the ball; NaN if singular.  On the
+    face: S_AA step_A + theta sigma = -h_A, sigma'step_A = radius - sigma'x,
+    a (p+1)x(p+1) solve per row with identity rows off A.  Where theta < 0,
+    a second solve, for the right-hand sides (-h_A, 0) and (0, 1), gives
+    the step y on x's level set of sigma'z and the direction u, with
+    multipliers theta' and tau, along which the level moves it.  Where the
+    objective curves along u (tau < 0), y - (theta' / tau) u steps to the
+    unconstrained minimizer on A.  ``s`` = DSD for D = diag(``unit``)."""
     n, p = x.shape
-    on = sigma != 0.0
+    on = sign != 0.0
+    some = on.any(axis=1)  # an empty support has the step 0
     kkt = np.zeros((n, p + 1, p + 1))
     kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, np.eye(p))
-    kkt[:, :p, p] = kkt[:, p, :p] = sigma
-    rhs = np.column_stack([np.where(on, d, 0.0), radius])[:, :, None]
-    start = np.column_stack([x, np.zeros(n)])[:, :, None]
-    sol = _solve_or_keep(kkt, rhs, start)
-    z = project_l1_ball(sol[:, :p, 0], radius, nonneg)
-    hg_z = _rowwise(z, s) - d
-    rise = ((z - x) * (hg_z + half_grad)).sum(axis=1)
-    ok = (_fw_gap(hg_z, (z * hg_z).sum(axis=1), radius, nonneg) <= tol) & (rise <= 0.0)
-    return z, hg_z, ok
+    kkt[:, :p, p] = kkt[:, p, :p] = sign * unit
+    kkt[:, p, p] = ~some
+    rhs = np.empty((n, p + 1, 1))
+    rhs[:, :p, 0] = -(unit * half_grad) * on
+    rhs[:, p, 0] = (radius - (sign * x).sum(axis=1)) * some
+    sol = _solve_or_keep(kkt, rhs, np.full_like(rhs, np.nan))
+    step, inward = sol[:, :p, 0], np.flatnonzero(sol[:, p, 0] < 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if inward.size:
+            rhs = np.concatenate([rhs[inward], np.zeros_like(rhs[inward])], axis=2)
+            rhs[:, p] = [0.0, 1.0]
+            sol = _solve_or_keep(kkt[inward], rhs, np.full_like(rhs, np.nan))
+            level = -sol[:, p, 0] / sol[:, p, 1]
+            curved = sol[:, p, 1] < 0.0
+            step[inward[curved]] = (sol[:, :p, 0] + level[:, None] * sol[:, :p, 1])[curved]
+        step = unit * step
+    return np.where(np.isfinite(step), step, np.nan)
+
+
+def _line_step(x, half_grad, step, sign, s, tol, radius):
+    """The step of each row x to the minimum on the line of ``step``,
+    reversed if it ascends, and cut short where the line leaves the ball.
+    Rows that this lowers by no more than tol are lost: they step to the
+    origin.  Returns the steps and the lost rows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slope = (half_grad * step).sum(axis=1)
+        step = step * np.where(slope > 0.0, -1.0, 1.0)[:, None]
+        slope = -np.abs(slope)
+        curve = (step * _rowwise(step, s)).sum(axis=1)
+        length = np.where(curve > 0.0, -slope / curve, np.inf)
+        sx, sd = (sign * x).sum(axis=1), (sign * step).sum(axis=1)
+        length = np.where(sd > 0.0, np.minimum(length, (radius - sx) / sd), length)
+        lost = ~(-length * (2.0 * slope + length * curve) > tol) | ~np.isfinite(length)
+        step = length[:, None] * step
+    step[lost] = -x[lost]
+    return step, lost
 
 
 def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
@@ -280,37 +307,28 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
 
     The free coordinates are minimized out in closed form, leaving a
     problem in the restricted coordinates x with Hessian 2S (S the Schur
-    complement of the free block of A'WA) and linear term -2d.  Columns
-    whose unconstrained minimizer x_u = S^-1 d is feasible and certified
-    are returned with no iteration.  For every other column, the exact
-    minimizer on the face of the ball that holds x_u's projection onto
-    the ball (:func:`_face_step`; on an orthonormal design, the optimal
-    face) is tried before the first FISTA step.  It is kept if it
-    certifies and does not raise the objective from the projected warm
-    start (r*p finite values, zero by default).  Only the columns it
-    fails iterate: from the projected warm start, they take FISTA steps of
-    size 1/L, with L = 2 lambda_max(S) and momentum (c - 1) / (c + 2)
-    after c accepted steps.  A momentum step that would raise a column's
-    objective (by more than the rounding error of the change) is rejected
-    and that column's momentum reset, so its next step is a plain
-    projected gradient step, which cannot raise it; the objective is
-    therefore non-increasing from the warm start, up to rounding.  After a
-    step that leaves a column's sign pattern as it was, the exact minimizer
-    on that face of the ball (:func:`_face_step`) replaces the iterate if
-    it certifies and does not raise the objective; a pattern whose face
-    step failed is not tried again until it changes.  Each column stops,
-    and is frozen, once its Frank-Wolfe gap is within ``GAP_RTOL`` of its
-    scale, or at ``MAX_ITERS``.  ``iterations`` counts FISTA steps only.
-    Each weight block has its own S and L,
-    and every column uses its block's (the problem's ``blocks`` index) and
-    its own radius.  Columns never mix, so a batched column matches its
-    single solve bit for bit, whatever the other columns' blocks and radii.
-
-    Certification assumes design columns of comparable scale: the step
-    size is one per block, so small-scale coordinates barely move.  On
-    random 20x5 designs with column scales from 1e-6 to 1e6, 212 of 300
-    columns were uncertified at 2,000 iterations (none at scales 0.1-10).
-    ``fit`` standardizes its design; such a column has ``converged=False``.
+    complement of the free block of A'WA) and linear term -2d.  A column
+    keeps its projected warm start (r*p finite values, zero by default) if
+    that certifies, and takes x_u = S^-1 d if that is feasible and
+    certifies.  Every other column runs rounds of the primal active-set
+    method (Osborne, Presnell & Turlach 2000) from the projection of x_u
+    and its signs (on an orthonormal design, the optimal face).  A round
+    steps to the minimizer on the support within the ball
+    (:func:`_support_step`), or to where a coordinate reaches zero and
+    leaves the support.  At that minimizer a column certifies if its
+    Frank-Wolfe gap is within ``GAP_RTOL`` of its scale and it is in the
+    ball; if not, the coordinate off the support with the largest gradient
+    (nonnegative ball: most negative) joins.  A step that would raise the
+    objective by more than tol comes from a nearly singular system (m < p,
+    duplicate or zero design columns, zero weights), which LAPACK does not
+    always report: :func:`_line_step` replaces it.  With no step size,
+    column scale does not slow the method: on random 20x5 designs with
+    column scales from 1e-6 to 1e6, all 300 columns certified within 11
+    rounds.  ``iterations`` counts the rounds after the first, up to
+    ``MAX_ITERS``; objective and gap are those of the round that certified
+    the column, or of the cap.  Each column uses its weight block's S
+    (``blocks``) and its own radius; columns never mix, so a batched
+    column matches its single solve bit for bit.
 
     The set-up starts from the Gram stack of the problem's design and
     weights, built here with :func:`grams` unless ``gram`` hands it in
@@ -352,110 +370,91 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling_t)  # (r, pr)
     offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
 
-    def evaluate(x):
-        """Objective, Frank-Wolfe gap and half gradient of each row of x."""
-        half_grad = _rowwise(x, s_col) - d
-        x_hg = (x * half_grad).sum(axis=1)
-        obj = x_hg - (x * d).sum(axis=1) + offset
-        return obj, _fw_gap(half_grad, x_hg, radius, nonneg), half_grad
-
     x = project_l1_ball(warm.take(kept, axis=1), radius, nonneg)
-    obj, gap, half_grad = evaluate(x)
+    obj, gap = _evaluate(x, _rowwise(x, s_col) - d, d, offset, radius, nonneg)
     tol = GAP_RTOL * (np.maximum(energy, obj) + _fw_gap(-d, 0.0, radius, nonneg))
 
-    # Exact shortcut: a feasible unconstrained minimizer needs no
-    # iterations.  A column whose S is singular keeps its start.
+    # Exact shortcut; a column whose S is singular keeps its start.
     x_u = _solve_or_keep(s_col, d[:, :, None], x[:, :, None])[:, :, 0]
-    _, gap_u, half_grad_u = evaluate(x_u)
+    obj_u, gap_u = _evaluate(x_u, _rowwise(x_u, s_col) - d, d, offset, radius, nonneg)
     ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
     if nonneg:
         ok &= np.all(x_u >= 0.0, axis=1)
-    x[ok], gap[ok], half_grad[ok] = x_u[ok], gap_u[ok], half_grad_u[ok]
+    x[ok], obj[ok], gap[ok] = x_u[ok], obj_u[ok], gap_u[ok]
+    converged = gap <= tol
 
-    # One exact face step before the first FISTA step, on the face of the
-    # projected unconstrained minimizer (on an orthonormal design, the
-    # optimal face), under the loop's certificate and its test against
-    # the projected warm start.
-    cols = np.flatnonzero(gap > tol)
-    if cols.size:
-        sigma = np.sign(project_l1_ball(x_u[cols], radius[cols], nonneg))
-        z, hg_z, ok = _face_step(x[cols], half_grad[cols], sigma, s_col[cols], d[cols],
-                                 tol[cols], radius[cols], nonneg)
-        x[cols[ok]], half_grad[cols[ok]] = z[ok], hg_z[ok]
-        cols = cols[~ok]
+    # Active-set rounds, on working copies of the columns' data that shrink
+    # as columns finish.
+    cols = np.flatnonzero(~converged)
     iterations = 0
     if cols.size:
-        # lambda_max(S) of the blocks that the iterating columns use, and of
-        # no other.  A block with lam = 0 has an objective constant in x
-        # (zero design or weights): any feasible point is optimal.
-        used, of_col = np.unique(block[cols], return_inverse=True)
-        lam_w = np.linalg.eigvalsh(schur[used]).max(axis=1, initial=0.0)[of_col]
-        cols, lam_w = cols[lam_w > 0.0], lam_w[lam_w > 0.0]
-        # A gradient step of size 1/L from y is y @ descent + d / lam.
-        s_w = s_col[cols]
-        descent = np.eye(len(kept)) - s_w / lam_w[:, None, None]
-        rounding = _ROUNDING * len(kept)
-        # Working copies of the columns still iterating.
-        xw, hgw, tolw, dw, radw = x[cols], half_grad[cols], tol[cols], d[cols], radius[cols]
-        dw_step = dw / lam_w[:, None]
-        xw_prev = xw
-        accepted = np.zeros(cols.size, dtype=int)
-        tried = np.zeros(cols.size, dtype=bool)  # face step failed on this pattern
-    while cols.size and iterations < MAX_ITERS:
-        iterations += 1
-        # FISTA momentum after c accepted steps since the last (re)start.
-        beta = (np.maximum(accepted - 1, 0) / (accepted + 2.0))[:, None]
-        y = xw + beta * (xw - xw_prev)
-        z = project_l1_ball(_rowwise(y, descent) + dw_step, radw, nonneg)
-        hg_z = _rowwise(z, s_w) - dw
-        # f(z) - f(x) = (z - x)'(Sz + Sx - 2d), without the cancellation of
-        # subtracting two objective values.  Near a face of the ball, z - x
-        # has a rounding-size part off the face that the large gradient
-        # multiplies, so a rise below that size is not a rise.  A plain
-        # step (beta == 0) is kept unconditionally: it cannot raise the
-        # objective, and a test at rounding level would stall it.
-        both = hg_z + hgw
-        rise = ((z - xw) * both).sum(axis=1)
-        keep = (accepted <= 1) | (rise <= 0.0)
-        xw_prev = xw
-        if keep.all():
-            xw, hgw = z, hg_z
-            accepted = accepted + 1
-        else:
-            size = np.abs(z).sum(axis=1) + np.abs(xw).sum(axis=1)
-            keep |= rise <= rounding * size * np.abs(both).max(axis=1)
-            xw = np.where(keep[:, None], z, xw)
-            hgw = np.where(keep[:, None], hg_z, hgw)
-            accepted = np.where(keep, accepted + 1, 0)
-        done = _fw_gap(hgw, (xw * hgw).sum(axis=1), radw, nonneg) <= tolw
-        # Once a column's sign pattern repeats, try the exact face step.
-        # Its candidate depends on the pattern alone, so a pattern whose
-        # candidate failed is not tried again until it changes.
+        sw, dw, offw, radw, tolw = s_col[cols], d[cols], offset[cols], radius[cols], tol[cols]
+        xw = project_l1_ball(x_u[cols], radw, nonneg)
         sign = np.sign(xw)
-        stable = np.all(sign == np.sign(xw_prev), axis=1)
-        tried &= stable
-        face = np.flatnonzero(~done & stable & ~tried)
-        if face.size:
-            z, hg_z, ok = _face_step(xw[face], hgw[face], sign[face], s_w[face], dw[face],
-                                     tolw[face], radw[face], nonneg)
-            tried[face[~ok]] = True
-            face = face[ok]
-            xw[face], hgw[face], done[face] = z[ok], hg_z[ok], True
-        any_done = done.any()
-        if any_done or iterations == MAX_ITERS:
-            x[cols] = xw
-        if any_done:
+        hg = _rowwise(xw, sw) - dw
+        # Powers of two that bring S's diagonal near 1 (_support_step).
+        unit = np.ldexp(1.0, -(np.frexp(np.diagonal(sw, axis1=1, axis2=2))[1] // 2))
+        scaled = unit[:, :, None] * sw * unit[:, None, :]
+    while cols.size:
+        step = _support_step(xw, hg, sign, scaled, unit, radw)
+        z = xw + step
+        hg_z = _rowwise(z, sw) - dw
+        # f(z) - f(x) = step'(h + h_z); a rise above tol marks a bad solve.
+        odd = np.flatnonzero(~((step * (hg + hg_z)).sum(axis=1) <= tolw))
+        if odd.size:
+            step[odd], lost = _line_step(xw[odd], hg[odd], step[odd], sign[odd], sw[odd],
+                                         tolw[odd], radw[odd])
+            z[odd] = xw[odd] + step[odd]
+            sign[odd[lost]] = 0.0
+        # A coordinate that reaches zero on the way stops the column there,
+        # and leaves the support.
+        cross = sign * z < 0.0
+        full = ~cross.any(axis=1)  # at the minimizer on the support
+        if not full.all():
+            rows = np.flatnonzero(~full)
+            xr, sr = xw[rows], step[rows]
+            ratio = np.divide(xr, -sr, out=np.full_like(xr, np.inf), where=cross[rows])
+            sign[rows, ratio.argmin(axis=1)] = 0.0
+            xs = xr + ratio.min(axis=1)[:, None] * sr
+            z[rows] = np.where(sign[rows] * xs > 0.0, xs, 0.0)
+        full[odd] = False
+        if not full.all():
+            rows = np.flatnonzero(~full)
+            hg_z[rows] = _rowwise(z[rows], sw[rows]) - dw[rows]
+        xw = z
+        hg = hg_z
+        x_hg = (xw * hg).sum(axis=1)
+        gap_w = _fw_gap(hg, x_hg, radw, nonneg)
+        done = (gap_w <= tolw) & (np.abs(xw).sum(axis=1) <= radw * (1.0 + 1e-12))
+        if nonneg:
+            done &= np.all(xw >= 0.0, axis=1)
+        end = np.ones_like(done) if iterations == MAX_ITERS else done
+        if end.any():
+            fin = cols[end]
+            x[fin], gap[fin], converged[fin] = xw[end], gap_w[end], done[end]
+            obj[fin] = (x_hg - (xw * dw).sum(axis=1) + offw)[end]
+            if end.all():
+                break
+        # A coordinate joins where its gradient alone keeps the gap above
+        # tol, with the sign that descends.
+        grow = np.flatnonzero(full & ~done)
+        if grow.size:
+            pull = np.where(sign[grow] == 0.0, -hg[grow] if nonneg else np.abs(hg[grow]), -np.inf)
+            j = pull.argmax(axis=1)
+            best = pull[np.arange(grow.size), j]
+            keep = (best > 0.0) & (2.0 * (x_hg[grow] + radw[grow] * best) > tolw[grow])
+            grow, j = grow[keep], j[keep]
+            sign[grow, j] = -np.sign(hg[grow, j])
+        if done.any():
             go = ~done
-            cols, xw, xw_prev, hgw = cols[go], xw[go], xw_prev[go], hgw[go]
-            accepted, tolw, dw, dw_step = accepted[go], tolw[go], dw[go], dw_step[go]
-            tried, radw = tried[go], radw[go]
-            s_w, descent = s_w[go], descent[go]
+            cols, xw, hg, sign = cols[go], xw[go], hg[go], sign[go]
+            sw, dw, offw, radw, tolw = sw[go], dw[go], offw[go], radw[go], tolw[go]
+            unit, scaled = unit[go], scaled[go]
+        iterations += 1
 
-    obj, gap, _ = evaluate(x)
     solution = np.empty((r, p))
     solution[:, kept] = x
     solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)
-    converged = gap <= tol
     if problem.target.ndim == 1:
         return SolveReport(solution[0], iterations, float(obj[0]), float(gap[0]),
                            bool(converged[0]))

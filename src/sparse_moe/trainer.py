@@ -2,7 +2,7 @@
 
 The gate and expert M-steps are L1-constrained weighted least-squares
 problems built by inverting the softmax (fitting logits to log-targets)
-and handed to the batched, gap-certified FISTA engine in
+and handed to the batched, gap-certified active-set solver in
 :mod:`sparse_moe.solver`.  Every M-step of a fit, on either schedule, is
 one call of one helper, which poses all of its constrained problems in one
 solver call: both M-steps read the same responsibilities and neither reads
@@ -88,7 +88,7 @@ class FitReport:
     selector_histogram: dict[int, int]
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
-    solver_iterations: int  # FISTA steps, summed over the solve calls (a call's slowest column)
+    solver_iterations: int  # active-set rounds after a call's first, by its slowest column, summed
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -164,7 +164,8 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
     call of its own would give.  Returns the new gate and expert
     weights, the experts flagged for reinitialization, the constrained
     problems' ``converged`` flags, gate rows first, and the solver call's
-    FISTA steps (0 when it made none).
+    ``iterations``: its active-set rounds after the first (0 when it made
+    none).
     """
     n, dp = x_mat.shape
     # Each constrained part: targets, row weights, weight block of each

@@ -1,11 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_l1, wls_objective
+from oracles import exact_fw_gap, grid_search_l1, wls_objective
 from sparse_moe import solver
 from sparse_moe import (
     ConfigError,
@@ -45,6 +46,17 @@ class TestProjectL1Ball:
             project_l1_ball([bad, 1.0], 1.0, nonneg)
         with pytest.raises(ConfigError, match="finite"):
             project_l1_ball([[0.5, 0.5], [bad, 1.0]], [1.0, 2.0], nonneg)
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_overflowing_norm_raises_without_warning(self, nonneg):
+        # Finite entries whose L1 norm overflows: a ConfigError, not a
+        # RuntimeWarning from the running sum.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                project_l1_ball([1e308, 1e308], 1.0, nonneg)
+            with pytest.raises(ConfigError, match="finite"):
+                project_l1_ball([[0.5, 0.5], [1e308, 1e308]], [1.0, 2.0], nonneg)
 
     def test_nonnegative_clamps_minus_inf(self):
         # Clamped to the orthant first, -inf projects like 0.
@@ -169,8 +181,8 @@ class TestSolve:
             monkeypatch.undo()
             return iterations, trace
 
-        # The 10x4 problem certifies before the first FISTA step; the
-        # larger one runs the loop.
+        # The 10x4 problem certifies in the first active-set round; the
+        # larger one takes more.
         _, small = objective_trace(10, 4)
         iterations, trace = objective_trace(30, 10)
         assert iterations > 0
@@ -242,6 +254,32 @@ class TestEnumerateSubsets:
             list(enumerate_subsets(3, 0))
 
 
+def assert_certified_from_raw_design(a, b, w, radius, free, nonneg, warm, report):
+    """The report of one problem is converged and feasible, its objective is
+    not above its projected warm start's, and its Frank-Wolfe gap,
+    recomputed from the raw design in exact arithmetic, is within
+    GAP_RTOL of the scale: the larger of the objective at the origin and at
+    the projected warm start, plus the gap at the origin, each with the
+    free coordinates at their minimizer."""
+    p = a.shape[1]
+    kept = [j for j in range(p) if j not in free]
+    z = report.solution
+    assert report.converged
+    assert np.abs(z[kept]).sum() <= radius * (1 + 1e-12)
+    if nonneg:
+        assert np.all(z[kept] >= 0.0)
+    start = np.zeros(p)
+    start[kept] = project_l1_ball(warm[kept], radius, nonneg)
+    for f in free:
+        rest = b - a @ start
+        start[f] = (w * a[:, f]) @ rest / ((w * a[:, f]) @ a[:, f])
+    start_obj = wls_objective(a, b, w, start)
+    scale = (max(w @ b**2, start_obj)
+             + exact_fw_gap(a, b, w, radius, np.zeros(p), free, nonneg))
+    assert exact_fw_gap(a, b, w, radius, z, free, nonneg) <= solver.GAP_RTOL * scale
+    assert report.final_objective <= start_obj + 1e-12 * scale
+
+
 def ill_conditioned_face(eps):
     """Two nearly collinear columns whose optimum lies inside the face
     x1 + x2 = 1 of the unit ball, at (0.6, 0.4), with curvature eps^2 along
@@ -275,8 +313,8 @@ class TestBatchedCertifiedSolve:
                 assert batched.converged[j] and single.converged
             return batched
 
-        # A 30x4 batch may certify before the first FISTA step; the larger
-        # one runs the loop.
+        # A 30x4 batch may certify in the first active-set round; the larger
+        # one takes more.
         batched_against_single(30, 4)
         assert batched_against_single(40, 10).iterations > 0
 
@@ -287,7 +325,10 @@ class TestBatchedCertifiedSolve:
         w = rng.uniform(0.5, 2.0, 12)
         radius = 0.5
         report = solve(WlsProblem(a, b, w, radius, nonnegative=nonneg))
-        assert report.iterations > 0 and report.converged
+        # The unconstrained minimizer is outside the ball, so the shortcut
+        # does not certify it and the active-set rounds do.
+        assert np.abs(unconstrained_wls(a, b, w)).sum() > radius
+        assert report.converged
         gram = (a * w[:, None]).T @ a
         lin = a.T @ (w * b)
         g = 2.0 * (gram @ report.solution - lin)
@@ -311,18 +352,24 @@ class TestBatchedCertifiedSolve:
         report = solve(problem)
         assert report.converged
         assert report.iterations < solver.MAX_ITERS
-        # Once the sign pattern repeats, the exact face step certifies.
+        # The round after the first adds the second coordinate and certifies.
         assert report.iterations <= 2
         assert report.final_objective == pytest.approx(best, rel=1e-10)
         assert np.abs(report.solution).sum() <= 1.0 + 1e-12
 
     def test_cap_reported_as_not_converged(self, monkeypatch):
+        # The first round solves on the projection's face, x1 = 1, whose
+        # minimizer does not certify; the next one adds x2 and certifies.
         problem, _ = ill_conditioned_face(0.01)
-        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        monkeypatch.setattr(solver, "MAX_ITERS", 0)
         report = solve(problem)
-        assert report.iterations == 1
+        assert report.iterations == 0
         assert not report.converged
         assert report.gap > 0.0
+        np.testing.assert_allclose(report.solution, [1.0, 0.0], rtol=0, atol=1e-15)
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        report = solve(problem)
+        assert report.iterations == 1 and report.converged
 
     def test_feasible_unconstrained_optimum_needs_no_iterations(self, rng):
         a = np.column_stack([rng.normal(0, 1, (20, 3)), np.ones(20)])
@@ -385,6 +432,48 @@ class TestBatchedCertifiedSolve:
         gap = gap_at(z[kept], 2.0 * (gram @ z - lin)[kept])
         assert gap <= solver.GAP_RTOL * scale
         assert report.final_objective <= start_obj + 1e-12 * scale
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 12), st.booleans(), st.booleans(), st.floats(0.05, 5.0),
+           st.integers(0, 2**32 - 1))
+    def test_degenerate_and_badly_scaled_problems_certify(self, p, nonneg, bias, radius, seed):
+        # Fewer rows than columns at times, zero and duplicated design
+        # columns, about a fifth of the rows with zero weight, and column
+        # scales from 1e-6 to 1e6: singular and badly conditioned supports.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, p + 20))
+        a = rng.normal(0, 1, (m, p))
+        kind = rng.random(p)
+        a[:, kind < 0.15] = 0.0
+        copies = np.flatnonzero((kind >= 0.15) & (kind < 0.35))
+        a[:, copies] = a[:, rng.integers(0, p, copies.size)]
+        a *= 10.0 ** rng.uniform(-6, 6, p)
+        if bias:
+            a[:, -1] = 1.0
+        b = rng.normal(0, 3, m)
+        w = rng.uniform(0.1, 2.0, m)
+        w[rng.random(m) < 0.2] = 0.0
+        w[0] = 1.0  # a free bias needs a weighted row
+        free = (p - 1,) if bias else ()
+        warm = rng.normal(0, 1, p)
+        report = solve(WlsProblem(a, b, w, radius, free, nonneg), warm_start=warm)
+        assert_certified_from_raw_design(a, b, w, radius, free, nonneg, warm, report)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_nonnegative_problem_with_free_bias_certifies(self, seed):
+        # Five rows and eleven columns, one of them a free bias: a support of
+        # more than five coordinates is singular.
+        rng = np.random.default_rng(seed)
+        a = np.column_stack([rng.normal(0, 1, (5, 10)), np.ones(5)])
+        b = rng.normal(0, 3, (5, 3))
+        w = rng.uniform(0.1, 2.0, 5)
+        warm = rng.normal(0, 1, (3, 11))
+        batch = solve(WlsProblem(a, b, w, 1.0, (10,), True), warm_start=warm)
+        for j in range(3):
+            single = solve(WlsProblem(a, b[:, j].copy(), w, 1.0, (10,), True),
+                           warm_start=warm[j])
+            assert batch.solution[j].tobytes() == single.solution.tobytes()
+            assert_certified_from_raw_design(a, b[:, j], w, 1.0, (10,), True, warm[j], single)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -596,12 +685,11 @@ class TestMixedBlocks:
         stacked = np.concatenate([grams(a, w[:, :1]), grams(a, w[:, 1:])])
         assert stacked.tobytes() == grams(a, w).tobytes()
 
-    def test_step_size_only_for_iterating_blocks(self, rng, monkeypatch):
+    def test_rounds_only_for_uncertified_columns(self, rng, monkeypatch):
         # The gate's unit block has a radius so large that the unconstrained
-        # shortcut certifies its columns; only the expert blocks iterate, so
-        # only their Schur complements are decomposed for a step size.  The
-        # design is wide enough that the face step before the loop leaves
-        # columns of every expert block to iterate.
+        # shortcut certifies its columns; only the expert columns enter the
+        # active-set rounds, each with its block's Schur complement.  The
+        # design is wide enough that every expert column takes a round.
         a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, "unit-gate", p=10)
         free = (a.shape[1] - 1,)
         radius[blocks < gate_blocks] = 1e6
@@ -610,17 +698,23 @@ class TestMixedBlocks:
         gram = grams(a, w)[gate_blocks:]
         g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
         schur = gram[:, :-1, :-1] - g_kf @ np.linalg.inv(g_ff) @ g_kf.transpose(0, 2, 1)
-        decomposed = []
-        eigvalsh = np.linalg.eigvalsh
+        # Each system is equilibrated: the Schur complement scaled by the
+        # powers of two that bring its diagonal near 1.
+        unit = np.ldexp(1.0, -(np.frexp(np.diagonal(schur, axis1=1, axis2=2))[1] // 2))
+        scaled = unit[:, :, None] * schur * unit[:, None, :]
+        systems = []
+        support_step = solver._support_step
 
-        def spy(mats):
-            decomposed.extend(m.tobytes() for m in mats)
-            return eigvalsh(mats)
+        def spy(x, half_grad, sign, s, *rest):
+            systems.append([m.tobytes() for m in s])
+            return support_step(x, half_grad, sign, s, *rest)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(solver, "_support_step", spy)
         joint = solve(problem, warm_start=warm)
         assert joint.iterations > 0
-        assert decomposed == [s.tobytes() for s in schur]
+        experts = [scaled[i - gate_blocks].tobytes() for i in blocks[blocks >= gate_blocks]]
+        assert systems[0] == experts
+        assert len(systems) == joint.iterations + 1
         monkeypatch.undo()
         for j in range(b.shape[1]):
             single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
@@ -678,8 +772,9 @@ class TestMixedBlocks:
 
 
 class TestFaceStepBeforeLoop:
-    """The exact face step on the sign pattern of the projected
-    unconstrained minimizer, tried before the first FISTA step."""
+    """The first active-set round, an exact solve on the face of the ball
+    that holds the projected unconstrained minimizer, and the rounds after
+    it."""
 
     @pytest.mark.parametrize("nonneg", [False, True])
     def test_orthonormal_design_certifies_without_iterating(self, rng, nonneg):

@@ -861,16 +861,11 @@ class TestSolverCapHits:
                             selector_mode="l1", lambda_mu=1.0)
         _, clean = fit(ds, hyper)
         assert clean.solver_cap_hits == 0
-        # A face step that certifies nothing, so that problems reach the
-        # capped loop instead of certifying before its first step.
-        face_step = solver._face_step
-
-        def certify_nothing(*args):
-            z, hg_z, ok = face_step(*args)
-            return z, hg_z, np.zeros_like(ok)
-
-        monkeypatch.setattr(solver, "_face_step", certify_nothing)
-        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        # A zero gap tolerance, which rounding seldom meets, and no round
+        # after the first, so that problems reach the cap instead of
+        # certifying at the shortcut or in the first active-set round.
+        monkeypatch.setattr(solver, "GAP_RTOL", 0.0)
+        monkeypatch.setattr(solver, "MAX_ITERS", 0)
         _, capped = fit(ds, hyper)
         assert capped.solver_cap_hits > 0
         assert capped.to_dict()["solver_cap_hits"] == capped.solver_cap_hits
