@@ -15,9 +15,10 @@ iterations fit the experts unconstrained (a plain WLS call) and its final
 pass the experts alone.  The selector update runs first in each outer
 iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
-solved.  Without a selector the gate problems' weights never change, so
-a fit builds their Gram matrix once and stacks it on each iteration's
-expert Grams.
+solved.  A fit builds, once and read-only, what its M-steps share: the
+tiled class targets, block indices, radii and, without a selector, the
+gate's unit weights and Gram matrix; each iteration fills in what the
+responsibilities change.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -32,6 +33,7 @@ depend on the selector.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +91,7 @@ class FitReport:
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
     solver_iterations: int  # active-set rounds after a call's first, by its slowest column, summed
+    dead_expert_reinits: list[list[int]]  # [iteration, expert] of each re-initialization
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -146,59 +149,106 @@ def build_gate_targets(r):
 # ---------------------------------------------------------------------------
 # M-steps
 
-def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_omega=None,
-            gate_gram=None):
-    """The gate and expert M-steps of an EM iteration, with all of their
+class _MStepSetup(NamedTuple):
+    """What a fit's M-steps share, built once by :func:`_m_step_setup`.
+    Every expert's q problems have the same targets, so the first c
+    columns of ``targets``, and entries of ``expert_blocks`` and
+    ``expert_radius``, serve any c/q live experts."""
+
+    x_mat: np.ndarray  # (n, p) prepared design
+    gate_radius: np.ndarray | None  # (k,) lambda_nu
+    # Under an all-ones selector: the gate rows' unit weights (n, 1), one
+    # block (k zeros) and its Gram stack (1, p, p).
+    gate_weights: np.ndarray | None
+    gate_blocks: np.ndarray | None
+    gate_gram: np.ndarray | None
+    targets: np.ndarray | None  # (n, k*q) class targets tiled per expert
+    expert_blocks: np.ndarray | None  # (k*q,) expert i's q columns: block i
+    expert_radius: np.ndarray | None  # (k*q,) lambda_omega
+
+
+def _m_step_setup(x_mat, k, lambda_nu=None, unit=False, targets=None, lambda_omega=None):
+    """The fixed part of M-steps on ``x_mat`` with k experts: gate rows of
+    radius ``lambda_nu`` (one unit-weight block if ``unit``), expert
+    ``targets`` of radius ``lambda_omega``.  The arrays it builds are
+    read-only, so a write raises instead of slipping past the solver's
+    check."""
+    n = len(x_mat)
+    built = dict.fromkeys(_MStepSetup._fields[1:])
+    if lambda_nu is not None:
+        built["gate_radius"] = np.full(k, lambda_nu, dtype=float)
+        if unit:
+            built["gate_weights"] = np.ones((n, 1))
+            built["gate_blocks"] = np.zeros(k, dtype=int)
+            built["gate_gram"] = grams(x_mat, built["gate_weights"])
+    if targets is not None:
+        q = targets.shape[1]
+        built["targets"] = np.tile(targets, k)
+        built["expert_blocks"] = np.repeat(np.arange(k), q)
+        if lambda_omega is not None:
+            built["expert_radius"] = np.full(k * q, lambda_omega, dtype=float)
+    for array in built.values():
+        if array is not None:
+            array.setflags(write=False)
+    return _MStepSetup(x_mat, **built)
+
+
+def _live(r):
+    """Experts with responsibility mass above DEAD_EXPERT_FRACTION of the rows."""
+    return r.sum(axis=0) > DEAD_EXPERT_FRACTION * len(r)
+
+
+def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts="ball"):
+    """An EM iteration's gate and expert M-steps, with all of their
     constrained problems in one solver call.
 
-    The gate rows ``nu`` are refit when ``lambda_nu`` is given (see
-    :func:`m_step_gate`), the experts ``omega`` when ``targets`` are (see
-    :func:`m_step_experts`; ``lambda_omega`` None fits them unconstrained).
-    The two read the same responsibilities, not each other's results, and
-    their problems share the design and the free bias, so they form one
-    batch: the gate's weight blocks first, then one block per live expert,
-    each column with its own radius.  ``gate_gram``, the ``(1, p, p)`` Gram
-    stack of the gate's unit weights, is for a caller that refits the gate
-    under an all-ones selector; the constrained expert blocks' Grams are
-    stacked on it.  Columns never mix in the solver, so every row is what a
-    call of its own would give.  Returns the new gate and expert
-    weights, the experts flagged for reinitialization, the constrained
-    problems' ``converged`` flags, gate rows first, and the solver call's
-    ``iterations``: its active-set rounds after the first (0 when it made
-    none).
+    ``setup`` holds what the fit fixes; this fills in what ``r`` changes:
+    the gate targets, the live experts' weights and Grams, the warm
+    starts.  The gate rows ``nu`` are refit if ``gate`` (see
+    :func:`m_step_gate`), the experts ``omega`` in their L1 ball if
+    ``experts`` is "ball" or with a small ridge if "ridge" (see
+    :func:`m_step_experts`); experts not ``live`` keep their rows and are
+    flagged.  The steps read the same responsibilities, not each other's
+    results, so their problems form one batch: the gate's weight blocks,
+    then one block per live expert, each column with its own radius.
+    Columns never mix in the solver, so each is solved as if alone.
+    Returns the new gate and expert weights, the flagged experts, the
+    constrained problems' ``converged`` flags (gate rows first) and the
+    call's ``iterations`` (0 without a call).
     """
-    n, dp = x_mat.shape
+    x_mat = setup.x_mat
+    dp = x_mat.shape[1]
     # Each constrained part: targets, row weights, weight block of each
     # column, warm start, radius.
     parts = []
-    if lambda_nu is not None:
+    gram = None
+    if gate:
         nu = nu.copy()
-        rows = np.flatnonzero((mu != 0.0).any(axis=0))
-        sel = mu[:, rows]
-        unit = np.all(mu == 1.0)
-        gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
-                                 where=sel * sel != 0.0)
-        if unit:  # one block: the rows share unit weights
-            parts.append((gate_targets, np.ones((n, 1)), np.zeros(len(rows), dtype=int),
-                          nu[rows], lambda_nu))
-        else:  # a block per row
-            parts.append((gate_targets, sel * sel, np.arange(len(rows)), nu[rows], lambda_nu))
+        if setup.gate_weights is not None:  # one block: the rows share unit weights
+            rows, width, gram = slice(None), len(nu), setup.gate_gram
+            parts.append((build_gate_targets(r), setup.gate_weights, setup.gate_blocks, nu,
+                          setup.gate_radius))
+        else:  # a block per selected row
+            rows = np.flatnonzero((mu != 0.0).any(axis=0))
+            width, sel = len(rows), mu[:, rows]
+            gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+                                     where=sel * sel != 0.0)
+            parts.append((gate_targets, sel * sel, np.arange(width), nu[rows],
+                          setup.gate_radius[:width]))
     flagged = []
-    gram = gate_gram
-    if targets is not None:
+    if experts is not None:
         omega = omega.copy()
-        q = targets.shape[1]
-        live = r.sum(axis=0) > DEAD_EXPERT_FRACTION * n
+        q = omega.shape[0]
         flagged = np.flatnonzero(~live).tolist()
-        tiled = np.tile(targets, int(live.sum()))
         r_live = r[:, live]
-        if lambda_omega is None:
-            fitted = unconstrained_wls(x_mat, tiled, r_live, ridge=RIDGE)
+        c = q * r_live.shape[1]
+        if experts == "ridge":
+            fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r_live, ridge=RIDGE)
             omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
         else:  # a block per live expert
             warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
-            parts.append((tiled, r_live, np.repeat(np.arange(r_live.shape[1]), q), warm,
-                          lambda_omega))
+            parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c], warm,
+                          setup.expert_radius[:c]))
             if gram is not None:
                 gram = np.concatenate([gram, grams(x_mat, r_live)])
     converged, steps = np.ones(0, dtype=bool), 0
@@ -206,13 +256,13 @@ def _m_step(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None, lambda_o
         t, w, index, warm, radius = zip(*parts)
         offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
         problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1),
-                             np.repeat(radius, [ti.shape[1] for ti in t]), (dp - 1,),
+                             np.concatenate(radius), (dp - 1,),
                              blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
         report = solve(problem, warm_start=np.concatenate(warm), gram=gram)
         solution, converged, steps = report.solution, report.converged, report.iterations
-        if lambda_nu is not None:
-            nu[rows], solution = solution[:len(rows)], solution[len(rows):]
-        if targets is not None and lambda_omega is not None:
+        if gate:
+            nu[rows], solution = solution[:width], solution[width:]
+        if experts == "ball":
             omega[:, live] = solution.reshape(-1, q, dp).transpose(1, 0, 2)
     return nu, omega, flagged, converged, steps
 
@@ -229,8 +279,10 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags (none when unconstrained).
     """
-    _, omega, flagged, converged, _ = _m_step(r, x_mat, None, incumbent.omega, targets=targets,
-                                              lambda_omega=lambda_omega)
+    omega = incumbent.omega
+    setup = _m_step_setup(x_mat, omega.shape[1], targets=targets, lambda_omega=lambda_omega)
+    _, omega, flagged, converged, _ = _m_step(setup, r, _live(r), None, omega, gate=False,
+                                              experts="ridge" if lambda_omega is None else "ball")
     return ExpertParams(omega), flagged, converged
 
 
@@ -246,7 +298,9 @@ def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
     solved rows' ``converged`` flags.  :func:`fit` makes this step through
     the same helper, together with the expert step.
     """
-    nu, _, _, converged, _ = _m_step(r, x_mat, incumbent.nu, None, mu, lambda_nu)
+    nu = incumbent.nu
+    setup = _m_step_setup(x_mat, len(nu), lambda_nu, unit=bool(np.all(mu == 1.0)))
+    nu, _, _, converged, _ = _m_step(setup, r, None, nu, None, mu, experts=None)
     return GateParams(nu), converged
 
 
@@ -394,6 +448,12 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
 # training loop
 
 
+def _reinit_expert(rng, nu, omega, i):
+    """Draw expert i's gate row and class rows afresh, in place."""
+    nu[i] = rng.normal(0.0, 0.01, nu.shape[1])
+    omega[:, i, :] = rng.normal(0.0, 0.01, omega[:, i, :].shape)
+
+
 def fit(dataset: Dataset, hyper: Hyperparams):
     """Run EM and return the trained model plus a fit report."""
     hyper.validate()
@@ -409,11 +469,19 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     nu = rng.normal(0.0, 0.01, (k, dp))
     omega = rng.normal(0.0, 0.01, (q, k, dp))
     mu = np.ones((n, k))
-    expert_targets = build_expert_targets(labels, q)
+    # The fit owns its design; a write to it would bypass the solver's check.
+    x_mat.setflags(write=False)
+    # What every M-step shares.  Without a selector the gate's weights stay
+    # unit, so its Gram matrix is the same in every iteration.
+    setup = _m_step_setup(x_mat, k, hyper.lambda_nu if k > 1 else None,
+                          hyper.selector_mode == "none", build_expert_targets(labels, q),
+                          hyper.lambda_omega)
+    reinits = []  # [iteration, expert] of each re-initialization
 
-    def reinit_expert(i):
-        nu[i] = rng.normal(0.0, 0.01, dp)
-        omega[:, i, :] = rng.normal(0.0, 0.01, (q, dp))
+    def reinit(iteration, experts):
+        for i in experts:
+            _reinit_expert(rng, nu, omega, i)
+            reinits.append([iteration, int(i)])
 
     def forward():
         """Label likelihoods g and gate probabilities h at the current weights."""
@@ -428,15 +496,9 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     converged = False
     solved = []  # each M-step's converged flags and solver steps
     iterations_run = 0
-    # Without a selector the gate's weights stay unit, so its Gram matrix
-    # is the same in every iteration: build it once.
-    gate_gram = None
-    if hyper.selector_mode == "none" and k > 1:
-        gate_gram = grams(x_mat, np.ones((n, 1)))
     # The fast schedule leaves the experts unconstrained until its final
     # pass, which takes the last of its iterations.
     fast = hyper.schedule == "fast"
-    lambda_omega = None if fast else hyper.lambda_omega
 
     for t in range(1, hyper.max_iters - fast + 1):
         iterations_run = t
@@ -449,20 +511,19 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             h = gate_probs(nu, x_mat, mu)
             r, _ = _posterior(g, h)
 
-        dead = np.flatnonzero(r.sum(axis=0) < DEAD_EXPERT_FRACTION * n)
+        mass = r.sum(axis=0)
+        dead = np.flatnonzero(mass < DEAD_EXPERT_FRACTION * n)
         if dead.size:
-            for i in dead:
-                reinit_expert(i)
+            reinit(t, dead)
             g, h = forward()
             r, _ = _posterior(g, h)
+            mass = r.sum(axis=0)
 
-        nu, omega, flagged, *result = _m_step(
-            r, x_mat, nu, omega, mu, hyper.lambda_nu if k > 1 else None, expert_targets,
-            lambda_omega, gate_gram=gate_gram
-        )
+        nu, omega, flagged, *result = _m_step(setup, r, mass > DEAD_EXPERT_FRACTION * n, nu,
+                                              omega, mu, gate=k > 1,
+                                              experts="ridge" if fast else "ball")
         solved.append(result)
-        for i in flagged:
-            reinit_expert(i)
+        reinit(t, flagged)
 
         g, h = forward()
         rec, r = _trace_record(t, g, h, nu, omega, mu, hyper.selector_mode)
@@ -474,8 +535,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 
     if fast:
         # Final pass: the constrained expert problems are solved exactly once.
-        _, omega, _, *result = _m_step(r, x_mat, nu, omega, targets=expert_targets,
-                                       lambda_omega=hyper.lambda_omega)
+        _, omega, _, *result = _m_step(setup, r, _live(r), None, omega, gate=False)
         solved.append(result)
         iterations_run += 1
         g, h = forward()
@@ -496,6 +556,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         constrained_solves=converged_flags.size,
         solver_cap_hits=int(np.count_nonzero(~converged_flags)),
         solver_iterations=sum(steps),
+        dead_expert_reinits=reinits,
     )
     return model, report
 

@@ -388,7 +388,7 @@ class TestBatchedCertifiedSolve:
            st.integers(0, 2**32 - 1))
     def test_random_problems_certify_from_raw_design(self, p, nonneg, bias, radius, seed):
         # Every returned certificate holds when recomputed from the raw
-        # design, whichever face step or FISTA step produced it.
+        # design, whichever shortcut or active-set round produced it.
         rng = np.random.default_rng(seed)
         m = p + int(rng.integers(1, 20))
         a = rng.normal(0, 1, (m, p)) * rng.uniform(0.1, 3.0, p)
@@ -674,10 +674,37 @@ class TestMixedBlocks:
                     assert report.converged[j] == single.converged
             return joint
 
-        # A batch of width 5 may certify before the first FISTA step; the
-        # wider one runs the loop.
+        # A batch of width 5 may certify by its first active-set round; the
+        # wider one runs more rounds.
         joint_against_single(5)
         assert joint_against_single(10).iterations > 0
+
+    @pytest.mark.parametrize("layout", ["unit-gate", "row-gate"])
+    def test_read_only_arrays_accepted_and_unchanged(self, rng, layout):
+        # A fit marks the arrays it owns read-only.  The problem and solve
+        # take them as they are, write to none of them, and solve as on
+        # writeable copies, bit for bit.
+        a, b, w, blocks, radius, warm, _ = self._problem(rng, layout)
+        gram = grams(a, w)
+        arrays = (a, b, w, blocks, radius, warm, gram)
+        copies = [x.copy() for x in arrays]
+        for x in arrays:
+            x.setflags(write=False)
+        free = (a.shape[1] - 1,)
+        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+        held = {name: getattr(problem, name).copy()
+                for name in ("design", "target", "row_weights", "radius", "blocks")}
+        frozen = solve(problem, warm_start=warm, gram=gram)
+        fitted = unconstrained_wls(a, b[:, -2:], w[:, -1])
+        for x, c in zip(arrays, copies):
+            assert x.tobytes() == c.tobytes()
+        for name, value in held.items():
+            assert getattr(problem, name).tobytes() == value.tobytes(), name
+        ca, cb, cw, cblocks, cradius, cwarm, cgram = copies
+        writeable = solve(WlsProblem(ca, cb, cw, cradius, free, blocks=cblocks),
+                          warm_start=cwarm, gram=cgram)
+        assert frozen.solution.tobytes() == writeable.solution.tobytes()
+        assert fitted.tobytes() == unconstrained_wls(ca, cb[:, -2:], cw[:, -1]).tobytes()
 
     def test_joined_factorization_equals_whole(self, rng):
         # The part Grams, stacked, equal the whole stack bit for bit.

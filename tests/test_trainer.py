@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -45,6 +46,17 @@ from sparse_moe.solver import WlsProblem, grams, solve
 def two_class_dataset(rng, n=20, d=2):
     labels = np.arange(n) % 2
     return Dataset(rng.normal(0, 1, (n, d)) + labels[:, None], labels, ("a", "b"))
+
+
+def dead_expert_fit(monkeypatch, schedule, fraction=0.26):
+    """A fit whose experts are re-initialized on both paths: with k = 4 and
+    DEAD_EXPERT_FRACTION above 1/4, some expert is below it in every
+    iteration.  Just below 1/4, a re-initialized expert's fresh mass of
+    about 1/4 can lift it above the fraction before its M-step."""
+    monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", fraction)
+    ds = generate_synthetic(preset_spec("noisy-subspace", 25, noise_dims=4, seed=2))
+    return ds, Hyperparams(k=4, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=6,
+                           schedule=schedule)
 
 
 class TestEStep:
@@ -471,9 +483,9 @@ class TestGateFactorization:
     ])
     def test_selector_free_fit_factors_gate_once(self, monkeypatch, selector_mode, lambda_mu,
                                                  schedule):
-        # Each grams() call: the function that made it (fit, _m_step,
-        # solve or unconstrained_wls) and its weight blocks (the gate's unit
-        # block is the one of all ones).
+        # Each grams() call: the function that made it (_m_step_setup,
+        # _m_step, solve or unconstrained_wls) and its weight blocks (the
+        # gate's unit block is the one of all ones).
         calls = []
 
         def counting_grams(design, row_weights):
@@ -492,23 +504,23 @@ class TestGateFactorization:
         gate_steps = report.iterations_run - (schedule == "fast")
         assert gate_steps >= 2
         by = {caller: [c[1:] for c in calls if c[0] == caller]
-              for caller in ("fit", "_m_step", "solve", "unconstrained_wls")}
+              for caller in ("_m_step_setup", "_m_step", "solve", "unconstrained_wls")}
         assert sum(map(len, by.values())) == len(calls)
         if selector_mode == "none" and schedule == "full":
-            # The unit gate block is built once, by fit; each M-step builds
-            # the k expert blocks only and stacks them on it.
-            assert by == {"fit": [(1, 1)], "_m_step": [(k, 0)] * gate_steps, "solve": [],
-                          "unconstrained_wls": []}
+            # The unit gate block is built once, by the fit's set-up; each
+            # M-step builds the k expert blocks only and stacks them on it.
+            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)] * gate_steps,
+                          "solve": [], "unconstrained_wls": []}
         elif selector_mode == "none":
-            # The inner iterations' gate solves take fit's stack, their
-            # expert fits build the k expert blocks, and the final pass's
-            # expert solve builds its own.
-            assert by == {"fit": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
+            # The inner iterations' gate solves take the set-up's stack,
+            # their expert fits build the k expert blocks, and the final
+            # pass's expert solve builds its own.
+            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
                           "unconstrained_wls": [(k, 0)] * gate_steps}
         else:
             # Each iteration's one call builds a block per selected gate
             # row with the k expert blocks.
-            assert by["fit"] == by["_m_step"] == by["unconstrained_wls"] == []
+            assert by["_m_step_setup"] == by["_m_step"] == by["unconstrained_wls"] == []
             assert len(by["solve"]) == gate_steps
             assert all(k < blocks <= 2 * k for blocks, _ in by["solve"])
 
@@ -521,9 +533,9 @@ class TestGateFactorization:
         step = trainer._m_step
         dropped = []
 
-        def per_step(*args, gate_gram=None, **kwargs):
-            dropped.append(gate_gram is not None)
-            return step(*args, **kwargs)
+        def per_step(setup, *args, **kwargs):
+            dropped.append(setup.gate_gram is not None)
+            return step(setup._replace(gate_gram=None), *args, **kwargs)
 
         monkeypatch.setattr(trainer, "_m_step", per_step)
         model, report = fit(ds, hyper)
@@ -584,38 +596,117 @@ class TestOneSolverCallPerMStep:
         assert calls == ["unconstrained_wls", "solve"] * inner + ["solve"]
         assert all(0 < w <= k for w in widths[:-1]) and widths[-1] == ds.q * k
 
-    @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l0", 1), ("l1", 1.5)])
-    def test_merged_fit_matches_separate_m_steps(self, monkeypatch, tmp_path, selector_mode,
-                                                 lambda_mu):
-        # The same fits with the gate and expert M-steps made by the two
-        # wrappers, one solve call each.
-        ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
-        hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
-                            selector_mode=selector_mode, lambda_mu=lambda_mu)
+    @staticmethod
+    def _merged_against_separate(monkeypatch, tmp_path, ds, hyper):
+        """The fit as it is, and with the gate and expert M-steps made by
+        the two wrappers instead, one solve call each, each with a set-up
+        of its own; the model files must be the same bytes.  Returns the
+        second fit's report."""
         paths = [tmp_path / "merged.json", tmp_path / "separate.json"]
         model, merged = fit(ds, hyper)
         save_model(model, paths[0])
         step = trainer._m_step
         split = []
+        wrapped = []  # set while a wrapper makes its own call
 
-        def separately(r, x_mat, nu, omega, mu=None, lambda_nu=None, targets=None,
-                       lambda_omega=None, gate_gram=None):
-            if lambda_nu is None or targets is None:  # a wrapper's own call
-                return step(r, x_mat, nu, omega, mu, lambda_nu, targets, lambda_omega,
-                            gate_gram=gate_gram)
-            split.append(1)
-            gate, gate_done = trainer.m_step_gate(r, x_mat, mu, lambda_nu, GateParams(nu))
-            experts, flagged, done = trainer.m_step_experts(r, x_mat, targets, lambda_omega,
-                                                            ExpertParams(omega))
-            return gate.nu, experts.omega, flagged, np.concatenate([gate_done, done]), 0
+        def separately(setup, r, live, nu, omega, mu=None, gate=True, experts="ball"):
+            if wrapped:
+                return step(setup, r, live, nu, omega, mu, gate, experts)
+            split.append((gate, experts))
+            wrapped.append(1)
+            x_mat, targets = setup.x_mat, setup.targets[:, :omega.shape[0]]
+            done = []
+            if gate:
+                gate_params, gate_done = trainer.m_step_gate(r, x_mat, mu, hyper.lambda_nu,
+                                                             GateParams(nu))
+                nu = gate_params.nu
+                done.append(gate_done)
+            radius = hyper.lambda_omega if experts == "ball" else None
+            experts, flagged, experts_done = trainer.m_step_experts(r, x_mat, targets, radius,
+                                                                    ExpertParams(omega))
+            wrapped.pop()
+            return nu, experts.omega, flagged, np.concatenate(done + [experts_done]), 0
 
         monkeypatch.setattr(trainer, "_m_step", separately)
         model, separate = fit(ds, hyper)
         save_model(model, paths[1])
-        assert len(split) == separate.iterations_run
+        if hyper.schedule == "full":
+            assert split == [(True, "ball")] * separate.iterations_run
+        else:
+            assert split == [(True, "ridge")] * (separate.iterations_run - 1) + [(False, "ball")]
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert separate.to_dict() | {"solver_iterations": 0} == (
             merged.to_dict() | {"solver_iterations": 0})
+        return separate
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l0", 1), ("l1", 1.5)])
+    def test_merged_fit_matches_separate_m_steps(self, monkeypatch, tmp_path, selector_mode,
+                                                 lambda_mu):
+        ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
+        hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu)
+        self._merged_against_separate(monkeypatch, tmp_path, ds, hyper)
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule, dead", [
+        ("none", None, "fast", None), ("l1", 1.5, "fast", None),
+        ("none", None, "full", 0.26), ("none", None, "fast", 0.26),
+        ("none", None, "full", 0.24), ("none", None, "fast", 0.24),
+    ])
+    def test_fast_and_reinit_fits_match_separate_m_steps(self, monkeypatch, tmp_path,
+                                                         selector_mode, lambda_mu, schedule, dead):
+        # The fast schedule's inner and final M-steps, and fits that
+        # re-initialize experts mid-run (see dead_expert_fit): the wrappers
+        # read the live experts off the responsibilities they are given.
+        if dead:
+            ds, hyper = dead_expert_fit(monkeypatch, schedule, dead)
+        else:
+            ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
+            hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
+                                selector_mode=selector_mode, lambda_mu=lambda_mu,
+                                schedule=schedule)
+        separate = self._merged_against_separate(monkeypatch, tmp_path, ds, hyper)
+        assert bool(separate.dead_expert_reinits) == bool(dead)
+
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
+    def test_expert_targets_tiled_once_per_fit(self, monkeypatch, schedule):
+        tiled = []
+        tile = np.tile
+
+        def counting_tile(a, reps):
+            tiled.append(reps)
+            return tile(a, reps)
+
+        monkeypatch.setattr(np, "tile", counting_tile)
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1,
+                                        max_iters=5, schedule=schedule))
+        assert report.iterations_run >= 3
+        assert tiled == [4]
+
+    def test_fit_set_up_is_read_only(self, monkeypatch, rng):
+        made = []
+        build = trainer._m_step_setup
+
+        def keeping(*args, **kwargs):
+            made.append(build(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(trainer, "_m_step_setup", keeping)
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=3))
+        (setup,) = made
+        arrays = setup._asdict()
+        assert all(isinstance(a, np.ndarray) for a in arrays.values())
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        # A wrapper's one-off set-up freezes only the arrays it builds.
+        x = np.column_stack([rng.normal(0, 1, (10, 2)), np.ones(10)])
+        targets = build_expert_targets(np.arange(10) % 2, 2)
+        m_step_experts(np.full((10, 2), 0.5), x, targets, 1.0, ExpertParams(np.zeros((2, 2, 3))))
+        m_step_gate(np.full((10, 2), 0.5), x, np.ones((10, 2)), 1.0, GateParams(np.zeros((2, 3))))
+        assert x.flags.writeable and targets.flags.writeable
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
     def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
@@ -907,6 +998,7 @@ class TestSolverIterations:
         assert set(report.to_dict()) == {
             "format_version", "trace", "iterations_run", "converged", "sparsity",
             "selector_histogram", "constrained_solves", "solver_cap_hits", "solver_iterations",
+            "dead_expert_reinits",
         }
 
 
@@ -946,7 +1038,7 @@ class TestDeadExpertReinit:
 
     @pytest.mark.parametrize("schedule", ["full", "fast"])
     def test_both_reinit_paths_run_deterministically(self, monkeypatch, tmp_path, schedule):
-        monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", 0.26)
+        ds, hyper = dead_expert_fit(monkeypatch, schedule)
         events = {"before": 0, "after": 0}
         traced = []
         record, step = trainer._trace_record, trainer._m_step
@@ -956,19 +1048,16 @@ class TestDeadExpertReinit:
             traced.append(r)
             return rec, r
 
-        def stepping(r, *args, **kwargs):
+        def stepping(setup, r, *args, **kwargs):
             # Without a selector, an M-step gets the last trace record's
             # responsibilities unless experts were re-initialized between.
             events["before"] += r is not traced[-1]
-            result = step(r, *args, **kwargs)
+            result = step(setup, r, *args, **kwargs)
             events["after"] += bool(result[2])
             return result
 
         monkeypatch.setattr(trainer, "_trace_record", tracing)
         monkeypatch.setattr(trainer, "_m_step", stepping)
-        ds = generate_synthetic(preset_spec("noisy-subspace", 25, noise_dims=4, seed=2))
-        hyper = Hyperparams(k=4, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=6,
-                            schedule=schedule)
         paths = [tmp_path / "first.json", tmp_path / "second.json"]
         for path in paths:
             model, report = fit(ds, hyper)
@@ -976,3 +1065,50 @@ class TestDeadExpertReinit:
         assert events["before"] > 0 and events["after"] > 0
         assert all(np.isfinite([t.penalized_total, t.observed_ll]).all() for t in report.trace)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
+    def test_report_lists_each_reinit(self, monkeypatch, schedule):
+        # Each re-initialization, in the order made, with the EM iteration
+        # it was made in: one more than the last trace record's.
+        ds, hyper = dead_expert_fit(monkeypatch, schedule)
+        events = []
+        reinit, record, step = trainer._reinit_expert, trainer._trace_record, trainer._m_step
+
+        def tracing(iteration, *args, **kwargs):
+            events.append(("record", iteration))
+            return record(iteration, *args, **kwargs)
+
+        def stepping(*args, **kwargs):
+            events.append(("step",))
+            return step(*args, **kwargs)
+
+        def reinitializing(rng, nu, omega, i):
+            last = max(e[1] for e in events if e[0] == "record")
+            events.append(("reinit", last + 1, i))
+            reinit(rng, nu, omega, i)
+
+        monkeypatch.setattr(trainer, "_trace_record", tracing)
+        monkeypatch.setattr(trainer, "_m_step", stepping)
+        monkeypatch.setattr(trainer, "_reinit_expert", reinitializing)
+        _, report = fit(ds, hyper)
+        spied = [[e[1], int(e[2])] for e in events if e[0] == "reinit"]
+        assert report.dead_expert_reinits == spied
+        # Both paths: after a trace record, before the next M-step, and
+        # after an M-step that flagged the expert.
+        paths, last = set(), None
+        for e in events:
+            if e[0] == "reinit":
+                paths.add(last)
+            else:
+                last = e[0]
+        assert paths == {"record", "step"}
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["dead_expert_reinits"] == spied
+        assert all(len(e) == 2 and all(type(v) is int for v in e) for e in doc["dead_expert_reinits"])
+
+    def test_no_reinits_reported_as_empty_list(self):
+        ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=3))
+        _, report = fit(ds, Hyperparams(k=2, lambda_nu=0.5, lambda_omega=0.5, seed=1,
+                                        max_iters=3))
+        assert report.dead_expert_reinits == []
+        assert report.to_dict()["dead_expert_reinits"] == []
