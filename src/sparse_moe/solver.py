@@ -27,10 +27,10 @@ from .errors import ConfigError, SolverError
 
 MAX_ITERS = 10_000
 # A column stops once its Frank-Wolfe gap, an upper bound on its distance
-# to the optimal objective, is at most GAP_RTOL times its scale: the larger
-# of its objective at the origin and at the warm start, plus its gap at the
-# origin.  The last term grows with the radius, as does the rounding error
-# of the gap, so a huge inactive radius still certifies.
+# to the optimal objective, is at most GAP_RTOL times its scale: its
+# objective at the origin plus its gap there.  The gap grows with the
+# radius, as does its rounding error, so a huge inactive radius still
+# certifies.
 GAP_RTOL = 1e-10
 
 
@@ -136,8 +136,8 @@ class SolveReport:
 def project_l1_ball(v, radius, nonnegative=False):
     """Euclidean projection of ``v`` onto {||z||_1 <= radius}.
 
-    ``v`` is one vector or an ``(r, p)`` array whose rows are projected
-    independently, onto one ball or, for an ``(r,)`` radius, one each.
+    ``v`` is one vector or an ``(..., p)`` array whose rows are projected
+    independently, onto one ball or, for a radius per row, one each.
     When ``nonnegative`` is set, v is first clamped to the nonnegative
     orthant, which makes the result the projection onto the intersection of
     ball and orthant.  Sort-based soft thresholding (Duchi et al. 2008):
@@ -242,13 +242,6 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def _evaluate(x, half_grad, d, offset, radius, nonneg):
-    """Objective and Frank-Wolfe gap of each row of x, from its half
-    gradient Sx - d."""
-    x_hg = (x * half_grad).sum(axis=1)
-    return x_hg - (x * d).sum(axis=1) + offset, _fw_gap(half_grad, x_hg, radius, nonneg)
-
-
 def _support_step(x, half_grad, sign, s, unit, radius):
     """The step from each row x (half gradient h) to the minimizer on its
     support A, with signs sigma, within the ball; NaN if singular.  On the
@@ -302,39 +295,37 @@ def _line_step(x, half_grad, step, sign, s, tol, radius):
     return step, lost
 
 
-def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
+def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
 
     The free coordinates are minimized out in closed form, leaving a
     problem in the restricted coordinates x with Hessian 2S (S the Schur
     complement of the free block of A'WA) and linear term -2d.  A column
-    keeps its projected warm start (r*p finite values, zero by default) if
-    that certifies, and takes x_u = S^-1 d if that is feasible and
-    certifies.  Every other column runs rounds of the primal active-set
-    method (Osborne, Presnell & Turlach 2000) from the projection of x_u
-    and its signs (on an orthonormal design, the optimal face).  A round
-    steps to the minimizer on the support within the ball
-    (:func:`_support_step`), or to where a coordinate reaches zero and
-    leaves the support.  At that minimizer a column certifies if its
-    Frank-Wolfe gap is within ``GAP_RTOL`` of its scale and it is in the
-    ball; if not, the coordinate off the support with the largest gradient
-    (nonnegative ball: most negative) joins.  A step that would raise the
-    objective by more than tol comes from a nearly singular system (m < p,
-    duplicate or zero design columns, zero weights), which LAPACK does not
-    always report: :func:`_line_step` replaces it.  With no step size,
-    column scale does not slow the method: on random 20x5 designs with
-    column scales from 1e-6 to 1e6, all 300 columns certified within 11
-    rounds.  ``iterations`` counts the rounds after the first, up to
-    ``MAX_ITERS``; objective and gap are those of the round that certified
-    the column, or of the cap.  Each column uses its weight block's S
-    (``blocks``) and its own radius; columns never mix, so a batched
-    column matches its single solve bit for bit.
+    takes x_u = S^-1 d if that is feasible and certifies.  Every other
+    column runs rounds of the primal active-set method (Osborne, Presnell &
+    Turlach 2000) from the projection of x_u and its signs (on an
+    orthonormal design, the optimal face).  A round steps to the minimizer
+    on the support within the ball (:func:`_support_step`), or to where a
+    coordinate reaches zero and leaves the support.  At that minimizer a
+    column certifies if its Frank-Wolfe gap is within ``GAP_RTOL`` of its
+    scale and it is in the ball; if not, the coordinate off the support
+    with the largest gradient (nonnegative ball: most negative) joins.  A
+    step that would raise the objective by more than tol comes from a
+    nearly singular system (m < p, duplicate or zero design columns, zero
+    weights), which LAPACK does not always report: :func:`_line_step`
+    replaces it.  With no step size, column scale does not slow the method:
+    on random 20x5 designs with column scales from 1e-6 to 1e6, all 300
+    columns certified within 11 rounds.  ``iterations`` counts the rounds
+    after the first, up to ``MAX_ITERS``; objective and gap are those of
+    the round that certified the column, or of the cap.  Each column uses
+    its weight block's S (``blocks``) and its own radius; columns never
+    mix, so a batched column matches its single solve bit for bit.
 
     The set-up starts from the Gram stack of the problem's design and
     weights, built here with :func:`grams` unless ``gram`` hands it in
     (a caller that solves many problems under the same weights can build
     it once); the result is the same bit for bit.  A stack that is not
-    ``(g, p, p)``, or a bad warm start, raises ConfigError.
+    ``(g, p, p)`` raises ConfigError.
     """
     a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
     p, r, nonneg = a.shape[1], len(block), problem.nonnegative
@@ -342,10 +333,6 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     if np.shape(gram) != (w.shape[1], p, p):
         raise ConfigError("the Gram stack must be (g, p, p) for the problem's g weight blocks "
                           "and p design columns")
-    warm = np.zeros((r, p)) if warm_start is None else np.asarray(warm_start, dtype=float)
-    if warm.size != r * p or not np.isfinite(warm).all():
-        raise ConfigError("the warm start must be r*p finite values, one row per column")
-    warm = warm.reshape(r, p)
 
     # Each block's rows g_kf of its Gram matrix that couple restricted to
     # free coordinates, the inverse of its free block, the coupling
@@ -370,13 +357,15 @@ def solve(problem: WlsProblem, warm_start=None, gram=None) -> SolveReport:
     d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling_t)  # (r, pr)
     offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
 
-    x = project_l1_ball(warm.take(kept, axis=1), radius, nonneg)
-    obj, gap = _evaluate(x, _rowwise(x, s_col) - d, d, offset, radius, nonneg)
-    tol = GAP_RTOL * (np.maximum(energy, obj) + _fw_gap(-d, 0.0, radius, nonneg))
+    # Every column starts at the origin, with its free coordinates minimized.
+    x, obj, gap = np.zeros_like(d), offset.copy(), _fw_gap(-d, 0.0, radius, nonneg)
+    tol = GAP_RTOL * (energy + gap)
 
     # Exact shortcut; a column whose S is singular keeps its start.
     x_u = _solve_or_keep(s_col, d[:, :, None], x[:, :, None])[:, :, 0]
-    obj_u, gap_u = _evaluate(x_u, _rowwise(x_u, s_col) - d, d, offset, radius, nonneg)
+    hg_u = _rowwise(x_u, s_col) - d
+    x_hg = (x_u * hg_u).sum(axis=1)
+    obj_u, gap_u = x_hg - (x_u * d).sum(axis=1) + offset, _fw_gap(hg_u, x_hg, radius, nonneg)
     ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
     if nonneg:
         ok &= np.all(x_u >= 0.0, axis=1)

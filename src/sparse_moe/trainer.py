@@ -56,7 +56,7 @@ from .model import (
     sparsity,
     write_json,
 )
-from .solver import WlsProblem, grams, solve, unconstrained_wls
+from .solver import WlsProblem, grams, project_l1_ball, solve, unconstrained_wls
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -203,8 +203,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     constrained problems in one solver call.
 
     ``setup`` holds what the fit fixes; this fills in what ``r`` changes:
-    the gate targets, the live experts' weights and Grams, the warm
-    starts.  The gate rows ``nu`` are refit if ``gate`` (see
+    the gate targets and the live experts' weights and Grams.  The gate
+    rows ``nu`` are refit if ``gate`` (see
     :func:`m_step_gate`), the experts ``omega`` in their L1 ball if
     ``experts`` is "ball" or with a small ridge if "ridge" (see
     :func:`m_step_experts`); experts not ``live`` keep their rows and are
@@ -219,22 +219,21 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     x_mat = setup.x_mat
     dp = x_mat.shape[1]
     # Each constrained part: targets, row weights, weight block of each
-    # column, warm start, radius.
+    # column, radius.
     parts = []
     gram = None
     if gate:
         nu = nu.copy()
         if setup.gate_weights is not None:  # one block: the rows share unit weights
             rows, width, gram = slice(None), len(nu), setup.gate_gram
-            parts.append((build_gate_targets(r), setup.gate_weights, setup.gate_blocks, nu,
+            parts.append((build_gate_targets(r), setup.gate_weights, setup.gate_blocks,
                           setup.gate_radius))
         else:  # a block per selected row
             rows = np.flatnonzero((mu != 0.0).any(axis=0))
             width, sel = len(rows), mu[:, rows]
             gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
                                      where=sel * sel != 0.0)
-            parts.append((gate_targets, sel * sel, np.arange(width), nu[rows],
-                          setup.gate_radius[:width]))
+            parts.append((gate_targets, sel * sel, np.arange(width), setup.gate_radius[:width]))
     flagged = []
     if experts is not None:
         omega = omega.copy()
@@ -246,19 +245,18 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
             fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r_live, ridge=RIDGE)
             omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
         else:  # a block per live expert
-            warm = omega[:, live].transpose(1, 0, 2).reshape(-1, dp)
-            parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c], warm,
+            parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c],
                           setup.expert_radius[:c]))
             if gram is not None:
                 gram = np.concatenate([gram, grams(x_mat, r_live)])
     converged, steps = np.ones(0, dtype=bool), 0
     if parts:
-        t, w, index, warm, radius = zip(*parts)
+        t, w, index, radius = zip(*parts)
         offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
         problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1),
                              np.concatenate(radius), (dp - 1,),
                              blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
-        report = solve(problem, warm_start=np.concatenate(warm), gram=gram)
+        report = solve(problem, gram=gram)
         solution, converged, steps = report.solution, report.converged, report.iterations
         if gate:
             nu[rows], solution = solution[:width], solution[width:]
@@ -272,9 +270,9 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
 
     The class targets are tiled once per expert, so that expert i's q
     problems form a block weighted by its responsibilities ``r[:, i]``.
-    They are constrained to the L1 ball of radius ``lambda_omega`` and
-    warm-started from the incumbent, or, when ``lambda_omega`` is None (the
-    fast schedule's inner iterations), unconstrained with a small ridge.
+    They are constrained to the L1 ball of radius ``lambda_omega``, or, when
+    ``lambda_omega`` is None (the fast schedule's inner iterations),
+    unconstrained with a small ridge.
     Experts with (near) zero responsibility mass keep their incumbent rows
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags (none when unconstrained).
@@ -535,7 +533,9 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 
     if fast:
         # Final pass: the constrained expert problems are solved exactly once.
-        _, omega, _, *result = _m_step(setup, r, _live(r), None, omega, gate=False)
+        # No re-init follows, so a dead expert's ridge rows go onto the ball.
+        _, omega, flagged, *result = _m_step(setup, r, _live(r), None, omega, gate=False)
+        omega[:, flagged, :-1] = project_l1_ball(omega[:, flagged, :-1], hyper.lambda_omega)
         solved.append(result)
         iterations_run += 1
         g, h = forward()

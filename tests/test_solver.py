@@ -189,14 +189,6 @@ class TestSolve:
         assert np.all(np.diff(small) <= 1e-10)
         assert np.all(np.diff(trace) <= 1e-10)
 
-    def test_warm_start_no_worse(self, rng):
-        a = rng.normal(0, 1, (6, 3))
-        b = rng.normal(0, 1, 6)
-        problem = WlsProblem(a, b, np.ones(6), 0.7)
-        warm = project_l1_ball(rng.normal(0, 1, 3), 0.7)
-        report = solve(problem, warm_start=warm)
-        assert report.final_objective <= wls_objective(a, b, np.ones(6), warm) + 1e-12
-
     def test_free_coordinate_unbounded(self, rng):
         # Last coordinate exempt: a pure-bias fit can exceed the radius.
         a = np.column_stack([np.zeros(6), np.ones(6)])
@@ -254,13 +246,12 @@ class TestEnumerateSubsets:
             list(enumerate_subsets(3, 0))
 
 
-def assert_certified_from_raw_design(a, b, w, radius, free, nonneg, warm, report):
+def assert_certified_from_raw_design(a, b, w, radius, free, nonneg, report):
     """The report of one problem is converged and feasible, its objective is
-    not above its projected warm start's, and its Frank-Wolfe gap,
-    recomputed from the raw design in exact arithmetic, is within
-    GAP_RTOL of the scale: the larger of the objective at the origin and at
-    the projected warm start, plus the gap at the origin, each with the
-    free coordinates at their minimizer."""
+    not above the start's (the origin, with the free coordinates at their
+    minimizer), and its Frank-Wolfe gap, recomputed from the raw design in
+    exact arithmetic, is within GAP_RTOL of the scale: the objective at the
+    origin plus the gap at the start."""
     p = a.shape[1]
     kept = [j for j in range(p) if j not in free]
     z = report.solution
@@ -269,13 +260,11 @@ def assert_certified_from_raw_design(a, b, w, radius, free, nonneg, warm, report
     if nonneg:
         assert np.all(z[kept] >= 0.0)
     start = np.zeros(p)
-    start[kept] = project_l1_ball(warm[kept], radius, nonneg)
     for f in free:
         rest = b - a @ start
         start[f] = (w * a[:, f]) @ rest / ((w * a[:, f]) @ a[:, f])
     start_obj = wls_objective(a, b, w, start)
-    scale = (max(w @ b**2, start_obj)
-             + exact_fw_gap(a, b, w, radius, np.zeros(p), free, nonneg))
+    scale = w @ b**2 + exact_fw_gap(a, b, w, radius, np.zeros(p), free, nonneg)
     assert exact_fw_gap(a, b, w, radius, z, free, nonneg) <= solver.GAP_RTOL * scale
     assert report.final_objective <= start_obj + 1e-12 * scale
 
@@ -303,11 +292,10 @@ class TestBatchedCertifiedSolve:
                 a[:, 3] = 1.0
             b = rng.normal(0, 3, (m, r))
             w = rng.uniform(0.2, 2.0, m)
-            warm = rng.normal(0, 1, (r, p))
-            batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+            batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg))
             assert batched.solution.shape == (r, p)
             for j in range(r):
-                single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg), warm_start=warm[j])
+                single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg))
                 np.testing.assert_allclose(batched.solution[j], single.solution, rtol=0,
                                            atol=1e-12)
                 assert batched.converged[j] and single.converged
@@ -375,8 +363,7 @@ class TestBatchedCertifiedSolve:
         a = np.column_stack([rng.normal(0, 1, (20, 3)), np.ones(20)])
         b = rng.normal(0, 1, (20, 2))
         w = rng.uniform(0.5, 2.0, 20)
-        report = solve(WlsProblem(a, b, w, 100.0, free_coords=(3,)),
-                       warm_start=rng.normal(0, 1, (2, 4)))
+        report = solve(WlsProblem(a, b, w, 100.0, free_coords=(3,)))
         assert report.iterations == 0
         assert np.all(report.converged)
         for j in range(2):
@@ -398,8 +385,7 @@ class TestBatchedCertifiedSolve:
         w = rng.uniform(0.1, 2.0, m)
         free = (p - 1,) if bias else ()
         kept = list(range(p - len(free)))
-        warm = rng.normal(0, 1, p)
-        report = solve(WlsProblem(a, b, w, radius, free, nonneg), warm_start=warm)
+        report = solve(WlsProblem(a, b, w, radius, free, nonneg))
         z = report.solution
         assert report.converged
         assert np.abs(z[kept]).sum() <= radius * (1 + 1e-12)
@@ -423,12 +409,9 @@ class TestBatchedCertifiedSolve:
                 full[-1] = (lin[-1] - gram[-1, kept] @ x_kept) / gram[-1, -1]
             return full
 
-        start = free_minimized(project_l1_ball(warm[kept], radius, nonneg))
-        origin = free_minimized(np.zeros(len(kept)))
-        energy = w @ b**2
+        start = free_minimized(np.zeros(len(kept)))
         start_obj = wls_objective(a, b, w, start)
-        scale = (max(energy, start_obj)
-                 + gap_at(np.zeros(len(kept)), 2.0 * (gram @ origin - lin)[kept]))
+        scale = w @ b**2 + gap_at(np.zeros(len(kept)), 2.0 * (gram @ start - lin)[kept])
         gap = gap_at(z[kept], 2.0 * (gram @ z - lin)[kept])
         assert gap <= solver.GAP_RTOL * scale
         assert report.final_objective <= start_obj + 1e-12 * scale
@@ -455,9 +438,8 @@ class TestBatchedCertifiedSolve:
         w[rng.random(m) < 0.2] = 0.0
         w[0] = 1.0  # a free bias needs a weighted row
         free = (p - 1,) if bias else ()
-        warm = rng.normal(0, 1, p)
-        report = solve(WlsProblem(a, b, w, radius, free, nonneg), warm_start=warm)
-        assert_certified_from_raw_design(a, b, w, radius, free, nonneg, warm, report)
+        report = solve(WlsProblem(a, b, w, radius, free, nonneg))
+        assert_certified_from_raw_design(a, b, w, radius, free, nonneg, report)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_wide_nonnegative_problem_with_free_bias_certifies(self, seed):
@@ -467,13 +449,11 @@ class TestBatchedCertifiedSolve:
         a = np.column_stack([rng.normal(0, 1, (5, 10)), np.ones(5)])
         b = rng.normal(0, 3, (5, 3))
         w = rng.uniform(0.1, 2.0, 5)
-        warm = rng.normal(0, 1, (3, 11))
-        batch = solve(WlsProblem(a, b, w, 1.0, (10,), True), warm_start=warm)
+        batch = solve(WlsProblem(a, b, w, 1.0, (10,), True))
         for j in range(3):
-            single = solve(WlsProblem(a, b[:, j].copy(), w, 1.0, (10,), True),
-                           warm_start=warm[j])
+            single = solve(WlsProblem(a, b[:, j].copy(), w, 1.0, (10,), True))
             assert batch.solution[j].tobytes() == single.solution.tobytes()
-            assert_certified_from_raw_design(a, b[:, j], w, 1.0, (10,), True, warm[j], single)
+            assert_certified_from_raw_design(a, b[:, j], w, 1.0, (10,), True, single)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -508,16 +488,15 @@ class TestBlockWeights:
         b = rng.normal(0, 3, (m, g * c))
         w = rng.uniform(0.2, 2.0, (m, g))
         w[:, 1] = 0.0  # a zero-weight block (singular Gram) beside live ones
-        warm = rng.normal(0, 1, (g * c, p))
         for layout in LAYOUTS:
             a = np.asarray(design, order=layout)
-            joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg), warm_start=warm)
+            joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg))
             assert joint.solution.shape == (g * c, p)
             assert joint.iterations > 0
             for i in range(g):
                 cols = slice(i * c, (i + 1) * c)
                 alone = solve(WlsProblem(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
-                                         0.8, free, nonneg), warm_start=warm[cols])
+                                         0.8, free, nonneg))
                 assert joint.solution[cols].tobytes() == alone.solution.tobytes()
                 assert joint.gap[cols].tobytes() == alone.gap.tobytes()
                 np.testing.assert_array_equal(joint.converged[cols], alone.converged)
@@ -562,8 +541,8 @@ class TestBlockWeights:
 
 
 class TestNonFiniteInputs:
-    """A non-finite design, target or warm start is a ConfigError, not a
-    NaN solution or a RuntimeWarning from inside the solver."""
+    """A non-finite design or target is a ConfigError, not a NaN solution
+    or a RuntimeWarning from inside the solver."""
 
     @pytest.mark.parametrize("where", ["design", "target"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -574,16 +553,6 @@ class TestNonFiniteInputs:
             WlsProblem(a, b, np.ones(10), 0.5, (2,))
         with pytest.raises(ConfigError, match="design and targets must be finite"):
             unconstrained_wls(a, b, np.ones(10))
-
-    @pytest.mark.parametrize("warm", [np.zeros(5), np.full((2, 4), np.nan),
-                                      np.full((2, 4), np.inf), np.zeros((2, 3))])
-    def test_warm_start_must_be_r_by_p_finite_values(self, rng, warm):
-        a = np.column_stack([rng.normal(0, 1, (10, 3)), np.ones(10)])
-        problem = WlsProblem(a, rng.normal(0, 1, (10, 2)), np.ones(10), 0.5, (3,))
-        with pytest.raises(ConfigError, match="warm start"):
-            solve(problem, warm_start=warm)
-        flat = solve(problem, warm_start=np.ones(8))  # any r*p finite values
-        assert flat.solution.tobytes() == solve(problem, np.ones((2, 4))).solution.tobytes()
 
 
 class TestFactorization:
@@ -596,27 +565,35 @@ class TestFactorization:
         a = np.asfortranarray(np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)]))
         w = rng.uniform(0.2, 2.0, (m,) if weights == "shared" else (m, 3))
         b = rng.normal(0, 3, (m, 3 * 2))
-        return WlsProblem(a, b, w, radius, free_coords=(p - 1,)), rng.normal(0, 1, (6, p))
+        return WlsProblem(a, b, w, radius, free_coords=(p - 1,))
 
     @pytest.mark.parametrize("weights", ["shared", "blocks"])
     @pytest.mark.parametrize("radius", [0.5, 1e6])  # binding, slack
     def test_prebuilt_equals_built_bitwise(self, rng, radius, weights):
-        problem, warm = self._problem(rng, radius, weights)
+        problem = self._problem(rng, radius, weights)
         gram = grams(problem.design, problem.row_weights)
-        own = solve(problem, warm_start=warm)
+        own = solve(problem)
         for _ in range(2):  # the handed-in stack is reused unchanged
-            handed = solve(problem, warm_start=warm, gram=gram)
+            handed = solve(problem, gram=gram)
             assert handed.iterations == own.iterations
             assert handed.solution.tobytes() == own.solution.tobytes()
             assert handed.gap.tobytes() == own.gap.tobytes()
             assert handed.final_objective.tobytes() == own.final_objective.tobytes()
         assert (radius < 1e6) == (own.iterations > 0)
 
+    def test_gram_is_keyword_only(self, rng):
+        # No positional array, such as a start point, is taken for a stack.
+        problem = self._problem(rng, 0.5, "blocks")
+        with pytest.raises(TypeError):
+            solve(problem, rng.normal(0, 1, (6, 5)))
+        with pytest.raises(TypeError):
+            solve(problem, grams(problem.design, problem.row_weights))
+
     @pytest.mark.parametrize("change", ["columns", "blocks"])
     def test_mismatched_factorization_raises(self, rng, change):
         # A Gram stack has no row count, and the free coordinates come
         # from the problem alone, so only its shape can mismatch.
-        problem, _ = self._problem(rng, 0.5, "blocks")
+        problem = self._problem(rng, 0.5, "blocks")
         a, w = problem.design, problem.row_weights
         if change == "columns":
             a = a[:, 1:]
@@ -636,7 +613,7 @@ class TestMixedBlocks:
     def _problem(rng, layout, k=3, q=2, m=40, p=5):
         """The k gate problems (one unit block of width k, or k blocks of
         width 1) followed by k expert blocks of width q, with the gate and
-        expert radii, warm starts and the number of gate blocks."""
+        expert radii and the number of gate blocks."""
         a = np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)])
         unit = layout == "unit-gate"
         gate_w = np.ones((m, 1)) if unit else rng.uniform(0.0, 2.0, (m, k)) ** 2
@@ -646,8 +623,7 @@ class TestMixedBlocks:
         radius = np.concatenate([np.full(k, rng.uniform(0.2, 2.0)),
                                  np.full(k * q, rng.uniform(0.2, 2.0))])
         b = rng.normal(0, 3, (m, len(blocks)))
-        warm = rng.normal(0, 1, (len(blocks), p))
-        return a, b, w, blocks, radius, warm, gate_w.shape[1]
+        return a, b, w, blocks, radius, gate_w.shape[1]
 
     @pytest.mark.parametrize("layout", ["unit-gate", "row-gate"])
     @pytest.mark.parametrize("seed", range(4))
@@ -655,18 +631,18 @@ class TestMixedBlocks:
         rng = np.random.default_rng(seed)
 
         def joint_against_single(p):
-            a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, layout, p=p)
+            a, b, w, blocks, radius, gate_blocks = self._problem(rng, layout, p=p)
             free = (a.shape[1] - 1,)
             radius[rng.integers(len(radius))] = 1e6  # one slack column among binding ones
             problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
-            joint = solve(problem, warm_start=warm)
+            joint = solve(problem)
             # The same batch on a stack of the gate's and the experts' Grams,
             # built apart.
             gram = np.concatenate([grams(a, w[:, :gate_blocks]), grams(a, w[:, gate_blocks:])])
-            handed = solve(problem, warm_start=warm, gram=gram)
+            handed = solve(problem, gram=gram)
             for j in range(b.shape[1]):
                 single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j],
-                                          free), warm_start=warm[j])
+                                          free))
                 for report in (joint, handed):
                     assert report.solution[j].tobytes() == single.solution.tobytes()
                     assert report.gap[j] == single.gap
@@ -684,9 +660,9 @@ class TestMixedBlocks:
         # A fit marks the arrays it owns read-only.  The problem and solve
         # take them as they are, write to none of them, and solve as on
         # writeable copies, bit for bit.
-        a, b, w, blocks, radius, warm, _ = self._problem(rng, layout)
+        a, b, w, blocks, radius, _ = self._problem(rng, layout)
         gram = grams(a, w)
-        arrays = (a, b, w, blocks, radius, warm, gram)
+        arrays = (a, b, w, blocks, radius, gram)
         copies = [x.copy() for x in arrays]
         for x in arrays:
             x.setflags(write=False)
@@ -694,15 +670,14 @@ class TestMixedBlocks:
         problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
         held = {name: getattr(problem, name).copy()
                 for name in ("design", "target", "row_weights", "radius", "blocks")}
-        frozen = solve(problem, warm_start=warm, gram=gram)
+        frozen = solve(problem, gram=gram)
         fitted = unconstrained_wls(a, b[:, -2:], w[:, -1])
         for x, c in zip(arrays, copies):
             assert x.tobytes() == c.tobytes()
         for name, value in held.items():
             assert getattr(problem, name).tobytes() == value.tobytes(), name
-        ca, cb, cw, cblocks, cradius, cwarm, cgram = copies
-        writeable = solve(WlsProblem(ca, cb, cw, cradius, free, blocks=cblocks),
-                          warm_start=cwarm, gram=cgram)
+        ca, cb, cw, cblocks, cradius, cgram = copies
+        writeable = solve(WlsProblem(ca, cb, cw, cradius, free, blocks=cblocks), gram=cgram)
         assert frozen.solution.tobytes() == writeable.solution.tobytes()
         assert fitted.tobytes() == unconstrained_wls(ca, cb[:, -2:], cw[:, -1]).tobytes()
 
@@ -717,7 +692,7 @@ class TestMixedBlocks:
         # shortcut certifies its columns; only the expert columns enter the
         # active-set rounds, each with its block's Schur complement.  The
         # design is wide enough that every expert column takes a round.
-        a, b, w, blocks, radius, warm, gate_blocks = self._problem(rng, "unit-gate", p=10)
+        a, b, w, blocks, radius, gate_blocks = self._problem(rng, "unit-gate", p=10)
         free = (a.shape[1] - 1,)
         radius[blocks < gate_blocks] = 1e6
         problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
@@ -737,15 +712,14 @@ class TestMixedBlocks:
             return support_step(x, half_grad, sign, s, *rest)
 
         monkeypatch.setattr(solver, "_support_step", spy)
-        joint = solve(problem, warm_start=warm)
+        joint = solve(problem)
         assert joint.iterations > 0
         experts = [scaled[i - gate_blocks].tobytes() for i in blocks[blocks >= gate_blocks]]
         assert systems[0] == experts
         assert len(systems) == joint.iterations + 1
         monkeypatch.undo()
         for j in range(b.shape[1]):
-            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free),
-                           warm_start=warm[j])
+            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free))
             assert joint.solution[j].tobytes() == single.solution.tobytes()
             assert joint.converged[j] == single.converged
 
@@ -820,7 +794,8 @@ class TestFaceStepBeforeLoop:
     def test_random_batches_certify_without_rising(self, seed, nonneg):
         # Mixed weight blocks, per-column radii and a free bias: every
         # column's certificate holds when recomputed from the raw design,
-        # and no column ends above its projected warm start.
+        # and no column ends above its start, the origin with the bias
+        # minimized.
         rng = np.random.default_rng(seed)
         p, g, r = int(rng.integers(2, 11)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
         m = p + int(rng.integers(1, 40))
@@ -829,8 +804,7 @@ class TestFaceStepBeforeLoop:
         w = rng.uniform(0.05, 2.0, (m, g))
         blocks = rng.integers(0, g, r)
         radius = rng.uniform(0.05, 5.0, r)
-        warm = rng.normal(0, 1, (r, p))
-        report = solve(WlsProblem(a, b, w, radius, (p - 1,), nonneg, blocks), warm_start=warm)
+        report = solve(WlsProblem(a, b, w, radius, (p - 1,), nonneg, blocks))
         kept = slice(0, p - 1)
         for j in range(r):
             wj, bj, rad, z = w[:, blocks[j]], b[:, j], radius[j], report.solution[j]
@@ -841,14 +815,10 @@ class TestFaceStepBeforeLoop:
                 worst = -grad.min(initial=0.0) if nonneg else np.abs(grad).max(initial=0.0)
                 return grad @ x + rad * worst
 
-            def bias_minimized(x_kept):
-                return np.append(x_kept, (lin[-1] - gram[-1, kept] @ x_kept) / gram[-1, -1])
-
-            start = bias_minimized(project_l1_ball(warm[j, kept], rad, nonneg))
-            origin = bias_minimized(np.zeros(p - 1))
+            start = np.zeros(p)
+            start[-1] = lin[-1] / gram[-1, -1]  # the bias minimized
             start_obj = wls_objective(a, bj, wj, start)
-            scale = (max(wj @ bj**2, start_obj)
-                     + gap_at(np.zeros(p - 1), 2.0 * (gram @ origin - lin)[kept]))
+            scale = wj @ bj**2 + gap_at(np.zeros(p - 1), 2.0 * (gram @ start - lin)[kept])
             assert report.converged[j]
             assert gap_at(z[kept], 2.0 * (gram @ z - lin)[kept]) <= solver.GAP_RTOL * scale
             assert report.final_objective[j] <= start_obj + 1e-12 * scale

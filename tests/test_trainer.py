@@ -234,8 +234,7 @@ class TestMStepGate:
         for i in range(2):
             active = mu[:, i] != 0.0
             ref = solve(WlsProblem(mu[active, i, None] * x[active], targets[active, i],
-                                   np.ones(int(active.sum())), radius, free_coords=(2,)),
-                        warm_start=incumbent[i])
+                                   np.ones(int(active.sum())), radius, free_coords=(2,)))
             np.testing.assert_allclose(g.nu[i], ref.solution, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(g.nu[2], incumbent[2])
         assert converged.shape == (2,) and converged.all()
@@ -260,6 +259,43 @@ class TestMStepGate:
             got = wls_objective(x, targets[:, i], np.ones(n), g.nu[i])
             _, ref = grid_search_l1(x, targets[:, i], np.ones(n), radius, free_bias=True)
             assert got <= ref + 1e-4
+
+
+class TestIncumbents:
+    """A solved row does not depend on the incumbent: only rows that are
+    not solved, of dead experts and unselected gate rows, keep theirs."""
+
+    @staticmethod
+    def _data(rng, n=40, k=3, dp=4):
+        x = np.column_stack([rng.normal(0, 1, (n, dp - 1)), np.ones(n)])
+        return x, rng.dirichlet(np.ones(k), n)
+
+    @pytest.mark.parametrize("radius", [0.3, 1e6])  # binding, slack
+    def test_live_expert_rows_same_bytes_from_any_incumbent(self, rng, radius):
+        x, r = self._data(rng)
+        r[:, 2] = 0.0  # a dead expert
+        r /= r.sum(axis=1, keepdims=True)
+        q, k, dp = 2, r.shape[1], x.shape[1]
+        targets = build_expert_targets(rng.integers(0, q, len(x)), q)
+        omegas = [np.zeros((q, k, dp)), rng.normal(0, 1, (q, k, dp))]
+        (zero, flagged, _), (drawn, _, _) = [
+            m_step_experts(r, x, targets, radius, ExpertParams(o)) for o in omegas]
+        assert flagged == [2]
+        assert zero.omega[:, :2].tobytes() == drawn.omega[:, :2].tobytes()
+        np.testing.assert_array_equal(drawn.omega[:, 2], omegas[1][:, 2])
+
+    @pytest.mark.parametrize("radius", [0.3, 1e6])
+    def test_selected_gate_rows_same_bytes_from_any_incumbent(self, rng, radius):
+        x, r = self._data(rng)
+        n, k = r.shape
+        masked = rng.uniform(0.2, 1.5, (n, k))
+        masked[rng.uniform(size=(n, k)) < 0.3] = 0.0
+        masked[:, 1] = 0.0  # no instance selects gate 1
+        for mu, selected in ((np.ones((n, k)), [0, 1, 2]), (masked, [0, 2])):
+            nus = [np.zeros((k, x.shape[1])), rng.normal(0, 1, (k, x.shape[1]))]
+            zero, drawn = [m_step_gate(r, x, mu, radius, GateParams(nu))[0] for nu in nus]
+            assert zero.nu[selected].tobytes() == drawn.nu[selected].tobytes()
+        np.testing.assert_array_equal(drawn.nu[1], nus[1][1])
 
 
 class TestAnalyticGradients:
@@ -525,7 +561,7 @@ class TestGateFactorization:
             assert all(k < blocks <= 2 * k for blocks, _ in by["solve"])
 
     def test_hoisted_fit_matches_per_step_factorization(self, monkeypatch, tmp_path):
-        # The same fit with the gate factorized on every M-step instead.
+        # The same fit with the gate's Gram built on every M-step instead.
         ds = generate_synthetic(preset_spec("grouped-four", 20, seed=3))
         hyper = Hyperparams(k=3, lambda_nu=2.0, lambda_omega=2.0, seed=2, max_iters=6)
         paths = [tmp_path / "hoisted.json", tmp_path / "per-step.json"]
@@ -1003,8 +1039,8 @@ class TestSolverIterations:
 
 
 class TestSolverBoundary:
-    """A WLS batch is checked once, when its WlsProblem is built: solve and
-    factor do not check it again, and unconstrained_wls checks its own
+    """A WLS batch is checked once, when its WlsProblem is built: solve
+    does not check it again, and unconstrained_wls checks its own
     arguments once."""
 
     @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
@@ -1105,6 +1141,26 @@ class TestDeadExpertReinit:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["dead_expert_reinits"] == spied
         assert all(len(e) == 2 and all(type(v) is int for v in e) for e in doc["dead_expert_reinits"])
+
+    def test_fast_final_pass_keeps_dead_experts_in_the_ball(self, monkeypatch):
+        # No re-init follows the fast schedule's final pass: an expert it
+        # flags keeps its ridge rows, projected onto the L1 ball.
+        monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", 0.2)
+        flagged = []
+        step = trainer._m_step
+
+        def stepping(*args, **kwargs):
+            result = step(*args, **kwargs)
+            flagged.append(result[2])
+            return result
+
+        monkeypatch.setattr(trainer, "_m_step", stepping)
+        ds = generate_synthetic(preset_spec("noisy-subspace", 25, noise_dims=4, seed=0))
+        model, _ = fit(ds, Hyperparams(k=4, lambda_nu=5, lambda_omega=0.5, max_iters=6,
+                                       schedule="fast", seed=0))
+        assert flagged[-1]
+        norms = np.abs(model.experts.omega[:, :, :-1]).sum(axis=2)
+        assert norms.max() <= 0.5 * (1 + 1e-9)
 
     def test_no_reinits_reported_as_empty_list(self):
         ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=3))
