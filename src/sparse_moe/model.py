@@ -6,7 +6,8 @@ Conventions used throughout:
     entries with the bias last;
   * the bias coordinate never counts toward any L1 budget;
   * the gate softmax takes logits mu_i * (nu_i . x), so an all-ones
-    selector row reproduces the plain softmax on the same code path.
+    selector row gives the plain softmax's values (x * 1.0 == x), and
+    None skips the product.
 """
 
 from __future__ import annotations
@@ -188,7 +189,9 @@ def prepare_inputs(features, scaler: Scaler):
     so the passes down the rows of the design (the weighted Gram matrices,
     right-hand sides and logits) run over long unit-stride columns.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
+    x = np.asarray(features, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     if x.shape[1] != scaler.mean.shape[0]:
         raise DimensionError(
             f"expected {scaler.mean.shape[0]} features, got {x.shape[1]}"
@@ -211,31 +214,47 @@ def prepare_inputs(features, scaler: Scaler):
 
 
 def _softmax(logits):
-    """Softmax over the leading axis."""
-    e = np.exp(logits - logits.max(axis=0))
-    return e / e.sum(axis=0)
+    """Softmax over the leading axis, in place on a fresh array."""
+    e = logits - logits.max(axis=0)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0)
+    return e
+
+
+def _gate_softmax(nu, x_mat, mu):
+    """Gate probabilities, class-major (k, n); ``mu`` None is all ones."""
+    logits = nu @ x_mat.T
+    if mu is not None:
+        logits *= mu.T
+    return _softmax(logits)
+
+
+def _expert_softmax(omega, x_mat):
+    """Expert class probabilities, class-major (q, k, n)."""
+    q, k, dp = omega.shape
+    return _softmax((omega.reshape(q * k, dp) @ x_mat.T).reshape(q, k, -1))
 
 
 def gate_probs(nu, x_mat, mu):
     """Gated gate probabilities p(m_i | x_n), softmax over i of
-    mu_ni * (nu_i . x_n), as an (n, k) array."""
-    return _softmax((nu @ x_mat.T) * mu.T).T
+    mu_ni * (nu_i . x_n), as an (n, k) array; ``mu`` None is all ones."""
+    return _gate_softmax(nu, x_mat, mu).T
 
 
 def expert_class_probs(omega, x_mat):
     """Class probabilities p(y = c_l | x_n, m_i) as an (n, q, k) array."""
-    q, k, dp = omega.shape
-    logits = (omega.reshape(q * k, dp) @ x_mat.T).reshape(q, k, -1)
-    return _softmax(logits).transpose(2, 0, 1)
+    return _expert_softmax(omega, x_mat).transpose(2, 0, 1)
 
 
 def mixture_probs(model: MixtureModel, x_mat, mu):
-    """Mixture class probabilities sum_i p(m_i | x_n) p(y | x_n, m_i), (n, q)."""
-    h = gate_probs(model.gate.nu, x_mat, mu).T  # (k, n)
-    experts = expert_class_probs(model.experts.omega, x_mat).transpose(1, 2, 0)  # (q, k, n)
-    probs = experts[:, 0] * h[0]
+    """Mixture class probabilities sum_i p(m_i | x_n) p(y | x_n, m_i), (n, q);
+    ``mu`` None is all ones.  The terms are added in expert order: NumPy's
+    ``sum`` promises no order, and pairs one row's terms from k = 8 on."""
+    terms = _expert_softmax(model.experts.omega, x_mat)  # (q, k, n)
+    terms *= _gate_softmax(model.gate.nu, x_mat, mu)
+    probs = terms[:, 0]
     for i in range(1, model.k):
-        probs += experts[:, i] * h[i]
+        probs += terms[:, i]
     return probs.T
 
 
@@ -265,7 +284,7 @@ def predict_proba(model: MixtureModel, x, mu_row=None):
     """Mixture class probabilities for one raw D-vector: a one-row call of
     the batched forward kernel."""
     xb = prepare_inputs(np.asarray(x, dtype=float).reshape(1, -1), model.scaler)
-    mu = np.ones((1, model.k)) if mu_row is None else _one_row(mu_row, model.k, "selector row")
+    mu = None if mu_row is None else _one_row(mu_row, model.k, "selector row")
     return mixture_probs(model, xb, mu)[0]
 
 

@@ -162,7 +162,9 @@ def project_l1_ball(v, radius, nonnegative=False):
     if not np.isfinite(theta).all():
         raise ConfigError("the vector to project and its L1 norm must be finite")
     shrunk = np.maximum(mag - theta, 0.0)
-    return shrunk if nonnegative else np.sign(v) * shrunk
+    z = shrunk if nonnegative else np.sign(v) * shrunk
+    z += 0.0  # -0.0 + 0.0 == +0.0
+    return z
 
 
 def grams(design, row_weights):

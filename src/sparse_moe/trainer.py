@@ -92,6 +92,8 @@ class FitReport:
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
     solver_iterations: int  # active-set rounds after a call's first, by its slowest column, summed
     dead_expert_reinits: list[list[int]]  # [iteration, expert] of each re-initialization
+    objective_decreases: int  # trace records whose penalized_total fell
+    observed_ll_decreases: int  # trace records whose observed_ll fell
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -442,6 +444,11 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
     return record, r
 
 
+def _decreases(values):
+    """How many of ``values`` fall below the one before."""
+    return sum(b < a for a, b in zip(values, values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -557,6 +564,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         solver_cap_hits=int(np.count_nonzero(~converged_flags)),
         solver_iterations=sum(steps),
         dead_expert_reinits=reinits,
+        objective_decreases=_decreases([t.penalized_total for t in records]),
+        observed_ll_decreases=_decreases([t.observed_ll for t in records]),
     )
     return model, report
 
@@ -568,18 +577,18 @@ def fit(dataset: Dataset, hyper: Hyperparams):
 def _policy_mu(model: MixtureModel, x_mat, policy):
     """Test-time selector of prepared rows under a selector policy.
 
-    'ones' uses the plain mixture.  'gate-surrogate' builds provisional
-    responsibilities from the unmasked gate (labels are unavailable at
-    test time) and solves the relaxed selector problem per instance.
+    'ones' uses the plain mixture (None).  'gate-surrogate' builds
+    provisional responsibilities from the unmasked gate (labels are
+    unavailable at test time) and solves the relaxed selector problem per
+    instance.
     """
-    ones = np.ones((x_mat.shape[0], model.k))
     if policy == "ones":
-        return ones
+        return None
     if policy not in SELECTOR_POLICIES:
         raise ConfigError(f"unknown selector policy {policy!r}")
     if model.hyper.lambda_mu is None:
         raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
-    h = gate_probs(model.gate.nu, x_mat, ones)
+    h = gate_probs(model.gate.nu, x_mat, None)
     return _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
 
 

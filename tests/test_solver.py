@@ -20,6 +20,11 @@ from sparse_moe import (
 from sparse_moe.solver import grams
 
 
+def negative_zeros(z):
+    """The number of -0.0 entries in z."""
+    return int(np.count_nonzero((z == 0.0) & np.signbit(z)))
+
+
 class TestProjectL1Ball:
     def test_axis_point(self):
         np.testing.assert_allclose(project_l1_ball([3.0, 0.0], 1.0), [1.0, 0.0])
@@ -74,6 +79,17 @@ class TestProjectL1Ball:
         if nonneg:
             assert np.all(z >= 0)
         np.testing.assert_allclose(project_l1_ball(z, radius, nonneg), z, atol=1e-14)
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_zeroed_entries_are_positive_zero(self, rng, nonneg):
+        # A negative entry shrunk to zero, and a -0.0 kept inside the ball,
+        # come back as +0.0, so that equal solutions save equal bytes.
+        v = rng.normal(0, 1, (500, 8))
+        v[::7, 3] = -0.0
+        z = project_l1_ball(v, 1.0, nonneg)
+        assert np.count_nonzero(z == 0.0) > 1000
+        assert negative_zeros(z) == 0
+        assert negative_zeros(project_l1_ball([-0.0, 0.1], 1.0, nonneg)) == 0
 
     def test_monte_carlo_dominance(self):
         # The projection must be at least as close as any feasible sample.
@@ -388,6 +404,7 @@ class TestBatchedCertifiedSolve:
         report = solve(WlsProblem(a, b, w, radius, free, nonneg))
         z = report.solution
         assert report.converged
+        assert negative_zeros(z) == 0
         assert np.abs(z[kept]).sum() <= radius * (1 + 1e-12)
         if nonneg:
             assert np.all(z[kept] >= 0.0)
@@ -440,6 +457,19 @@ class TestBatchedCertifiedSolve:
         free = (p - 1,) if bias else ()
         report = solve(WlsProblem(a, b, w, radius, free, nonneg))
         assert_certified_from_raw_design(a, b, w, radius, free, nonneg, report)
+        assert negative_zeros(report.solution) == 0
+
+    def test_solutions_hold_no_negative_zero(self, rng):
+        # Coordinates that the L1 ball zeroes are +0.0 in the solution, as
+        # in project_l1_ball, so that model files write no -0.0.
+        zeros = 0
+        for _ in range(100):
+            a = rng.normal(0, 1, (40, 6))
+            z = solve(WlsProblem(a, rng.normal(0, 3, (40, 6)), rng.uniform(0.1, 2.0, 40),
+                                 1.0)).solution
+            zeros += np.count_nonzero(z == 0.0)
+            assert negative_zeros(z) == 0
+        assert zeros > 100
 
     @pytest.mark.parametrize("seed", range(6))
     def test_wide_nonnegative_problem_with_free_bias_certifies(self, seed):

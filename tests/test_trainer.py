@@ -1034,8 +1034,45 @@ class TestSolverIterations:
         assert set(report.to_dict()) == {
             "format_version", "trace", "iterations_run", "converged", "sparsity",
             "selector_histogram", "constrained_solves", "solver_cap_hits", "solver_iterations",
-            "dead_expert_reinits",
+            "dead_expert_reinits", "objective_decreases", "observed_ll_decreases",
         }
+
+
+class TestDecreaseCounts:
+    """The report counts the trace records whose penalized_total, and whose
+    observed_ll, fell below the previous record's."""
+
+    @pytest.mark.parametrize("preset, hyper", [
+        ("noisy-subspace", dict(k=4, lambda_nu=5.0, lambda_omega=2.0, max_iters=12)),
+        ("noisy-subspace", dict(k=4, lambda_nu=5.0, lambda_omega=2.0, max_iters=6,
+                                schedule="fast")),
+        ("grouped-four", dict(k=4, lambda_nu=5.0, lambda_omega=5.0, max_iters=8,
+                              selector_mode="l1", lambda_mu=1.5)),
+        ("two-cluster-xor", dict(k=1, lambda_nu=5.0, lambda_omega=5.0, max_iters=5)),
+    ])
+    def test_counts_recounted_from_trace(self, preset, hyper):
+        ds = generate_synthetic(preset_spec(preset, 40, noise_dims=6, seed=3))
+        _, report = fit(ds, Hyperparams(seed=3, **hyper))
+        fell = {"penalized_total": 0, "observed_ll": 0}
+        for before, after in zip(report.trace, report.trace[1:]):
+            for key in fell:
+                if getattr(after, key) < getattr(before, key):
+                    fell[key] += 1
+        assert report.objective_decreases == fell["penalized_total"]
+        assert report.observed_ll_decreases == fell["observed_ll"]
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert type(doc["objective_decreases"]) is int
+        assert type(doc["observed_ll_decreases"]) is int
+        assert doc["objective_decreases"] == fell["penalized_total"]
+        assert doc["observed_ll_decreases"] == fell["observed_ll"]
+
+    def test_falling_likelihood_is_counted(self):
+        # The log-target surrogate does not raise observed_ll every
+        # iteration (README): a noisy-subspace fit counts its falls.
+        ds = generate_synthetic(preset_spec("noisy-subspace", 150, noise_dims=8, seed=11))
+        _, report = fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=2.0, seed=11,
+                                        max_iters=10))
+        assert report.observed_ll_decreases > 0
 
 
 class TestSolverBoundary:
