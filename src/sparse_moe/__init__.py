@@ -55,7 +55,6 @@ from .trainer import (
     fit,
     instance_loss,
     m_step_experts,
-    m_step_gate,
     m_step_selector_norm0,
     m_step_selector_norm1,
     predict_proba_batch,

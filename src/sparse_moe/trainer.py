@@ -9,8 +9,8 @@ solver call: both M-steps read the same responsibilities and neither reads
 the other's result, so the gate and expert problems form one batch, each
 column with its own radius.  The k*q expert problems form one block per
 expert, weighted by its responsibilities; the k gate rows share unit
-weights under an all-ones selector, and otherwise each row is a block
-weighted by its squared selector entries.  The fast schedule's inner
+weights without a selector, and otherwise each row is a block weighted
+by its squared selector entries.  The fast schedule's inner
 iterations fit the experts unconstrained (a plain WLS call) and its final
 pass the experts alone.  The selector update runs first in each outer
 iteration with gate and expert weights frozen, then
@@ -47,6 +47,7 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    _softmax,
     enumerate_subsets,
     expert_class_probs,
     gate_forward,
@@ -155,44 +156,44 @@ class _MStepSetup(NamedTuple):
     """What a fit's M-steps share, built once by :func:`_m_step_setup`.
     Every expert's q problems have the same targets, so the first c
     columns of ``targets``, and entries of ``expert_blocks`` and
-    ``expert_radius``, serve any c/q live experts."""
+    ``expert_radius``, serve any c/q live experts; the first w entries of
+    ``gate_blocks`` and ``gate_radius`` serve w selected gate rows."""
 
     x_mat: np.ndarray  # (n, p) prepared design
-    gate_radius: np.ndarray | None  # (k,) lambda_nu
-    # Under an all-ones selector: the gate rows' unit weights (n, 1), one
-    # block (k zeros) and its Gram stack (1, p, p).
+    targets: np.ndarray  # (n, k*q) class targets tiled per expert
+    expert_blocks: np.ndarray  # (k*q,) expert i's q columns: block i
+    expert_radius: np.ndarray  # (k*q,) lambda_omega
+    gate_radius: np.ndarray  # (k,) lambda_nu
+    # Gate row i's block: i, or 0 for all rows under unit weights.
+    gate_blocks: np.ndarray  # (k,)
+    # Under unit weights (an all-ones selector): the gate rows' weights
+    # (n, 1) and their Gram stack (1, p, p); otherwise None.
     gate_weights: np.ndarray | None
-    gate_blocks: np.ndarray | None
     gate_gram: np.ndarray | None
-    targets: np.ndarray | None  # (n, k*q) class targets tiled per expert
-    expert_blocks: np.ndarray | None  # (k*q,) expert i's q columns: block i
-    expert_radius: np.ndarray | None  # (k*q,) lambda_omega
 
 
-def _m_step_setup(x_mat, k, lambda_nu=None, unit=False, targets=None, lambda_omega=None):
-    """The fixed part of M-steps on ``x_mat`` with k experts: gate rows of
-    radius ``lambda_nu`` (one unit-weight block if ``unit``), expert
-    ``targets`` of radius ``lambda_omega``.  The arrays it builds are
-    read-only, so a write raises instead of slipping past the solver's
-    check."""
-    n = len(x_mat)
-    built = dict.fromkeys(_MStepSetup._fields[1:])
-    if lambda_nu is not None:
-        built["gate_radius"] = np.full(k, lambda_nu, dtype=float)
-        if unit:
-            built["gate_weights"] = np.ones((n, 1))
-            built["gate_blocks"] = np.zeros(k, dtype=int)
-            built["gate_gram"] = grams(x_mat, built["gate_weights"])
-    if targets is not None:
-        q = targets.shape[1]
-        built["targets"] = np.tile(targets, k)
-        built["expert_blocks"] = np.repeat(np.arange(k), q)
-        if lambda_omega is not None:
-            built["expert_radius"] = np.full(k * q, lambda_omega, dtype=float)
-    for array in built.values():
+def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
+    """The fixed part of M-steps on ``x_mat`` with k experts: expert
+    ``targets`` of radius ``lambda_omega``, gate rows of radius
+    ``lambda_nu``, sharing one unit-weight block if ``unit``.  The arrays
+    it builds are read-only, so a write raises instead of slipping past the
+    solver's check."""
+    q = targets.shape[1]
+    gate_weights = np.ones((len(x_mat), 1)) if unit else None
+    built = _MStepSetup(
+        x_mat,
+        np.tile(targets, k),
+        np.repeat(np.arange(k), q),
+        np.full(k * q, lambda_omega, dtype=float),
+        np.full(k, lambda_nu, dtype=float),
+        np.zeros(k, dtype=int) if unit else np.arange(k),
+        gate_weights,
+        None if gate_weights is None else grams(x_mat, gate_weights),
+    )
+    for array in built[1:]:
         if array is not None:
             array.setflags(write=False)
-    return _MStepSetup(x_mat, **built)
+    return built
 
 
 def _live(r):
@@ -205,18 +206,21 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     constrained problems in one solver call.
 
     ``setup`` holds what the fit fixes; this fills in what ``r`` changes:
-    the gate targets and the live experts' weights and Grams.  The gate
-    rows ``nu`` are refit if ``gate`` (see
-    :func:`m_step_gate`), the experts ``omega`` in their L1 ball if
-    ``experts`` is "ball" or with a small ridge if "ridge" (see
-    :func:`m_step_experts`); experts not ``live`` keep their rows and are
-    flagged.  The steps read the same responsibilities, not each other's
-    results, so their problems form one batch: the gate's weight blocks,
-    then one block per live expert, each column with its own radius.
-    Columns never mix in the solver, so each is solved as if alone.
-    Returns the new gate and expert weights, the flagged experts, the
-    constrained problems' ``converged`` flags (gate rows first) and the
-    call's ``iterations`` (0 without a call).
+    the gate targets and the live experts' weights and Grams.  If ``gate``,
+    gate row i is refit to minimize sum_n (mu_ni x_n . nu_i - log r_ni)^2,
+    the WLS problem with weights mu_ni^2 and targets log r_ni / mu_ni (0
+    where mu_ni^2 == 0, where the weight drops the row); a row selected by
+    no instance keeps its incumbent, and under unit weights ``mu`` is not
+    read.  The experts ``omega`` are refit in their L1 ball if ``experts``
+    is "ball", or unconstrained with a small ridge if "ridge" (a plain WLS
+    call); experts not ``live`` keep their rows and are flagged.  The steps
+    read the same responsibilities, not each other's results, so their
+    problems form one batch: the gate's weight blocks, then one block per
+    live expert, each column with its own radius.  Columns never mix in
+    the solver, so each is solved as if alone.  Returns the new gate and
+    expert weights, the flagged experts, the constrained problems'
+    ``converged`` flags (gate rows first) and the call's ``iterations``
+    (0 without a call).
     """
     x_mat = setup.x_mat
     dp = x_mat.shape[1]
@@ -235,22 +239,21 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
             width, sel = len(rows), mu[:, rows]
             gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
                                      where=sel * sel != 0.0)
-            parts.append((gate_targets, sel * sel, np.arange(width), setup.gate_radius[:width]))
-    flagged = []
-    if experts is not None:
-        omega = omega.copy()
-        q = omega.shape[0]
-        flagged = np.flatnonzero(~live).tolist()
-        r_live = r[:, live]
-        c = q * r_live.shape[1]
-        if experts == "ridge":
-            fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r_live, ridge=RIDGE)
-            omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
-        else:  # a block per live expert
-            parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c],
-                          setup.expert_radius[:c]))
-            if gram is not None:
-                gram = np.concatenate([gram, grams(x_mat, r_live)])
+            parts.append((gate_targets, sel * sel, setup.gate_blocks[:width],
+                          setup.gate_radius[:width]))
+    omega = omega.copy()
+    q = omega.shape[0]
+    flagged = np.flatnonzero(~live).tolist()
+    r_live = r[:, live]
+    c = q * r_live.shape[1]
+    if experts == "ridge":
+        fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r_live, ridge=RIDGE)
+        omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
+    else:  # a block per live expert
+        parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c],
+                      setup.expert_radius[:c]))
+        if gram is not None:
+            gram = np.concatenate([gram, grams(x_mat, r_live)])
     converged, steps = np.ones(0, dtype=bool), 0
     if parts:
         t, w, index, radius = zip(*parts)
@@ -268,40 +271,21 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
-    """WLS update of every (class, expert) weight vector, in one solver call.
+    """WLS update of every (class, expert) weight vector in its L1 ball of
+    radius ``lambda_omega``, in one solver call: the expert half of a fit's
+    M-step (:func:`_m_step`).
 
     The class targets are tiled once per expert, so that expert i's q
     problems form a block weighted by its responsibilities ``r[:, i]``.
-    They are constrained to the L1 ball of radius ``lambda_omega``, or, when
-    ``lambda_omega`` is None (the fast schedule's inner iterations),
-    unconstrained with a small ridge.
     Experts with (near) zero responsibility mass keep their incumbent rows
     and are returned as flagged for reinitialization.  Also returns the
-    constrained problems' ``converged`` flags (none when unconstrained).
+    constrained problems' ``converged`` flags.
     """
     omega = incumbent.omega
-    setup = _m_step_setup(x_mat, omega.shape[1], targets=targets, lambda_omega=lambda_omega)
-    _, omega, flagged, converged, _ = _m_step(setup, r, _live(r), None, omega, gate=False,
-                                              experts="ridge" if lambda_omega is None else "ball")
+    # No gate step is made, so the gate's radius is never read.
+    setup = _m_step_setup(x_mat, omega.shape[1], targets, lambda_omega, np.inf, False)
+    _, omega, flagged, converged, _ = _m_step(setup, r, _live(r), None, omega, gate=False)
     return ExpertParams(omega), flagged, converged
-
-
-def m_step_gate(r, x_mat, mu, lambda_nu, incumbent: GateParams):
-    """Constrained LS fit of gated gate logits to log-responsibilities, in
-    one solver call.
-
-    Gate row i minimizes sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS
-    problem with weights mu_ni^2 and targets log r_ni / mu_ni (0 where
-    mu_ni^2 == 0, where the weight drops the row).  With an all-ones
-    selector the k rows share unit weights, and so one Gram matrix.  A gate
-    selected by no instance keeps its incumbent row.  Also returns the
-    solved rows' ``converged`` flags.  :func:`fit` makes this step through
-    the same helper, together with the expert step.
-    """
-    nu = incumbent.nu
-    setup = _m_step_setup(x_mat, len(nu), lambda_nu, unit=bool(np.all(mu == 1.0)))
-    nu, _, _, converged, _ = _m_step(setup, r, None, nu, None, mu, experts=None)
-    return GateParams(nu), converged
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +334,13 @@ def _selector_norm0(nu, g, x_mat, budget):
     lexicographically smallest subset tuple.
     """
     n, k = g.shape
-    scores = x_mat @ nu.T  # (n, k)
+    scores = nu @ x_mat.T  # (k, n), class-major as in the forward kernel
     best = np.full(n, np.inf)
     mu = np.zeros((n, k))
     for subset in sorted(enumerate_subsets(k, budget)):
         indicator = np.zeros(k)
         indicator[list(subset)] = 1.0
-        logits = indicator * scores
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        h = e / e.sum(axis=1, keepdims=True)
+        h = _softmax(indicator[:, None] * scores).T
         # Elementwise product + ordered sum (not a BLAS matvec), so no FMA
         # noise.  For k = 2 the mixture value is then bitwise stable under
         # expert permutation and exact ties break lexicographically; for
@@ -419,9 +401,10 @@ def m_step_selector_norm1(model: MixtureModel, r, dataset: Dataset, lambda_mu) -
 # objective bookkeeping
 
 
-def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
+def _trace_record(iteration, g, h, nu, omega, mu):
     """The objective at (nu, omega, mu), from its forward pass: label
-    likelihoods g and gate probabilities h.  Returns the record and the
+    likelihoods g and gate probabilities h.  A selector-free fit's ``mu`` is
+    None and carries no penalty.  Returns the record and the
     responsibilities r, which the next E-step reuses."""
     r, evidence = _posterior(g, h)
     ll = float(
@@ -429,7 +412,7 @@ def _trace_record(iteration, g, h, nu, omega, mu, selector_mode):
     )
     pen_nu = float(np.abs(nu[:, :-1]).sum())
     pen_omega = float(np.abs(omega[:, :, :-1]).sum())
-    pen_mu = 0.0 if selector_mode == "none" else float(np.abs(mu).sum())
+    pen_mu = 0.0 if mu is None else float(np.abs(mu).sum())
     record = TraceRecord(
         iteration=iteration,
         expected_complete_ll=ll,
@@ -473,14 +456,15 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     rng = np.random.default_rng(hyper.seed)
     nu = rng.normal(0.0, 0.01, (k, dp))
     omega = rng.normal(0.0, 0.01, (q, k, dp))
-    mu = np.ones((n, k))
+    # Without a selector mu is None, the forward kernel's all ones.  A k = 1
+    # fit with a selector keeps an all-ones mu, which it never updates.
+    mu = None if hyper.selector_mode == "none" else np.ones((n, k))
     # The fit owns its design; a write to it would bypass the solver's check.
     x_mat.setflags(write=False)
     # What every M-step shares.  Without a selector the gate's weights stay
     # unit, so its Gram matrix is the same in every iteration.
-    setup = _m_step_setup(x_mat, k, hyper.lambda_nu if k > 1 else None,
-                          hyper.selector_mode == "none", build_expert_targets(labels, q),
-                          hyper.lambda_omega)
+    setup = _m_step_setup(x_mat, k, build_expert_targets(labels, q), hyper.lambda_omega,
+                          hyper.lambda_nu, k > 1 and mu is None)
     reinits = []  # [iteration, expert] of each re-initialization
 
     def reinit(iteration, experts):
@@ -495,7 +479,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     # g, h and r always belong to the current (nu, omega, mu): each trace
     # record's forward pass serves the next iteration's E-step.
     g, h = forward()
-    record, r = _trace_record(0, g, h, nu, omega, mu, hyper.selector_mode)
+    record, r = _trace_record(0, g, h, nu, omega, mu)
     records = [record]
     prev_total = record.penalized_total
     converged = False
@@ -516,22 +500,20 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             h = gate_probs(nu, x_mat, mu)
             r, _ = _posterior(g, h)
 
-        mass = r.sum(axis=0)
-        dead = np.flatnonzero(mass < DEAD_EXPERT_FRACTION * n)
-        if dead.size:
-            reinit(t, dead)
+        live = _live(r)
+        if not live.all():
+            reinit(t, np.flatnonzero(~live))
             g, h = forward()
             r, _ = _posterior(g, h)
-            mass = r.sum(axis=0)
+            live = _live(r)
 
-        nu, omega, flagged, *result = _m_step(setup, r, mass > DEAD_EXPERT_FRACTION * n, nu,
-                                              omega, mu, gate=k > 1,
+        nu, omega, flagged, *result = _m_step(setup, r, live, nu, omega, mu, gate=k > 1,
                                               experts="ridge" if fast else "ball")
         solved.append(result)
         reinit(t, flagged)
 
         g, h = forward()
-        rec, r = _trace_record(t, g, h, nu, omega, mu, hyper.selector_mode)
+        rec, r = _trace_record(t, g, h, nu, omega, mu)
         records.append(rec)
         if abs(rec.penalized_total - prev_total) / (1.0 + abs(rec.penalized_total)) < hyper.tol:
             converged = True
@@ -546,12 +528,15 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         solved.append(result)
         iterations_run += 1
         g, h = forward()
-        records.append(_trace_record(iterations_run, g, h, nu, omega, mu, hyper.selector_mode)[0])
+        records.append(_trace_record(iterations_run, g, h, nu, omega, mu)[0])
 
     model = MixtureModel(GateParams(nu), ExpertParams(omega), hyper, scaler,
                          dataset.label_names)
-    active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
-    histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
+    if mu is None:
+        histogram = {k: n}
+    else:
+        active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
+        histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
     flags, steps = zip(*solved)
     converged_flags = np.concatenate(flags)
     report = FitReport(

@@ -27,7 +27,6 @@ from sparse_moe import (
     generate_synthetic,
     instance_loss,
     m_step_experts,
-    m_step_gate,
     m_step_selector_norm0,
     m_step_selector_norm1,
     predict_proba,
@@ -40,12 +39,25 @@ from sparse_moe import (
 from sparse_moe import trainer
 from sparse_moe import solver as solver_mod
 from sparse_moe.model import mixture_probs, prepare_inputs
-from sparse_moe.solver import WlsProblem, grams, solve
+from sparse_moe.solver import SolveReport, WlsProblem, grams, solve
 
 
 def two_class_dataset(rng, n=20, d=2):
     labels = np.arange(n) % 2
     return Dataset(rng.normal(0, 1, (n, d)) + labels[:, None], labels, ("a", "b"))
+
+
+def gate_step(r, x, mu, radius, nu, q=2):
+    """The gate rows of one fit M-step (trainer._m_step, on a set-up of its
+    own) and their converged flags.  ``mu`` None is the unit-weight block
+    of a selector-free fit; otherwise each selected row is a block."""
+    k = r.shape[1]
+    setup = trainer._m_step_setup(x, k, build_expert_targets(np.arange(len(x)) % q, q), 1.0,
+                                  radius, mu is None)
+    live = trainer._live(r)
+    nu, _, _, converged, _ = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])),
+                                             mu)
+    return GateParams(nu), converged[:len(converged) - q * int(live.sum())]
 
 
 def dead_expert_fit(monkeypatch, schedule, fraction=0.26):
@@ -169,19 +181,20 @@ class TestMStepExperts:
 
 
 class TestMStepGate:
+    """The gate half of a fit's M-step (trainer._m_step)."""
+
     def test_all_ones_selector_is_plain_problem(self, rng):
         n = 20
         x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
         r = rng.dirichlet(np.ones(2), n)
-        incumbent = GateParams(np.zeros((2, 3)))
-        g1, _ = m_step_gate(r, x, np.ones((n, 2)), 2.0, incumbent)
-        # Manually pose the unmasked problem through the same solver contract.
-        from sparse_moe import WlsProblem, solve
-
         targets = build_gate_targets(r)
-        for i in range(2):
-            rep = solve(WlsProblem(x, targets[:, i], np.ones(n), 2.0, free_coords=(2,)))
-            np.testing.assert_allclose(g1.nu[i], rep.solution, atol=1e-9)
+        # The shared unit block, and a block per row of ones, against the
+        # unmasked problem posed through the same solver contract.
+        for mu in (None, np.ones((n, 2))):
+            g1, _ = gate_step(r, x, mu, 2.0, np.zeros((2, 3)))
+            for i in range(2):
+                rep = solve(WlsProblem(x, targets[:, i], np.ones(n), 2.0, free_coords=(2,)))
+                np.testing.assert_allclose(g1.nu[i], rep.solution, atol=1e-9)
 
     def test_huge_radius_matches_unconstrained(self, rng):
         from sparse_moe import unconstrained_wls
@@ -189,7 +202,7 @@ class TestMStepGate:
         n = 25
         x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
         r = rng.dirichlet(np.ones(2), n)
-        g, _ = m_step_gate(r, x, np.ones((n, 2)), 1e9, GateParams(np.zeros((2, 3))))
+        g, _ = gate_step(r, x, None, 1e9, np.zeros((2, 3)))
         targets = build_gate_targets(r)
         for i in range(2):
             ref = unconstrained_wls(x, targets[:, i], np.ones(n))
@@ -202,10 +215,10 @@ class TestMStepGate:
         r = rng.dirichlet(np.ones(2), n)
         mu = np.ones((n, 2))
         mu[6:, 0] = 0.0
-        g1, _ = m_step_gate(r, x, mu, 1.5, GateParams(np.zeros((2, 2))))
+        g1, _ = gate_step(r, x, mu, 1.5, np.zeros((2, 2)))
         x2 = x.copy()
         x2[6:] = 999.0  # garbage in masked rows changes nothing for gate 0
-        g2, _ = m_step_gate(r, x2, mu, 1.5, GateParams(np.zeros((2, 2))))
+        g2, _ = gate_step(r, x2, mu, 1.5, np.zeros((2, 2)))
         np.testing.assert_allclose(g1.nu[0], g2.nu[0], atol=1e-12)
 
     def test_unselected_gate_keeps_incumbent(self, rng):
@@ -215,7 +228,7 @@ class TestMStepGate:
         mu = np.ones((n, 2))
         mu[:, 1] = 0.0
         incumbent = rng.normal(0, 1, (2, 2))
-        g, _ = m_step_gate(r, x, mu, 1.0, GateParams(incumbent))
+        g, _ = gate_step(r, x, mu, 1.0, incumbent)
         np.testing.assert_array_equal(g.nu[1], incumbent[1])
 
     @pytest.mark.parametrize("radius", [0.3, 1e6])
@@ -229,7 +242,7 @@ class TestMStepGate:
         mu[rng.uniform(size=(n, k)) < 0.3] = 0.0
         mu[:, 2] = 0.0  # no instance selects gate 2
         incumbent = rng.normal(0, 0.1, (k, 3))
-        g, converged = m_step_gate(r, x, mu, radius, GateParams(incumbent))
+        g, converged = gate_step(r, x, mu, radius, incumbent)
         targets = build_gate_targets(r)
         for i in range(2):
             active = mu[:, i] != 0.0
@@ -243,8 +256,8 @@ class TestMStepGate:
         n = 8
         x = np.column_stack([rng.normal(0, 1, (n, 1)), np.ones(n)])
         incumbent = rng.normal(0, 1, (2, 2))
-        g, converged = m_step_gate(rng.dirichlet(np.ones(2), n), x, np.zeros((n, 2)), 1.0,
-                                   GateParams(incumbent))
+        g, converged = gate_step(rng.dirichlet(np.ones(2), n), x, np.zeros((n, 2)), 1.0,
+                                 incumbent)
         np.testing.assert_array_equal(g.nu, incumbent)
         assert converged.size == 0
 
@@ -253,7 +266,7 @@ class TestMStepGate:
         x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
         r = rng.dirichlet(np.ones(2), n)
         radius = 0.5
-        g, _ = m_step_gate(r, x, np.ones((n, 2)), radius, GateParams(np.zeros((2, 3))))
+        g, _ = gate_step(r, x, None, radius, np.zeros((2, 3)))
         targets = build_gate_targets(r)
         for i in range(2):
             got = wls_objective(x, targets[:, i], np.ones(n), g.nu[i])
@@ -291,9 +304,9 @@ class TestIncumbents:
         masked = rng.uniform(0.2, 1.5, (n, k))
         masked[rng.uniform(size=(n, k)) < 0.3] = 0.0
         masked[:, 1] = 0.0  # no instance selects gate 1
-        for mu, selected in ((np.ones((n, k)), [0, 1, 2]), (masked, [0, 2])):
+        for mu, selected in ((None, [0, 1, 2]), (np.ones((n, k)), [0, 1, 2]), (masked, [0, 2])):
             nus = [np.zeros((k, x.shape[1])), rng.normal(0, 1, (k, x.shape[1]))]
-            zero, drawn = [m_step_gate(r, x, mu, radius, GateParams(nu))[0] for nu in nus]
+            zero, drawn = [gate_step(r, x, mu, radius, nu)[0] for nu in nus]
             assert zero.nu[selected].tobytes() == drawn.nu[selected].tobytes()
         np.testing.assert_array_equal(drawn.nu[1], nus[1][1])
 
@@ -607,7 +620,7 @@ class TestOneSolverCallPerMStep:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("solve", "unconstrained_wls", "m_step_gate", "m_step_experts"):
+        for name in ("solve", "unconstrained_wls", "m_step_experts"):
             monkeypatch.setattr(trainer, name, logged(name, getattr(trainer, name)))
         monkeypatch.setattr(trainer, "_m_step", counted_step)
         k, ds = 4, generate_synthetic(preset_spec("grouped-four", 15, seed=2))
@@ -633,66 +646,61 @@ class TestOneSolverCallPerMStep:
         assert all(0 < w <= k for w in widths[:-1]) and widths[-1] == ds.q * k
 
     @staticmethod
-    def _merged_against_separate(monkeypatch, tmp_path, ds, hyper):
-        """The fit as it is, and with the gate and expert M-steps made by
-        the two wrappers instead, one solve call each, each with a set-up
-        of its own; the model files must be the same bytes.  Returns the
-        second fit's report."""
-        paths = [tmp_path / "merged.json", tmp_path / "separate.json"]
-        model, merged = fit(ds, hyper)
+    def _batched_against_per_column(monkeypatch, tmp_path, ds, hyper):
+        """The fit as it is, and with each solve call replaced by one solve
+        per target column, with only its weight block and its radius, the
+        results stitched back together; the model files must be the same
+        bytes and the reports equal apart from solver_iterations.  Returns
+        the second fit's report."""
+        paths = [tmp_path / "batched.json", tmp_path / "per-column.json"]
+        model, batched = fit(ds, hyper)
         save_model(model, paths[0])
-        step = trainer._m_step
-        split = []
-        wrapped = []  # set while a wrapper makes its own call
+        widths = []
 
-        def separately(setup, r, live, nu, omega, mu=None, gate=True, experts="ball"):
-            if wrapped:
-                return step(setup, r, live, nu, omega, mu, gate, experts)
-            split.append((gate, experts))
-            wrapped.append(1)
-            x_mat, targets = setup.x_mat, setup.targets[:, :omega.shape[0]]
-            done = []
-            if gate:
-                gate_params, gate_done = trainer.m_step_gate(r, x_mat, mu, hyper.lambda_nu,
-                                                             GateParams(nu))
-                nu = gate_params.nu
-                done.append(gate_done)
-            radius = hyper.lambda_omega if experts == "ball" else None
-            experts, flagged, experts_done = trainer.m_step_experts(r, x_mat, targets, radius,
-                                                                    ExpertParams(omega))
-            wrapped.pop()
-            return nu, experts.omega, flagged, np.concatenate(done + [experts_done]), 0
+        def per_column(problem, *, gram=None):
+            widths.append(len(problem.blocks))
+            a, p = problem.design, problem.design.shape[1]
+            alone = [solve(WlsProblem(a, problem.target[:, j], problem.row_weights[:, block],
+                                      problem.radius[j], problem.free_coords, problem.nonnegative))
+                     for j, block in enumerate(problem.blocks)]
+            return SolveReport(
+                np.array([one.solution for one in alone]).reshape(len(alone), p),
+                max((one.iterations for one in alone), default=0),
+                np.array([one.final_objective for one in alone]),
+                np.array([one.gap for one in alone]),
+                np.array([one.converged for one in alone], dtype=bool))
 
-        monkeypatch.setattr(trainer, "_m_step", separately)
-        model, separate = fit(ds, hyper)
+        monkeypatch.setattr(trainer, "solve", per_column)
+        model, per_col = fit(ds, hyper)
         save_model(model, paths[1])
-        if hyper.schedule == "full":
-            assert split == [(True, "ball")] * separate.iterations_run
-        else:
-            assert split == [(True, "ridge")] * (separate.iterations_run - 1) + [(False, "ball")]
+        # Every call of the fit went through the spy.
+        assert len(widths) == per_col.iterations_run
+        assert sum(widths) == per_col.constrained_solves
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert separate.to_dict() | {"solver_iterations": 0} == (
-            merged.to_dict() | {"solver_iterations": 0})
-        return separate
+        assert per_col.to_dict() | {"solver_iterations": 0} == (
+            batched.to_dict() | {"solver_iterations": 0})
+        return per_col
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l0", 1), ("l1", 1.5)])
     def test_merged_fit_matches_separate_m_steps(self, monkeypatch, tmp_path, selector_mode,
                                                  lambda_mu):
+        # The merged M-step's one batch against its problems solved
+        # separately, one per call.
         ds = generate_synthetic(preset_spec("grouped-four", 25, seed=4))
         hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
                             selector_mode=selector_mode, lambda_mu=lambda_mu)
-        self._merged_against_separate(monkeypatch, tmp_path, ds, hyper)
+        self._batched_against_per_column(monkeypatch, tmp_path, ds, hyper)
 
     @pytest.mark.parametrize("selector_mode, lambda_mu, schedule, dead", [
-        ("none", None, "fast", None), ("l1", 1.5, "fast", None),
+        ("none", None, "fast", None), ("l0", 1, "fast", None), ("l1", 1.5, "fast", None),
         ("none", None, "full", 0.26), ("none", None, "fast", 0.26),
         ("none", None, "full", 0.24), ("none", None, "fast", 0.24),
     ])
     def test_fast_and_reinit_fits_match_separate_m_steps(self, monkeypatch, tmp_path,
                                                          selector_mode, lambda_mu, schedule, dead):
         # The fast schedule's inner and final M-steps, and fits that
-        # re-initialize experts mid-run (see dead_expert_fit): the wrappers
-        # read the live experts off the responsibilities they are given.
+        # re-initialize experts mid-run (see dead_expert_fit), whose batches
+        # hold fewer than k experts, or none.
         if dead:
             ds, hyper = dead_expert_fit(monkeypatch, schedule, dead)
         else:
@@ -700,8 +708,15 @@ class TestOneSolverCallPerMStep:
             hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
                                 selector_mode=selector_mode, lambda_mu=lambda_mu,
                                 schedule=schedule)
-        separate = self._merged_against_separate(monkeypatch, tmp_path, ds, hyper)
+        separate = self._batched_against_per_column(monkeypatch, tmp_path, ds, hyper)
         assert bool(separate.dead_expert_reinits) == bool(dead)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0, 1e6])
+    def test_sweep_fit_matches_separate_solves(self, monkeypatch, tmp_path, radius):
+        # The benchmark's subspace-sweep fits, from binding radii to inactive.
+        ds = generate_synthetic(preset_spec("noisy-subspace", 150, noise_dims=8, seed=11))
+        hyper = Hyperparams(k=4, lambda_nu=5.0, lambda_omega=radius, seed=1, max_iters=10)
+        self._batched_against_per_column(monkeypatch, tmp_path, ds, hyper)
 
     @pytest.mark.parametrize("schedule", ["full", "fast"])
     def test_expert_targets_tiled_once_per_fit(self, monkeypatch, schedule):
@@ -729,19 +744,28 @@ class TestOneSolverCallPerMStep:
 
         monkeypatch.setattr(trainer, "_m_step_setup", keeping)
         ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
-        fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=3))
-        (setup,) = made
-        arrays = setup._asdict()
-        assert all(isinstance(a, np.ndarray) for a in arrays.values())
-        for name, a in arrays.items():
-            assert not a.flags.writeable, name
-            with pytest.raises(ValueError):
-                a.flat[0] = 1.0
+        for selector_mode, lambda_mu in (("none", None), ("l1", 1.5)):
+            fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=3,
+                                selector_mode=selector_mode, lambda_mu=lambda_mu))
+        plain, selected = made
+        # Every target, block and radius field is an array; with a selector
+        # the unit gate block's weights and Gram are absent.
+        assert [name for name, a in selected._asdict().items() if a is None] == [
+            "gate_weights", "gate_gram"]
+        for setup in made:
+            for name, a in setup._asdict().items():
+                if a is None:
+                    continue
+                assert isinstance(a, np.ndarray), name
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError):
+                    a.flat[0] = 1.0
+        assert all(isinstance(a, np.ndarray) for a in plain)
         # A wrapper's one-off set-up freezes only the arrays it builds.
         x = np.column_stack([rng.normal(0, 1, (10, 2)), np.ones(10)])
         targets = build_expert_targets(np.arange(10) % 2, 2)
         m_step_experts(np.full((10, 2), 0.5), x, targets, 1.0, ExpertParams(np.zeros((2, 2, 3))))
-        m_step_gate(np.full((10, 2), 0.5), x, np.ones((10, 2)), 1.0, GateParams(np.zeros((2, 3))))
+        gate_step(np.full((10, 2), 0.5), x, None, 1.0, np.zeros((2, 3)))
         assert x.flags.writeable and targets.flags.writeable
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
@@ -1205,3 +1229,36 @@ class TestDeadExpertReinit:
                                         max_iters=3))
         assert report.dead_expert_reinits == []
         assert report.to_dict()["dead_expert_reinits"] == []
+
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
+    def test_expert_at_the_threshold_is_reinitialized_before_its_m_step(self, monkeypatch,
+                                                                         schedule):
+        # One rule for a dead expert: mass not above DEAD_EXPERT_FRACTION of
+        # the rows.  With 64 rows the fraction mass / 64 is exact, so the
+        # lightest expert of the first M-step sits exactly at the threshold;
+        # it is re-initialized before that M-step, not flagged by it.
+        ds = generate_synthetic(preset_spec("noisy-subspace", 16, noise_dims=4, seed=2))
+        assert ds.n == 64
+        hyper = Hyperparams(k=4, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=3,
+                            schedule=schedule)
+        step = trainer._m_step
+        given, flagged = [], []
+
+        def stepping(setup, r, *args, **kwargs):
+            given.append(r)
+            result = step(setup, r, *args, **kwargs)
+            flagged.append(result[2])
+            return result
+
+        monkeypatch.setattr(trainer, "_m_step", stepping)
+        _, report = fit(ds, hyper)
+        assert report.dead_expert_reinits == []
+        mass = given[0].sum(axis=0)
+        lightest = int(mass.argmin())
+        monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", mass[lightest] / ds.n)
+        given.clear()
+        flagged.clear()
+        _, report = fit(ds, hyper)
+        assert report.dead_expert_reinits[0] == [1, lightest]
+        assert given[0][:, lightest].sum() > mass[lightest]
+        assert lightest not in flagged[0]
