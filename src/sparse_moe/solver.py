@@ -2,19 +2,22 @@
 
 The one optimization primitive the trainer needs: minimize a weighted
 sum-of-squares residual over an L1 ball (optionally intersected with the
-nonnegative orthant), with selected coordinates (the bias) exempt from the
-constraint.  One call solves a batch of right-hand sides that share the
-design; they form blocks, each with its own row weights and so its own
-weighted Gram matrix.  The free coordinates are eliminated exactly (Schur
-complement), and a feasible unconstrained minimizer is returned as is.
+nonnegative orthant), with the last design column (the bias) optionally
+exempt from the constraint.  One call solves a batch of right-hand sides
+that share the design; they form blocks, each with its own row weights and
+so its own weighted Gram matrix.  The bias is eliminated exactly (Schur
+complement of its 1x1 block), and a feasible unconstrained minimizer is
+returned as is.
 Every other column runs the primal active-set method of Osborne,
 Presnell & Turlach (2000): exact linear solves on a support with signs,
 on the face of the ball or inside it, that drop and add one coordinate at
 a time until the column's Frank-Wolfe duality gap certifies optimality.
-The costly part of the set-up is the stack of weighted Gram matrices,
-one per block (:func:`grams`); a caller that solves many batches under
-the same weights can build it once and hand it to each solve.
-No external QP dependency.
+The set-up starts from the weighted Gram matrices, one per block
+(:func:`grams`), which a caller can build once and hand in.  Of a
+subspace-sweep call's time (m=600, p=11, 12 columns in 5 blocks, one BLAS
+thread), the set-up takes a quarter, the shortcut a sixth, the rounds'
+entry a seventh and the rounds two fifths, mostly in NumPy's per-call
+overhead (LAPACK is a seventh).  No external QP dependency.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ def _blocks(design, target, row_weights, blocks=None):
     m = a.shape[0]
     if b.ndim not in (1, 2) or w.ndim != 2 or len(b) != m or len(w) != m:
         raise ConfigError("design/target/weight shapes inconsistent")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    # A NaN weight makes both bounds fail.
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
         raise ConfigError("row weights must be finite and nonnegative")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ConfigError("design and targets must be finite")
@@ -78,36 +82,35 @@ class WlsProblem:
     problems, or ``(m, g)``: g weight blocks, block i weighted by column i.
     ``blocks`` gives the block of each target column, ``(r,)`` integers in
     [0, g); without it the r columns form g equal consecutive blocks.
-    ``radius`` is one radius for every problem or ``(r,)``, one per column.
-    Coordinates in ``free_coords`` (design columns) bypass both constraints.
-    A problem is checked once, here, and frozen, holding ``(m, g)`` weights,
-    ``(r,)`` blocks and radii and sorted free coordinates for :func:`solve`.
-    It holds the caller's arrays, not copies (a float array is kept as it
-    is), so they must not change after the problem is built: the check
-    would not see the change.
+    ``radius`` is one finite positive radius for every problem or ``(r,)``,
+    one per column.  If ``bias`` (a bool), the last design column is free
+    of both constraints.  A problem is checked once, here, and frozen,
+    holding ``(m, g)`` weights and ``(r,)`` blocks and radii for
+    :func:`solve`.  It holds the caller's arrays, not copies (a float array
+    is kept as it is), so they must not change after it is built: the
+    check would not see the change.
     """
 
     design: np.ndarray
     target: np.ndarray
     row_weights: np.ndarray
     radius: float | np.ndarray
-    free_coords: tuple[int, ...] = ()
+    bias: bool = False
     nonnegative: bool = False
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
+        if type(self.bias) is not bool:
+            raise ConfigError("bias must be a bool")
         a, _, w, index = _blocks(self.design, self.target, self.row_weights, self.blocks)
+        if self.bias and not a.shape[1]:
+            raise ConfigError("a free bias needs a design column")
         radius = np.asarray(self.radius, dtype=float)
         radius = np.full(len(index), radius) if radius.ndim == 0 else radius
-        if radius.shape != index.shape or not (radius > 0).all():
-            raise ConfigError("radius must be positive: one, or one per target column")
-        free = np.asarray(self.free_coords)
-        if free.size and (free.ndim != 1 or free.dtype.kind not in "iu"
-                          or not 0 <= free.min() <= free.max() < a.shape[1]):
-            raise ConfigError("free coordinates must be column indices of the design")
+        if radius.shape != index.shape or not ((radius > 0) & (radius < np.inf)).all():
+            raise ConfigError("radius must be finite and positive: one, or one per target column")
         checked = {"design": a, "target": np.asarray(self.target, dtype=float),
-                   "row_weights": w, "radius": radius, "blocks": index,
-                   "free_coords": tuple(sorted(set(free.tolist())))}
+                   "row_weights": w, "radius": radius, "blocks": index}
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -184,22 +187,17 @@ def grams(design, row_weights):
     return gram
 
 
-def _stacked(op, fallback, *stacks):
-    """op over stacks of matrices.  A singular matrix makes op fail for its
-    whole stack; the stack is then split, down to single matrices that get
-    fallback, so that one matrix never changes another's result."""
+def _solve_or_fill(mats, rhs, fill):
+    """Each linear system of a stack solved.  A singular matrix makes the
+    solve fail for its whole stack; the stack is then split, down to single
+    systems, so that one system never changes another's result, and a
+    singular one is filled with ``fill``."""
     try:
-        return op(*stacks)
+        return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:
-        if len(stacks[0]) == 1:
-            return fallback(*stacks)
-        parts = ([s[i:i + 1] for s in stacks] for i in range(len(stacks[0])))
-        return np.concatenate([_stacked(op, fallback, *part) for part in parts])
-
-
-def _solve_or_keep(mats, rhs, start):
-    """Each linear system of a stack solved; a singular one keeps its start."""
-    return _stacked(lambda m, v, _: np.linalg.solve(m, v), lambda m, v, x0: x0, mats, rhs, start)
+        if len(mats) == 1:
+            return np.full_like(rhs, fill)
+        return np.concatenate([_solve_or_fill(m[None], v[None], fill) for m, v in zip(mats, rhs)])
 
 
 def unconstrained_wls(design, target, row_weights, ridge=0.0):
@@ -244,37 +242,36 @@ def _fw_gap(half_grad, x_dot_half_grad, radius, nonnegative):
     return 2.0 * (x_dot_half_grad + radius * worst)
 
 
-def _support_step(x, half_grad, sign, s, unit, radius):
+def _support_step(x, half_grad, sign, s, unit, radius, eye):
     """The step from each row x (half gradient h) to the minimizer on its
     support A, with signs sigma, within the ball; NaN if singular.  On the
     face: S_AA step_A + theta sigma = -h_A, sigma'step_A = radius - sigma'x,
-    a (p+1)x(p+1) solve per row with identity rows off A.  Where theta < 0,
-    a second solve, for the right-hand sides (-h_A, 0) and (0, 1), gives
-    the step y on x's level set of sigma'z and the direction u, with
-    multipliers theta' and tau, along which the level moves it.  Where the
-    objective curves along u (tau < 0), y - (theta' / tau) u steps to the
-    unconstrained minimizer on A.  ``s`` = DSD for D = diag(``unit``)."""
+    a (p+1)x(p+1) solve per row with identity rows (``eye``) off A.  Where
+    theta < 0, a second solve, for the right-hand sides (-h_A, 0) and
+    (0, 1), gives the step y on x's level set of sigma'z and the direction
+    u, with multipliers theta' and tau, along which the level moves it.
+    Where the objective curves along u (tau < 0), y - (theta' / tau) u steps
+    to the unconstrained minimizer on A.  ``s`` = DSD for D = diag(``unit``)."""
     n, p = x.shape
     on = sign != 0.0
     some = on.any(axis=1)  # an empty support has the step 0
     kkt = np.zeros((n, p + 1, p + 1))
-    kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, np.eye(p))
+    kkt[:, :p, :p] = np.where(on[:, :, None] & on[:, None, :], s, eye)
     kkt[:, :p, p] = kkt[:, p, :p] = sign * unit
     kkt[:, p, p] = ~some
     rhs = np.empty((n, p + 1, 1))
     rhs[:, :p, 0] = -(unit * half_grad) * on
     rhs[:, p, 0] = (radius - (sign * x).sum(axis=1)) * some
-    sol = _solve_or_keep(kkt, rhs, np.full_like(rhs, np.nan))
-    step, inward = sol[:, :p, 0], np.flatnonzero(sol[:, p, 0] < 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if inward.size:
-            rhs = np.concatenate([rhs[inward], np.zeros_like(rhs[inward])], axis=2)
-            rhs[:, p] = [0.0, 1.0]
-            sol = _solve_or_keep(kkt[inward], rhs, np.full_like(rhs, np.nan))
-            level = -sol[:, p, 0] / sol[:, p, 1]
-            curved = sol[:, p, 1] < 0.0
-            step[inward[curved]] = (sol[:, :p, 0] + level[:, None] * sol[:, :p, 1])[curved]
-        step = unit * step
+    sol = _solve_or_fill(kkt, rhs, np.nan)
+    step, inward = sol[:, :p, 0], (sol[:, p, 0] < 0.0).nonzero()[0]
+    if inward.size:
+        rhs = np.concatenate([rhs[inward], np.zeros((inward.size, p + 1, 1))], axis=2)
+        rhs[:, p] = [0.0, 1.0]
+        sol = _solve_or_fill(kkt[inward], rhs, np.nan)
+        level = -sol[:, p, 0] / sol[:, p, 1]
+        curved = sol[:, p, 1] < 0.0
+        step[inward[curved]] = (sol[:, :p, 0] + level[:, None] * sol[:, :p, 1])[curved]
+    step = unit * step
     return np.where(np.isfinite(step), step, np.nan)
 
 
@@ -283,16 +280,15 @@ def _line_step(x, half_grad, step, sign, s, tol, radius):
     reversed if it ascends, and cut short where the line leaves the ball.
     Rows that this lowers by no more than tol are lost: they step to the
     origin.  Returns the steps and the lost rows."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        slope = (half_grad * step).sum(axis=1)
-        step = step * np.where(slope > 0.0, -1.0, 1.0)[:, None]
-        slope = -np.abs(slope)
-        curve = (step * _rowwise(step, s)).sum(axis=1)
-        length = np.where(curve > 0.0, -slope / curve, np.inf)
-        sx, sd = (sign * x).sum(axis=1), (sign * step).sum(axis=1)
-        length = np.where(sd > 0.0, np.minimum(length, (radius - sx) / sd), length)
-        lost = ~(-length * (2.0 * slope + length * curve) > tol) | ~np.isfinite(length)
-        step = length[:, None] * step
+    slope = (half_grad * step).sum(axis=1)
+    step = step * np.where(slope > 0.0, -1.0, 1.0)[:, None]
+    slope = -np.abs(slope)
+    curve = (step * _rowwise(step, s)).sum(axis=1)
+    length = np.where(curve > 0.0, -slope / curve, np.inf)
+    sx, sd = (sign * x).sum(axis=1), (sign * step).sum(axis=1)
+    length = np.where(sd > 0.0, np.minimum(length, (radius - sx) / sd), length)
+    lost = ~(-length * (2.0 * slope + length * curve) > tol) | ~np.isfinite(length)
+    step = length[:, None] * step
     step[lost] = -x[lost]
     return step, lost
 
@@ -300,98 +296,115 @@ def _line_step(x, half_grad, step, sign, s, tol, radius):
 def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
 
-    The free coordinates are minimized out in closed form, leaving a
-    problem in the restricted coordinates x with Hessian 2S (S the Schur
-    complement of the free block of A'WA) and linear term -2d.  A column
-    takes x_u = S^-1 d if that is feasible and certifies.  Every other
-    column runs rounds of the primal active-set method (Osborne, Presnell &
-    Turlach 2000) from the projection of x_u and its signs (on an
-    orthonormal design, the optimal face).  A round steps to the minimizer
-    on the support within the ball (:func:`_support_step`), or to where a
-    coordinate reaches zero and leaves the support.  At that minimizer a
-    column certifies if its Frank-Wolfe gap is within ``GAP_RTOL`` of its
-    scale and it is in the ball; if not, the coordinate off the support
-    with the largest gradient (nonnegative ball: most negative) joins.  A
-    step that would raise the objective by more than tol comes from a
-    nearly singular system (m < p, duplicate or zero design columns, zero
-    weights), which LAPACK does not always report: :func:`_line_step`
-    replaces it.  With no step size, column scale does not slow the method:
-    on random 20x5 designs with column scales from 1e-6 to 1e6, all 300
-    columns certified within 11 rounds.  ``iterations`` counts the rounds
-    after the first, up to ``MAX_ITERS``; objective and gap are those of
-    the round that certified the column, or of the cap.  Each column uses
-    its weight block's S (``blocks``) and its own radius; columns never
-    mix, so a batched column matches its single solve bit for bit.
+    A free bias is minimized out in closed form, leaving a problem in the
+    restricted coordinates x with Hessian 2S (S the Schur complement of the
+    bias in A'WA, or A'WA itself without a bias) and linear term -2d.  A
+    column takes x_u = S^-1 d if that is feasible and certifies; every
+    other column runs the active-set rounds of :func:`_active_set`.
+    ``iterations`` counts the rounds after the first, up to ``MAX_ITERS``;
+    objective and gap are those of the round that certified the column, or
+    of the cap.  Each column uses its weight block's S (``blocks``) and its
+    own radius; columns never mix, so a batched column matches its single
+    solve bit for bit.
 
-    The set-up starts from the Gram stack of the problem's design and
-    weights, built here with :func:`grams` unless ``gram`` hands it in
-    (a caller that solves many problems under the same weights can build
-    it once); the result is the same bit for bit.  A stack that is not
-    ``(g, p, p)`` raises ConfigError.
+    The Gram stack of the design and weights is built with :func:`grams`
+    unless ``gram`` hands it in, with the same result bit for bit; a stack
+    that is not ``(g, p, p)`` raises ConfigError.
     """
     a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
-    p, r, nonneg = a.shape[1], len(block), problem.nonnegative
+    p, r, nonneg, bias = a.shape[1], len(block), problem.nonnegative, problem.bias
     gram = grams(a, w) if gram is None else gram
     if np.shape(gram) != (w.shape[1], p, p):
         raise ConfigError("the Gram stack must be (g, p, p) for the problem's g weight blocks "
                           "and p design columns")
 
-    # Each block's rows g_kf of its Gram matrix that couple restricted to
-    # free coordinates, the inverse of its free block, the coupling
-    # g_kf g_ff^-1 and the Schur complement of the free block.
-    free = list(problem.free_coords)
-    kept = [j for j in range(p) if j not in free]
-    g_kf = gram[:, kept][:, :, free]
-    g_ff_inv = _stacked(np.linalg.inv, np.linalg.pinv, gram[:, free][:, :, free])
-    coupling = g_kf @ g_ff_inv
-    schur = gram[:, kept][:, :, kept] - coupling @ g_kf.transpose(0, 2, 1)
-
     bt = np.ascontiguousarray(problem.target.reshape(len(a), r).T)
     bw = bt * w.T[block]  # each column's target times its block's weights
     lin = _rowwise(bw, a)
     energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
-    # Each column takes its block's matrices.  Column subsets are taken
-    # with take(), which keeps rows contiguous, so that row-wise arithmetic
-    # rounds the same in a batch as alone.
-    s_col, g_kf_col, inv_col = schur[block], g_kf[block], g_ff_inv[block]
-    lin_f = lin.take(free, axis=1)
-    coupling_t = coupling[block].transpose(0, 2, 1)
-    d = lin.take(kept, axis=1) - _rowwise(lin_f, coupling_t)  # (r, pr)
-    offset = energy - (_rowwise(lin_f, inv_col) * lin_f).sum(axis=1)
+    # Each block's coupling g_kf of the restricted coordinates to the bias,
+    # the reciprocal of its bias entry (0 where that is 0, as the
+    # pseudo-inverse gives) and its Schur complement of the bias.  Each
+    # column takes its block's; take() keeps rows contiguous, so that
+    # row-wise arithmetic rounds the same in a batch as alone.
+    if bias:
+        g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
+        inv = 1.0 / np.where(g_ff != 0.0, g_ff, np.inf)
+        coupling = g_kf @ inv
+        schur = gram[:, :-1, :-1] - coupling @ g_kf.transpose(0, 2, 1)
+        g_kf_col, inv_col = g_kf.take(block, axis=0), inv[block]
+        lin_f = lin[:, -1:]
+        d = lin[:, :-1] - _rowwise(lin_f, coupling.transpose(0, 2, 1)[block])  # (r, p - 1)
+        offset = energy - (_rowwise(lin_f, inv_col) * lin_f)[:, 0]
+    else:
+        schur, d, offset = gram, lin, energy
+    s_col = schur.take(block, axis=0)
 
-    # Every column starts at the origin, with its free coordinates minimized.
-    x, obj, gap = np.zeros_like(d), offset.copy(), _fw_gap(-d, 0.0, radius, nonneg)
+    # Every column starts at the origin, with the bias minimized, unless
+    # the exact shortcut x_u certifies (a singular S keeps the origin).
+    gap = _fw_gap(-d, 0.0, radius, nonneg)
     tol = GAP_RTOL * (energy + gap)
-
-    # Exact shortcut; a column whose S is singular keeps its start.
-    x_u = _solve_or_keep(s_col, d[:, :, None], x[:, :, None])[:, :, 0]
+    x_u = _solve_or_fill(s_col, d[:, :, None], 0.0)[:, :, 0]
     hg_u = _rowwise(x_u, s_col) - d
     x_hg = (x_u * hg_u).sum(axis=1)
-    obj_u, gap_u = x_hg - (x_u * d).sum(axis=1) + offset, _fw_gap(hg_u, x_hg, radius, nonneg)
+    gap_u = _fw_gap(hg_u, x_hg, radius, nonneg)
     ok = (np.abs(x_u).sum(axis=1) <= radius) & (gap_u <= tol)
     if nonneg:
         ok &= np.all(x_u >= 0.0, axis=1)
-    x[ok], obj[ok], gap[ok] = x_u[ok], obj_u[ok], gap_u[ok]
+    x = np.where(ok[:, None], x_u, 0.0)
+    obj = np.where(ok, x_hg - (x_u * d).sum(axis=1) + offset, offset)
+    gap = np.where(ok, gap_u, gap)
     converged = gap <= tol
 
-    # Active-set rounds, on working copies of the columns' data that shrink
-    # as columns finish.
-    cols = np.flatnonzero(~converged)
+    cols = (~converged).nonzero()[0]
     iterations = 0
     if cols.size:
-        sw, dw, offw, radw, tolw = s_col[cols], d[cols], offset[cols], radius[cols], tol[cols]
-        xw = project_l1_ball(x_u[cols], radw, nonneg)
-        sign = np.sign(xw)
-        hg = _rowwise(xw, sw) - dw
-        # Powers of two that bring S's diagonal near 1 (_support_step).
-        unit = np.ldexp(1.0, -(np.frexp(np.diagonal(sw, axis1=1, axis2=2))[1] // 2))
-        scaled = unit[:, :, None] * sw * unit[:, None, :]
-    while cols.size:
-        step = _support_step(xw, hg, sign, scaled, unit, radw)
+        # One error state for all rounds: nearly singular supports divide by
+        # zero and overflow, and their NaN and inf steps are caught.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            iterations = _active_set(x_u, s_col, d, radius, tol, nonneg, cols, x, gap, x_hg,
+                                     converged)
+        obj[cols] = x_hg[cols] - (x[cols] * d[cols]).sum(axis=1) + offset[cols]
+
+    solution = x
+    if bias:
+        solution = np.concatenate([x, _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)], axis=1)
+    if problem.target.ndim == 1:
+        return SolveReport(solution[0], iterations, float(obj[0]), float(gap[0]),
+                           bool(converged[0]))
+    return SolveReport(solution, iterations, obj, gap, converged)
+
+
+def _active_set(x_u, s_col, d, radius, tol, nonneg, cols, x, gap, x_hg, converged):
+    """Rounds of the primal active-set method (Osborne, Presnell & Turlach
+    2000) for :func:`solve`'s columns ``cols``, from the projection of their
+    x_u and its signs (on an orthonormal design, the optimal face).  A round
+    steps to the minimizer on the support within the ball
+    (:func:`_support_step`), or to where a coordinate reaches zero and
+    leaves the support.  There a column certifies if its Frank-Wolfe gap is
+    within its tol and it is in the ball; if not, the coordinate off the
+    support with the largest gradient (nonnegative ball: most negative)
+    joins.  A step that would raise the objective by more than tol comes
+    from a nearly singular system (m < p, duplicate or zero design columns,
+    zero weights), which LAPACK does not always report: :func:`_line_step`
+    replaces it.  With no step size, column scale does not slow the method.
+    Writes each column's x, gap, x'h and converged flag as of the round that
+    ends it, and returns the number of rounds after the first."""
+    sw, dw, radw, tolw = s_col[cols], d[cols], radius[cols], tol[cols]
+    xw = project_l1_ball(x_u[cols], radw, nonneg)
+    sign = np.sign(xw)
+    hg = _rowwise(xw, sw) - dw
+    # Powers of two that bring S's diagonal near 1 (_support_step).
+    unit = np.ldexp(1.0, -(np.frexp(np.diagonal(sw, axis1=1, axis2=2))[1] // 2))
+    scaled = unit[:, :, None] * sw * unit[:, None, :]
+    eye = np.eye(xw.shape[1])
+    iterations = 0
+    while True:
+        step = _support_step(xw, hg, sign, scaled, unit, radw, eye)
         z = xw + step
         hg_z = _rowwise(z, sw) - dw
         # f(z) - f(x) = step'(h + h_z); a rise above tol marks a bad solve.
-        odd = np.flatnonzero(~((step * (hg + hg_z)).sum(axis=1) <= tolw))
+        odd = (~((step * (hg + hg_z)).sum(axis=1) <= tolw)).nonzero()[0]
         if odd.size:
             step[odd], lost = _line_step(xw[odd], hg[odd], step[odd], sign[odd], sw[odd],
                                          tolw[odd], radw[odd])
@@ -400,53 +413,40 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
         # A coordinate that reaches zero on the way stops the column there,
         # and leaves the support.
         cross = sign * z < 0.0
-        full = ~cross.any(axis=1)  # at the minimizer on the support
-        if not full.all():
-            rows = np.flatnonzero(~full)
+        short = cross.any(axis=1)  # not at the minimizer on the support
+        rows = short.nonzero()[0]
+        if rows.size:
             xr, sr = xw[rows], step[rows]
             ratio = np.divide(xr, -sr, out=np.full_like(xr, np.inf), where=cross[rows])
             sign[rows, ratio.argmin(axis=1)] = 0.0
             xs = xr + ratio.min(axis=1)[:, None] * sr
             z[rows] = np.where(sign[rows] * xs > 0.0, xs, 0.0)
-        full[odd] = False
-        if not full.all():
-            rows = np.flatnonzero(~full)
+        if odd.size:
+            short[odd] = True
+            rows = short.nonzero()[0]
+        if rows.size:
             hg_z[rows] = _rowwise(z[rows], sw[rows]) - dw[rows]
-        xw = z
-        hg = hg_z
-        x_hg = (xw * hg).sum(axis=1)
-        gap_w = _fw_gap(hg, x_hg, radw, nonneg)
+        xw, hg = z, hg_z
+        xw_hg = (xw * hg).sum(axis=1)
+        gap_w = _fw_gap(hg, xw_hg, radw, nonneg)
         done = (gap_w <= tolw) & (np.abs(xw).sum(axis=1) <= radw * (1.0 + 1e-12))
         if nonneg:
             done &= np.all(xw >= 0.0, axis=1)
-        end = np.ones_like(done) if iterations == MAX_ITERS else done
-        if end.any():
-            fin = cols[end]
-            x[fin], gap[fin], converged[fin] = xw[end], gap_w[end], done[end]
-            obj[fin] = (x_hg - (xw * dw).sum(axis=1) + offw)[end]
-            if end.all():
-                break
+        x[cols], gap[cols], x_hg[cols], converged[cols] = xw, gap_w, xw_hg, done
+        if iterations == MAX_ITERS or done.all():
+            return iterations
         # A coordinate joins where its gradient alone keeps the gap above
         # tol, with the sign that descends.
-        grow = np.flatnonzero(full & ~done)
+        pull = np.where(sign == 0.0, -hg if nonneg else np.abs(hg), -np.inf)
+        best = pull.max(axis=1)
+        grow = (~(short | done) & (best > 0.0)
+                & (2.0 * (xw_hg + radw * best) > tolw)).nonzero()[0]
         if grow.size:
-            pull = np.where(sign[grow] == 0.0, -hg[grow] if nonneg else np.abs(hg[grow]), -np.inf)
-            j = pull.argmax(axis=1)
-            best = pull[np.arange(grow.size), j]
-            keep = (best > 0.0) & (2.0 * (x_hg[grow] + radw[grow] * best) > tolw[grow])
-            grow, j = grow[keep], j[keep]
+            j = pull[grow].argmax(axis=1)
             sign[grow, j] = -np.sign(hg[grow, j])
         if done.any():
-            go = ~done
+            go = (~done).nonzero()[0]
             cols, xw, hg, sign = cols[go], xw[go], hg[go], sign[go]
-            sw, dw, offw, radw, tolw = sw[go], dw[go], offw[go], radw[go], tolw[go]
+            sw, dw, radw, tolw = sw[go], dw[go], radw[go], tolw[go]
             unit, scaled = unit[go], scaled[go]
         iterations += 1
-
-    solution = np.empty((r, p))
-    solution[:, kept] = x
-    solution[:, free] = _rowwise(lin_f - _rowwise(x, g_kf_col), inv_col)
-    if problem.target.ndim == 1:
-        return SolveReport(solution[0], iterations, float(obj[0]), float(gap[0]),
-                           bool(converged[0]))
-    return SolveReport(solution, iterations, obj, gap, converged)

@@ -92,6 +92,8 @@ class FitReport:
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
     solver_iterations: int  # active-set rounds after a call's first, by its slowest column, summed
+    solver_calls: int  # solve calls: one per M-step with constrained problems
+    solver_rounds_max: int  # the most active-set rounds after the first in one call
     dead_expert_reinits: list[list[int]]  # [iteration, expert] of each re-initialization
     objective_decreases: int  # trace records whose penalized_total fell
     observed_ll_decreases: int  # trace records whose observed_ll fell
@@ -157,7 +159,9 @@ class _MStepSetup(NamedTuple):
     Every expert's q problems have the same targets, so the first c
     columns of ``targets``, and entries of ``expert_blocks`` and
     ``expert_radius``, serve any c/q live experts; the first w entries of
-    ``gate_blocks`` and ``gate_radius`` serve w selected gate rows."""
+    ``gate_blocks`` and ``gate_radius`` serve w selected gate rows.  An
+    M-step that refits every gate row and every expert takes its batch's
+    block index and radii whole from ``joint_blocks`` and ``joint_radius``."""
 
     x_mat: np.ndarray  # (n, p) prepared design
     targets: np.ndarray  # (n, k*q) class targets tiled per expert
@@ -170,6 +174,10 @@ class _MStepSetup(NamedTuple):
     # (n, 1) and their Gram stack (1, p, p); otherwise None.
     gate_weights: np.ndarray | None
     gate_gram: np.ndarray | None
+    # The k gate columns, then the k*q expert columns: each one's block
+    # index (the experts' after the gate's weight blocks) and radius.
+    joint_blocks: np.ndarray  # (k + k*q,)
+    joint_radius: np.ndarray  # (k + k*q,)
 
 
 def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
@@ -180,15 +188,21 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     solver's check."""
     q = targets.shape[1]
     gate_weights = np.ones((len(x_mat), 1)) if unit else None
+    expert_blocks = np.repeat(np.arange(k), q)
+    expert_radius = np.full(k * q, lambda_omega, dtype=float)
+    gate_radius = np.full(k, lambda_nu, dtype=float)
+    gate_blocks = np.zeros(k, dtype=int) if unit else np.arange(k)
     built = _MStepSetup(
         x_mat,
         np.tile(targets, k),
-        np.repeat(np.arange(k), q),
-        np.full(k * q, lambda_omega, dtype=float),
-        np.full(k, lambda_nu, dtype=float),
-        np.zeros(k, dtype=int) if unit else np.arange(k),
+        expert_blocks,
+        expert_radius,
+        gate_radius,
+        gate_blocks,
         gate_weights,
         None if gate_weights is None else grams(x_mat, gate_weights),
+        np.concatenate([gate_blocks, expert_blocks + (1 if unit else k)]),
+        np.concatenate([gate_radius, expert_radius]),
     )
     for array in built[1:]:
         if array is not None:
@@ -219,8 +233,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     live expert, each column with its own radius.  Columns never mix in
     the solver, so each is solved as if alone.  Returns the new gate and
     expert weights, the flagged experts, the constrained problems'
-    ``converged`` flags (gate rows first) and the call's ``iterations``
-    (0 without a call).
+    ``converged`` flags (gate rows first) and a list of the call's
+    ``iterations``, empty without a call.
     """
     x_mat = setup.x_mat
     dp = x_mat.shape[1]
@@ -254,15 +268,19 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
                       setup.expert_radius[:c]))
         if gram is not None:
             gram = np.concatenate([gram, grams(x_mat, r_live)])
-    converged, steps = np.ones(0, dtype=bool), 0
+    converged, steps = np.ones(0, dtype=bool), []
     if parts:
         t, w, index, radius = zip(*parts)
-        offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
-        problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1),
-                             np.concatenate(radius), (dp - 1,),
-                             blocks=np.concatenate([i + o for i, o in zip(index, offsets)]))
+        if sum(map(len, index)) == len(setup.joint_blocks):  # every gate row and expert
+            index, radius = setup.joint_blocks, setup.joint_radius
+        else:
+            offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
+            index = np.concatenate([i + o for i, o in zip(index, offsets)])
+            radius = np.concatenate(radius)
+        problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1), radius,
+                             True, blocks=index)
         report = solve(problem, gram=gram)
-        solution, converged, steps = report.solution, report.converged, report.iterations
+        solution, converged, steps = report.solution, report.converged, [report.iterations]
         if gate:
             nu[rows], solution = solution[:width], solution[width:]
         if experts == "ball":
@@ -537,8 +555,9 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     else:
         active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
         histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
-    flags, steps = zip(*solved)
+    flags, calls = zip(*solved)
     converged_flags = np.concatenate(flags)
+    steps = [n for call in calls for n in call]
     report = FitReport(
         trace=records,
         iterations_run=iterations_run,
@@ -548,6 +567,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         constrained_solves=converged_flags.size,
         solver_cap_hits=int(np.count_nonzero(~converged_flags)),
         solver_iterations=sum(steps),
+        solver_calls=len(steps),
+        solver_rounds_max=max(steps, default=0),
         dead_expert_reinits=reinits,
         objective_decreases=_decreases([t.penalized_total for t in records]),
         observed_ll_decreases=_decreases([t.observed_ll for t in records]),

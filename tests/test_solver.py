@@ -133,7 +133,7 @@ class TestUnconstrainedWls:
         with pytest.raises(SolverError):
             unconstrained_wls(a, np.array([1.0, 2.0]), np.ones(2))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -np.inf])
     def test_rejects_bad_weights(self, bad):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ConfigError, match="row weights"):
@@ -206,28 +206,23 @@ class TestSolve:
         assert np.all(np.diff(trace) <= 1e-10)
 
     def test_free_coordinate_unbounded(self, rng):
-        # Last coordinate exempt: a pure-bias fit can exceed the radius.
-        a = np.column_stack([np.zeros(6), np.ones(6)])
+        # The last coordinate exempt: a pure-bias fit can exceed the radius.
+        a = np.column_stack([rng.normal(0, 1, (6, 5)) * 1e-3, np.ones(6)])
         b = np.full(6, 7.0)
-        report = solve(WlsProblem(a, b, np.ones(6), 0.5, free_coords=(1,)))
-        assert report.solution[1] == pytest.approx(7.0, abs=1e-6)
+        report = solve(WlsProblem(a, b, np.ones(6), 0.5, bias=True))
+        assert report.solution[-1] == pytest.approx(7.0, abs=1e-2)
+        assert np.abs(report.solution[:-1]).sum() <= 0.5 * (1 + 1e-12)
 
-    @pytest.mark.parametrize("free", [(-1,), (4,), (1.5,), (True,), ((3,),)],
-                             ids=["negative", "p", "float", "bool", "nested"])
-    def test_free_coordinate_outside_design_raises(self, rng, free):
-        # -1 would leave the last column both restricted and free; p,
-        # non-integers, booleans and nested tuples name no column.
+    @pytest.mark.parametrize("bias", [(3,), (), 1, 0, np.True_, None, "yes"])
+    def test_bias_must_be_a_bool(self, rng, bias):
+        # Column indices, integers, NumPy booleans and None are not the flag.
         a = np.column_stack([rng.normal(0, 1, (30, 3)), np.ones(30)])
-        with pytest.raises(ConfigError, match="free coordinates"):
-            WlsProblem(a, rng.normal(0, 3, 30), np.ones(30), 0.5, free_coords=free)
+        with pytest.raises(ConfigError, match="bias must be a bool"):
+            WlsProblem(a, rng.normal(0, 3, 30), np.ones(30), 0.5, bias)
 
-    def test_free_coordinates_held_sorted_and_unique(self, rng):
-        a = np.column_stack([rng.normal(0, 1, (30, 3)), np.ones(30)])
-        b = rng.normal(0, 3, 30)
-        problem = WlsProblem(a, b, np.ones(30), 0.5, free_coords=[3, 0, 3])
-        assert problem.free_coords == (0, 3)
-        alone = solve(WlsProblem(a, b, np.ones(30), 0.5, free_coords=(0, 3)))
-        assert solve(problem).solution.tobytes() == alone.solution.tobytes()
+    def test_bias_needs_a_design_column(self):
+        with pytest.raises(ConfigError, match="bias"):
+            WlsProblem(np.zeros((3, 0)), np.ones(3), np.ones(3), 1.0, bias=True)
 
     def test_nonnegative_flag(self, rng):
         a = np.eye(3)
@@ -262,13 +257,14 @@ class TestEnumerateSubsets:
             list(enumerate_subsets(3, 0))
 
 
-def assert_certified_from_raw_design(a, b, w, radius, free, nonneg, report):
+def assert_certified_from_raw_design(a, b, w, radius, bias, nonneg, report):
     """The report of one problem is converged and feasible, its objective is
-    not above the start's (the origin, with the free coordinates at their
-    minimizer), and its Frank-Wolfe gap, recomputed from the raw design in
-    exact arithmetic, is within GAP_RTOL of the scale: the objective at the
+    not above the start's (the origin, with a free bias at its minimizer),
+    and its Frank-Wolfe gap, recomputed from the raw design in exact
+    arithmetic, is within GAP_RTOL of the scale: the objective at the
     origin plus the gap at the start."""
     p = a.shape[1]
+    free = (p - 1,) if bias else ()
     kept = [j for j in range(p) if j not in free]
     z = report.solution
     assert report.converged
@@ -300,18 +296,20 @@ def ill_conditioned_face(eps):
 
 
 class TestBatchedCertifiedSolve:
-    @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
+    @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((-1,), False)])
     def test_batched_columns_equal_single_solves(self, rng, free, nonneg):
+        bias = bool(free)  # no free coordinate, or the last column's
+
         def batched_against_single(m, p, r=3):
             a = rng.normal(0, 1, (m, p))
-            if free:
-                a[:, 3] = 1.0
+            if bias:
+                a[:, -1] = 1.0
             b = rng.normal(0, 3, (m, r))
             w = rng.uniform(0.2, 2.0, m)
-            batched = solve(WlsProblem(a, b, w, 0.8, free, nonneg))
+            batched = solve(WlsProblem(a, b, w, 0.8, bias, nonneg))
             assert batched.solution.shape == (r, p)
             for j in range(r):
-                single = solve(WlsProblem(a, b[:, j], w, 0.8, free, nonneg))
+                single = solve(WlsProblem(a, b[:, j], w, 0.8, bias, nonneg))
                 np.testing.assert_allclose(batched.solution[j], single.solution, rtol=0,
                                            atol=1e-12)
                 assert batched.converged[j] and single.converged
@@ -379,7 +377,7 @@ class TestBatchedCertifiedSolve:
         a = np.column_stack([rng.normal(0, 1, (20, 3)), np.ones(20)])
         b = rng.normal(0, 1, (20, 2))
         w = rng.uniform(0.5, 2.0, 20)
-        report = solve(WlsProblem(a, b, w, 100.0, free_coords=(3,)))
+        report = solve(WlsProblem(a, b, w, 100.0, bias=True))
         assert report.iterations == 0
         assert np.all(report.converged)
         for j in range(2):
@@ -399,9 +397,8 @@ class TestBatchedCertifiedSolve:
             a[:, -1] = 1.0
         b = rng.normal(0, 3, m)
         w = rng.uniform(0.1, 2.0, m)
-        free = (p - 1,) if bias else ()
-        kept = list(range(p - len(free)))
-        report = solve(WlsProblem(a, b, w, radius, free, nonneg))
+        kept = list(range(p - bias))
+        report = solve(WlsProblem(a, b, w, radius, bias, nonneg))
         z = report.solution
         assert report.converged
         assert negative_zeros(z) == 0
@@ -419,7 +416,7 @@ class TestBatchedCertifiedSolve:
             return g @ x + radius * worst
 
         def free_minimized(x_kept):
-            """x_kept with the free coordinates at their exact minimizer."""
+            """x_kept with a free bias at its exact minimizer."""
             full = np.zeros(p)
             full[kept] = x_kept
             if bias:
@@ -454,9 +451,8 @@ class TestBatchedCertifiedSolve:
         w = rng.uniform(0.1, 2.0, m)
         w[rng.random(m) < 0.2] = 0.0
         w[0] = 1.0  # a free bias needs a weighted row
-        free = (p - 1,) if bias else ()
-        report = solve(WlsProblem(a, b, w, radius, free, nonneg))
-        assert_certified_from_raw_design(a, b, w, radius, free, nonneg, report)
+        report = solve(WlsProblem(a, b, w, radius, bias, nonneg))
+        assert_certified_from_raw_design(a, b, w, radius, bias, nonneg, report)
         assert negative_zeros(report.solution) == 0
 
     def test_solutions_hold_no_negative_zero(self, rng):
@@ -479,11 +475,11 @@ class TestBatchedCertifiedSolve:
         a = np.column_stack([rng.normal(0, 1, (5, 10)), np.ones(5)])
         b = rng.normal(0, 3, (5, 3))
         w = rng.uniform(0.1, 2.0, 5)
-        batch = solve(WlsProblem(a, b, w, 1.0, (10,), True))
+        batch = solve(WlsProblem(a, b, w, 1.0, True, True))
         for j in range(3):
-            single = solve(WlsProblem(a, b[:, j].copy(), w, 1.0, (10,), True))
+            single = solve(WlsProblem(a, b[:, j].copy(), w, 1.0, True, True))
             assert batch.solution[j].tobytes() == single.solution.tobytes()
-            assert_certified_from_raw_design(a, b[:, j], w, 1.0, (10,), True, single)
+            assert_certified_from_raw_design(a, b[:, j], w, 1.0, True, True, single)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -512,21 +508,22 @@ class TestBlockWeights:
     @pytest.mark.parametrize("free, nonneg", [((), False), ((), True), ((3,), False)])
     def test_blocks_equal_separate_solves_bitwise(self, rng, free, nonneg):
         m, p, g, c = 30, 4, 3, 2
+        bias = bool(free)  # no free coordinate, or the last column's
         design = rng.normal(0, 1, (m, p))
-        if free:
-            design[:, 3] = 1.0
+        if bias:
+            design[:, -1] = 1.0
         b = rng.normal(0, 3, (m, g * c))
         w = rng.uniform(0.2, 2.0, (m, g))
         w[:, 1] = 0.0  # a zero-weight block (singular Gram) beside live ones
         for layout in LAYOUTS:
             a = np.asarray(design, order=layout)
-            joint = solve(WlsProblem(a, b, w, 0.8, free, nonneg))
+            joint = solve(WlsProblem(a, b, w, 0.8, bias, nonneg))
             assert joint.solution.shape == (g * c, p)
             assert joint.iterations > 0
             for i in range(g):
                 cols = slice(i * c, (i + 1) * c)
                 alone = solve(WlsProblem(a, np.ascontiguousarray(b[:, cols]), w[:, i].copy(),
-                                         0.8, free, nonneg))
+                                         0.8, bias, nonneg))
                 assert joint.solution[cols].tobytes() == alone.solution.tobytes()
                 assert joint.gap[cols].tobytes() == alone.gap.tobytes()
                 np.testing.assert_array_equal(joint.converged[cols], alone.converged)
@@ -565,7 +562,7 @@ class TestBlockWeights:
 
     def test_empty_batch_solves_to_nothing(self, rng):
         a = rng.normal(0, 1, (10, 3))
-        report = solve(WlsProblem(a, np.zeros((10, 0)), np.zeros((10, 0)), 1.0, (2,)))
+        report = solve(WlsProblem(a, np.zeros((10, 0)), np.zeros((10, 0)), 1.0, True))
         assert report.solution.shape == (0, 3)
         assert report.converged.shape == (0,)
 
@@ -580,7 +577,7 @@ class TestNonFiniteInputs:
         a, b = rng.normal(0, 1, (10, 3)), rng.normal(0, 1, (10, 2))
         (a if where == "design" else b)[4, 1] = bad
         with pytest.raises(ConfigError, match="design and targets must be finite"):
-            WlsProblem(a, b, np.ones(10), 0.5, (2,))
+            WlsProblem(a, b, np.ones(10), 0.5, True)
         with pytest.raises(ConfigError, match="design and targets must be finite"):
             unconstrained_wls(a, b, np.ones(10))
 
@@ -595,7 +592,7 @@ class TestFactorization:
         a = np.asfortranarray(np.column_stack([rng.normal(0, 1, (m, p - 1)), np.ones(m)]))
         w = rng.uniform(0.2, 2.0, (m,) if weights == "shared" else (m, 3))
         b = rng.normal(0, 3, (m, 3 * 2))
-        return WlsProblem(a, b, w, radius, free_coords=(p - 1,))
+        return WlsProblem(a, b, w, radius, bias=True)
 
     @pytest.mark.parametrize("weights", ["shared", "blocks"])
     @pytest.mark.parametrize("radius", [0.5, 1e6])  # binding, slack
@@ -621,8 +618,8 @@ class TestFactorization:
 
     @pytest.mark.parametrize("change", ["columns", "blocks"])
     def test_mismatched_factorization_raises(self, rng, change):
-        # A Gram stack has no row count, and the free coordinates come
-        # from the problem alone, so only its shape can mismatch.
+        # A Gram stack has no row count, and the bias flag comes from the
+        # problem alone, so only its shape can mismatch.
         problem = self._problem(rng, 0.5, "blocks")
         a, w = problem.design, problem.row_weights
         if change == "columns":
@@ -662,9 +659,8 @@ class TestMixedBlocks:
 
         def joint_against_single(p):
             a, b, w, blocks, radius, gate_blocks = self._problem(rng, layout, p=p)
-            free = (a.shape[1] - 1,)
             radius[rng.integers(len(radius))] = 1e6  # one slack column among binding ones
-            problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+            problem = WlsProblem(a, b, w, radius, True, blocks=blocks)
             joint = solve(problem)
             # The same batch on a stack of the gate's and the experts' Grams,
             # built apart.
@@ -672,7 +668,7 @@ class TestMixedBlocks:
             handed = solve(problem, gram=gram)
             for j in range(b.shape[1]):
                 single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j],
-                                          free))
+                                          True))
                 for report in (joint, handed):
                     assert report.solution[j].tobytes() == single.solution.tobytes()
                     assert report.gap[j] == single.gap
@@ -696,8 +692,7 @@ class TestMixedBlocks:
         copies = [x.copy() for x in arrays]
         for x in arrays:
             x.setflags(write=False)
-        free = (a.shape[1] - 1,)
-        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+        problem = WlsProblem(a, b, w, radius, True, blocks=blocks)
         held = {name: getattr(problem, name).copy()
                 for name in ("design", "target", "row_weights", "radius", "blocks")}
         frozen = solve(problem, gram=gram)
@@ -707,7 +702,7 @@ class TestMixedBlocks:
         for name, value in held.items():
             assert getattr(problem, name).tobytes() == value.tobytes(), name
         ca, cb, cw, cblocks, cradius, cgram = copies
-        writeable = solve(WlsProblem(ca, cb, cw, cradius, free, blocks=cblocks), gram=cgram)
+        writeable = solve(WlsProblem(ca, cb, cw, cradius, True, blocks=cblocks), gram=cgram)
         assert frozen.solution.tobytes() == writeable.solution.tobytes()
         assert fitted.tobytes() == unconstrained_wls(ca, cb[:, -2:], cw[:, -1]).tobytes()
 
@@ -723,9 +718,8 @@ class TestMixedBlocks:
         # active-set rounds, each with its block's Schur complement.  The
         # design is wide enough that every expert column takes a round.
         a, b, w, blocks, radius, gate_blocks = self._problem(rng, "unit-gate", p=10)
-        free = (a.shape[1] - 1,)
         radius[blocks < gate_blocks] = 1e6
-        problem = WlsProblem(a, b, w, radius, free, blocks=blocks)
+        problem = WlsProblem(a, b, w, radius, True, blocks=blocks)
         # The expert blocks' Schur complements of the free (bias) block.
         gram = grams(a, w)[gate_blocks:]
         g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
@@ -749,7 +743,7 @@ class TestMixedBlocks:
         assert len(systems) == joint.iterations + 1
         monkeypatch.undo()
         for j in range(b.shape[1]):
-            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], free))
+            single = solve(WlsProblem(a, b[:, j].copy(), w[:, blocks[j]].copy(), radius[j], True))
             assert joint.solution[j].tobytes() == single.solution.tobytes()
             assert joint.converged[j] == single.converged
 
@@ -762,7 +756,7 @@ class TestMixedBlocks:
         with pytest.raises(ConfigError, match="block index"):
             WlsProblem(a, rng.normal(0, 1, (10, 4)), np.ones((10, 3)), 1.0, blocks=blocks)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_radius_entry_raises(self, rng, bad):
         a = rng.normal(0, 1, (10, 3))
         b = rng.normal(0, 1, (10, 4))
@@ -778,12 +772,12 @@ class TestMixedBlocks:
         # reads them without checking the batch again.
         a = rng.normal(0, 1, (10, 3))
         b = rng.normal(0, 1, (10, 4))
-        problem = WlsProblem(a.tolist(), b, np.ones(10), 0.5, [2])
+        problem = WlsProblem(a.tolist(), b, np.ones(10), 0.5, True)
         assert problem.design.dtype == float and problem.design.shape == (10, 3)
         assert problem.row_weights.shape == (10, 1)
         assert problem.radius.tolist() == [0.5] * 4
         assert problem.blocks.tolist() == [0] * 4
-        assert problem.free_coords == (2,)
+        assert problem.bias is True
         expected = solve(problem)
         monkeypatch.setattr(solver, "_blocks", None)
         assert solve(problem).solution.tobytes() == expected.solution.tobytes()
@@ -796,7 +790,7 @@ class TestMixedBlocks:
     def test_factorization_block_count_must_match(self, rng):
         # A Gram stack one block short of the problem's weight blocks.
         a, b, w, blocks, radius, *_ = self._problem(rng, "unit-gate")
-        problem = WlsProblem(a, b, w, radius, (4,), blocks=blocks)
+        problem = WlsProblem(a, b, w, radius, True, blocks=blocks)
         short = np.concatenate([grams(a, w[:, :1]), grams(a, w[:, 2:])])
         with pytest.raises(ConfigError, match="Gram stack"):
             solve(problem, gram=short)
@@ -834,7 +828,7 @@ class TestFaceStepBeforeLoop:
         w = rng.uniform(0.05, 2.0, (m, g))
         blocks = rng.integers(0, g, r)
         radius = rng.uniform(0.05, 5.0, r)
-        report = solve(WlsProblem(a, b, w, radius, (p - 1,), nonneg, blocks))
+        report = solve(WlsProblem(a, b, w, radius, True, nonneg, blocks))
         kept = slice(0, p - 1)
         for j in range(r):
             wj, bj, rad, z = w[:, blocks[j]], b[:, j], radius[j], report.solution[j]
@@ -887,11 +881,11 @@ class TestGramReference:
                                    rtol=0, atol=1e-9 * np.abs(ref).max())
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("free", [(), (4,)])
+    @pytest.mark.parametrize("free", [(), (4,)])  # none, or the last column
     def test_inactive_solve_matches_lstsq(self, seed, free):
         a, b, w, c = self._case(seed)
         ref = self._lstsq(a, b, w, c)
-        report = solve(WlsProblem(a, b, w, 1e9, free))
+        report = solve(WlsProblem(a, b, w, 1e9, bool(free)))
         np.testing.assert_allclose(report.solution, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
         weights = np.repeat(w, c, axis=1)
         residual = (weights * (a @ ref.T - b) ** 2).sum(axis=0)

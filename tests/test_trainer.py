@@ -193,7 +193,7 @@ class TestMStepGate:
         for mu in (None, np.ones((n, 2))):
             g1, _ = gate_step(r, x, mu, 2.0, np.zeros((2, 3)))
             for i in range(2):
-                rep = solve(WlsProblem(x, targets[:, i], np.ones(n), 2.0, free_coords=(2,)))
+                rep = solve(WlsProblem(x, targets[:, i], np.ones(n), 2.0, bias=True))
                 np.testing.assert_allclose(g1.nu[i], rep.solution, atol=1e-9)
 
     def test_huge_radius_matches_unconstrained(self, rng):
@@ -247,7 +247,7 @@ class TestMStepGate:
         for i in range(2):
             active = mu[:, i] != 0.0
             ref = solve(WlsProblem(mu[active, i, None] * x[active], targets[active, i],
-                                   np.ones(int(active.sum())), radius, free_coords=(2,)))
+                                   np.ones(int(active.sum())), radius, bias=True))
             np.testing.assert_allclose(g.nu[i], ref.solution, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(g.nu[2], incumbent[2])
         assert converged.shape == (2,) and converged.all()
@@ -661,7 +661,7 @@ class TestOneSolverCallPerMStep:
             widths.append(len(problem.blocks))
             a, p = problem.design, problem.design.shape[1]
             alone = [solve(WlsProblem(a, problem.target[:, j], problem.row_weights[:, block],
-                                      problem.radius[j], problem.free_coords, problem.nonnegative))
+                                      problem.radius[j], problem.bias, problem.nonnegative))
                      for j, block in enumerate(problem.blocks)]
             return SolveReport(
                 np.array([one.solution for one in alone]).reshape(len(alone), p),
@@ -767,6 +767,27 @@ class TestOneSolverCallPerMStep:
         m_step_experts(np.full((10, 2), 0.5), x, targets, 1.0, ExpertParams(np.zeros((2, 2, 3))))
         gate_step(np.full((10, 2), 0.5), x, None, 1.0, np.zeros((2, 3)))
         assert x.flags.writeable and targets.flags.writeable
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l1", 1.5)])
+    def test_every_row_and_expert_batch_layout(self, monkeypatch, selector_mode, lambda_mu):
+        # An M-step that refits every gate row and every expert takes its
+        # block index and radii from the set-up: the k gate columns (one
+        # unit block, or a block each), then each expert's q columns.
+        seen = []
+
+        def spy(problem, *, gram=None):
+            seen.append((problem.blocks.tolist(), problem.radius.tolist()))
+            return solve(problem, gram=gram)
+
+        monkeypatch.setattr(trainer, "solve", spy)
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        k, q = 4, ds.q
+        fit(ds, Hyperparams(k=k, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=3,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu))
+        g = 1 if selector_mode == "none" else k
+        want = ([0] * k if g == 1 else list(range(k))) + [g + i for i in range(k) for _ in range(q)]
+        full = [layout for layout in seen if len(layout[0]) == k + k * q]
+        assert full and all(layout == (want, [3.0] * k + [2.0] * k * q) for layout in full)
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
     def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
@@ -1051,6 +1072,34 @@ class TestSolverIterations:
         _, again = fit(ds, hyper)
         assert again.solver_iterations == sum(counted) == report.solver_iterations
 
+    @pytest.mark.parametrize("k, selector_mode, lambda_mu, schedule", [
+        (4, "none", None, "full"), (4, "none", None, "fast"), (4, "l1", 1.5, "full"),
+        (1, "none", None, "full"), (1, "none", None, "fast"),
+    ])
+    def test_report_counts_calls_and_most_rounds(self, monkeypatch, k, selector_mode,
+                                                 lambda_mu, schedule):
+        # A k = 1 fit on the fast schedule makes no call in its inner
+        # iterations (no gate, unconstrained experts), only in its last.
+        counted = []
+
+        def counting_solve(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            counted.append(report.iterations)
+            return report
+
+        monkeypatch.setattr(trainer, "solve", counting_solve)
+        ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
+        hyper = Hyperparams(k=k, lambda_nu=2.0, lambda_omega=2.0, seed=1, max_iters=4,
+                            selector_mode=selector_mode, lambda_mu=lambda_mu,
+                            schedule=schedule)
+        _, report = fit(ds, hyper)
+        assert report.solver_calls == len(counted)
+        assert report.solver_calls == (1 if (k, schedule) == (1, "fast") else report.iterations_run)
+        assert report.solver_rounds_max == max(counted)
+        doc = report.to_dict()
+        assert type(doc["solver_calls"]) is int and type(doc["solver_rounds_max"]) is int
+        assert (doc["solver_calls"], doc["solver_rounds_max"]) == (len(counted), max(counted))
+
     def test_report_only_gains_the_key(self):
         ds = generate_synthetic(preset_spec("two-cluster-xor", 20, seed=3))
         _, report = fit(ds, Hyperparams(k=2, lambda_nu=0.5, lambda_omega=0.5, seed=1,
@@ -1059,6 +1108,7 @@ class TestSolverIterations:
             "format_version", "trace", "iterations_run", "converged", "sparsity",
             "selector_histogram", "constrained_solves", "solver_cap_hits", "solver_iterations",
             "dead_expert_reinits", "objective_decreases", "observed_ll_decreases",
+            "solver_calls", "solver_rounds_max",
         }
 
 
