@@ -30,7 +30,6 @@ from .model import (
     expert_forward,
     gate_forward,
     load_model,
-    predict_label,
     predict_proba,
     prepare_inputs,
     save_model,
@@ -70,8 +69,8 @@ __all__ = [
     "ConfigError", "DataError", "DimensionError", "SolverError", "TrainingError",
     # model
     "ExpertParams", "ExpertSelector", "GateParams", "Hyperparams", "MixtureModel",
-    "enumerate_subsets", "expert_forward", "gate_forward", "load_model", "predict_label",
-    "predict_proba", "prepare_inputs", "save_model",
+    "enumerate_subsets", "expert_forward", "gate_forward", "load_model", "predict_proba",
+    "prepare_inputs", "save_model",
     # solver
     "SolveReport", "WlsProblem", "project_l1_ball", "solve", "unconstrained_wls",
     # trainer

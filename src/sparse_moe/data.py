@@ -92,7 +92,8 @@ def load_dataset(path) -> Dataset:
     Blank lines are skipped.  A header row is auto-detected when any
     stripped feature cell of the first row fails to parse as a number.  A feature
     cell is any text Python ``float()`` accepts, surrounding whitespace
-    included; there are no comment lines.
+    included; there are no comment lines.  A class token is stripped, and
+    an empty one raises DataError.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
@@ -122,7 +123,10 @@ def load_dataset(path) -> Dataset:
             c, cell = next((c, cell) for c, cell in enumerate(row[:-1], start=1)
                            if _parse_number(cell.strip()) is None)
             raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
-        ids.append(index.setdefault(row[-1].strip(), len(index)))
+        token = row[-1].strip()
+        if not token:
+            raise DataError(f"{path}: empty class token at row {r}")
+        ids.append(index.setdefault(token, len(index)))
     return Dataset(feats, np.array(ids), tuple(index))
 
 

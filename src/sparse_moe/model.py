@@ -96,6 +96,10 @@ class Hyperparams:
     schedule: str = "full"
 
     def validate(self):
+        for name in ("k", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ConfigError("need at least one expert")
         if not (0 < self.lambda_nu < math.inf and 0 < self.lambda_omega < math.inf):
@@ -286,11 +290,6 @@ def predict_proba(model: MixtureModel, x, mu_row=None):
     xb = prepare_inputs(np.asarray(x, dtype=float).reshape(1, -1), model.scaler)
     mu = None if mu_row is None else _one_row(mu_row, model.k, "selector row")
     return mixture_probs(model, xb, mu)[0]
-
-
-def predict_label(model: MixtureModel, x, mu_row=None) -> int:
-    """Smallest class id attaining the maximum mixture probability."""
-    return int(np.argmax(predict_proba(model, x, mu_row)))
 
 
 def sparsity(model: MixtureModel, threshold=SPARSITY_THRESHOLD) -> float:

@@ -15,9 +15,11 @@ iterations fit the experts unconstrained (a plain WLS call) and its final
 pass the experts alone.  The selector update runs first in each outer
 iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
-solved.  A fit builds, once and read-only, what its M-steps share: the
-tiled class targets, block indices, radii and, without a selector, the
-gate's unit weights and Gram matrix; each iteration fills in what the
+solved.  A fit builds, once and read-only, what its M-steps share: one
+column layout (the k gate rows, then the k*q expert columns) with each
+column's weight block and radius, the tiled class targets and, without
+a selector, the gate's unit weights and Gram matrix.  Each M-step's
+batch takes the entries of the columns it solves and fills in what the
 responsibilities change.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
@@ -156,28 +158,22 @@ def build_gate_targets(r):
 
 class _MStepSetup(NamedTuple):
     """What a fit's M-steps share, built once by :func:`_m_step_setup`.
-    Every expert's q problems have the same targets, so the first c
-    columns of ``targets``, and entries of ``expert_blocks`` and
-    ``expert_radius``, serve any c/q live experts; the first w entries of
-    ``gate_blocks`` and ``gate_radius`` serve w selected gate rows.  An
-    M-step that refits every gate row and every expert takes its batch's
-    block index and radii whole from ``joint_blocks`` and ``joint_radius``."""
+    The fit has one column layout: the k gate rows, then expert i's q
+    class columns for each expert i.  Its weight blocks are the gate's
+    (one under unit weights, otherwise one per row), then one per expert,
+    and ``blocks`` and ``radius`` give each layout column's block and
+    radius.  A batch carries the gate's blocks first and, if it solves
+    expert columns, every expert's, so a column's block does not depend on
+    which other columns the batch solves."""
 
     x_mat: np.ndarray  # (n, p) prepared design
     targets: np.ndarray  # (n, k*q) class targets tiled per expert
-    expert_blocks: np.ndarray  # (k*q,) expert i's q columns: block i
-    expert_radius: np.ndarray  # (k*q,) lambda_omega
-    gate_radius: np.ndarray  # (k,) lambda_nu
-    # Gate row i's block: i, or 0 for all rows under unit weights.
-    gate_blocks: np.ndarray  # (k,)
-    # Under unit weights (an all-ones selector): the gate rows' weights
-    # (n, 1) and their Gram stack (1, p, p); otherwise None.
+    blocks: np.ndarray  # (k + k*q,)
+    radius: np.ndarray  # (k + k*q,) lambda_nu for gate rows, lambda_omega for experts
+    # Under unit weights (a fit without a selector): the gate's one block
+    # (n, 1) and its Gram stack (1, p, p); otherwise None.
     gate_weights: np.ndarray | None
     gate_gram: np.ndarray | None
-    # The k gate columns, then the k*q expert columns: each one's block
-    # index (the experts' after the gate's weight blocks) and radius.
-    joint_blocks: np.ndarray  # (k + k*q,)
-    joint_radius: np.ndarray  # (k + k*q,)
 
 
 def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
@@ -187,22 +183,16 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     it builds are read-only, so a write raises instead of slipping past the
     solver's check."""
     q = targets.shape[1]
+    gate_blocks = 1 if unit else k
     gate_weights = np.ones((len(x_mat), 1)) if unit else None
-    expert_blocks = np.repeat(np.arange(k), q)
-    expert_radius = np.full(k * q, lambda_omega, dtype=float)
-    gate_radius = np.full(k, lambda_nu, dtype=float)
-    gate_blocks = np.zeros(k, dtype=int) if unit else np.arange(k)
     built = _MStepSetup(
         x_mat,
         np.tile(targets, k),
-        expert_blocks,
-        expert_radius,
-        gate_radius,
-        gate_blocks,
+        np.concatenate([np.zeros(k, dtype=int) if unit else np.arange(k),
+                        np.repeat(np.arange(gate_blocks, gate_blocks + k), q)]),
+        np.repeat(np.array([lambda_nu, lambda_omega], dtype=float), [k, k * q]),
         gate_weights,
         None if gate_weights is None else grams(x_mat, gate_weights),
-        np.concatenate([gate_blocks, expert_blocks + (1 if unit else k)]),
-        np.concatenate([gate_radius, expert_radius]),
     )
     for array in built[1:]:
         if array is not None:
@@ -220,72 +210,72 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     constrained problems in one solver call.
 
     ``setup`` holds what the fit fixes; this fills in what ``r`` changes:
-    the gate targets and the live experts' weights and Grams.  If ``gate``,
+    the gate targets and the experts' weights and Grams.  If ``gate``,
     gate row i is refit to minimize sum_n (mu_ni x_n . nu_i - log r_ni)^2,
     the WLS problem with weights mu_ni^2 and targets log r_ni / mu_ni (0
     where mu_ni^2 == 0, where the weight drops the row); a row selected by
     no instance keeps its incumbent, and under unit weights ``mu`` is not
     read.  The experts ``omega`` are refit in their L1 ball if ``experts``
     is "ball", or unconstrained with a small ridge if "ridge" (a plain WLS
-    call); experts not ``live`` keep their rows and are flagged.  The steps
-    read the same responsibilities, not each other's results, so their
-    problems form one batch: the gate's weight blocks, then one block per
-    live expert, each column with its own radius.  Columns never mix in
-    the solver, so each is solved as if alone.  Returns the new gate and
-    expert weights, the flagged experts, the constrained problems'
-    ``converged`` flags (gate rows first) and a list of the call's
-    ``iterations``, empty without a call.
+    call); experts not ``live`` keep their rows.  The steps read the same
+    responsibilities, not each other's results, so their problems form one
+    batch over the set-up's layout, each column with its own block and
+    radius.  Columns never mix in the solver, so each is solved as if
+    alone.  Returns the new gate and expert weights and the call's
+    SolveReport (gate rows first), or None without a call.
     """
     x_mat = setup.x_mat
-    dp = x_mat.shape[1]
-    # Each constrained part: targets, row weights, weight block of each
-    # column, radius.
-    parts = []
-    gram = None
+    q, k, dp = omega.shape
+    ball = experts == "ball"
+    omega = omega.copy()
+    # Every expert's targets are the same: the first c columns serve the
+    # live experts.
+    c = q * np.count_nonzero(live)
+    if not ball:
+        fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r[:, live], ridge=RIDGE)
+        omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
+        if not gate:
+            return nu, omega, None
+    # The batch's targets and its weight blocks, the gate's first.  The unit
+    # block comes with every batch, since its Gram is built once per fit.
+    unit = setup.gate_weights is not None
+    targets, weights = [], [setup.gate_weights] if unit else []
+    rows = slice(0, 0)  # the gate rows the batch solves
     if gate:
         nu = nu.copy()
-        if setup.gate_weights is not None:  # one block: the rows share unit weights
-            rows, width, gram = slice(None), len(nu), setup.gate_gram
-            parts.append((build_gate_targets(r), setup.gate_weights, setup.gate_blocks,
-                          setup.gate_radius))
-        else:  # a block per selected row
+        if unit:
+            rows = slice(0, k)
+            targets.append(build_gate_targets(r))
+        else:  # a block per row; rows no instance selects are not solved
             rows = np.flatnonzero((mu != 0.0).any(axis=0))
-            width, sel = len(rows), mu[:, rows]
-            gate_targets = np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
-                                     where=sel * sel != 0.0)
-            parts.append((gate_targets, sel * sel, setup.gate_blocks[:width],
-                          setup.gate_radius[:width]))
-    omega = omega.copy()
-    q = omega.shape[0]
-    flagged = np.flatnonzero(~live).tolist()
-    r_live = r[:, live]
-    c = q * r_live.shape[1]
-    if experts == "ridge":
-        fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r_live, ridge=RIDGE)
-        omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
-    else:  # a block per live expert
-        parts.append((setup.targets[:, :c], r_live, setup.expert_blocks[:c],
-                      setup.expert_radius[:c]))
-        if gram is not None:
-            gram = np.concatenate([gram, grams(x_mat, r_live)])
-    converged, steps = np.ones(0, dtype=bool), []
-    if parts:
-        t, w, index, radius = zip(*parts)
-        if sum(map(len, index)) == len(setup.joint_blocks):  # every gate row and expert
-            index, radius = setup.joint_blocks, setup.joint_radius
-        else:
-            offsets = np.cumsum([0] + [wi.shape[1] for wi in w[:-1]])
-            index = np.concatenate([i + o for i, o in zip(index, offsets)])
-            radius = np.concatenate(radius)
-        problem = WlsProblem(x_mat, np.concatenate(t, axis=1), np.concatenate(w, axis=1), radius,
-                             True, blocks=index)
-        report = solve(problem, gram=gram)
-        solution, converged, steps = report.solution, report.converged, [report.iterations]
-        if gate:
-            nu[rows], solution = solution[:width], solution[width:]
-        if experts == "ball":
-            omega[:, live] = solution.reshape(-1, q, dp).transpose(1, 0, 2)
-    return nu, omega, flagged, converged, steps
+            sel = mu[:, rows]
+            targets.append(np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+                                     where=sel * sel != 0.0))
+            weights.append(mu * mu)
+    width = targets[0].shape[1] if gate else 0
+    if ball:
+        targets.append(setup.targets[:, :c])
+        weights.append(r)
+    targets = np.concatenate(targets, axis=1)
+    index, radius = setup.blocks, setup.radius
+    if targets.shape[1] < len(index):  # not every layout column: the batch's own
+        cols = np.zeros(len(index), dtype=bool)
+        cols[rows] = True
+        if ball:
+            cols[k:] = np.repeat(live, q)
+        index, radius = index[cols], radius[cols]
+    if not (gate or unit):  # the batch leaves out the gate's k blocks
+        index = index - k
+    gram = None
+    if unit:
+        gram = np.concatenate([setup.gate_gram, grams(x_mat, r)]) if ball else setup.gate_gram
+    report = solve(WlsProblem(x_mat, targets, np.concatenate(weights, axis=1), radius, True,
+                              blocks=index), gram=gram)
+    if gate:
+        nu[rows] = report.solution[:width]
+    if ball:
+        omega[:, live] = report.solution[width:].reshape(-1, q, dp).transpose(1, 0, 2)
+    return nu, omega, report
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
@@ -299,11 +289,11 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags.
     """
-    omega = incumbent.omega
+    omega, live = incumbent.omega, _live(r)
     # No gate step is made, so the gate's radius is never read.
     setup = _m_step_setup(x_mat, omega.shape[1], targets, lambda_omega, np.inf, False)
-    _, omega, flagged, converged, _ = _m_step(setup, r, _live(r), None, omega, gate=False)
-    return ExpertParams(omega), flagged, converged
+    _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
+    return ExpertParams(omega), np.flatnonzero(~live).tolist(), report.converged
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     # What every M-step shares.  Without a selector the gate's weights stay
     # unit, so its Gram matrix is the same in every iteration.
     setup = _m_step_setup(x_mat, k, build_expert_targets(labels, q), hyper.lambda_omega,
-                          hyper.lambda_nu, k > 1 and mu is None)
+                          hyper.lambda_nu, mu is None)
     reinits = []  # [iteration, expert] of each re-initialization
 
     def reinit(iteration, experts):
@@ -501,7 +491,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     records = [record]
     prev_total = record.penalized_total
     converged = False
-    solved = []  # each M-step's converged flags and solver steps
+    solved = []  # the SolveReport of each M-step that made a solver call
     iterations_run = 0
     # The fast schedule leaves the experts unconstrained until its final
     # pass, which takes the last of its iterations.
@@ -525,10 +515,10 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             r, _ = _posterior(g, h)
             live = _live(r)
 
-        nu, omega, flagged, *result = _m_step(setup, r, live, nu, omega, mu, gate=k > 1,
-                                              experts="ridge" if fast else "ball")
-        solved.append(result)
-        reinit(t, flagged)
+        nu, omega, report = _m_step(setup, r, live, nu, omega, mu, gate=k > 1,
+                                    experts="ridge" if fast else "ball")
+        solved += [report] if report else []
+        reinit(t, np.flatnonzero(~live))
 
         g, h = forward()
         rec, r = _trace_record(t, g, h, nu, omega, mu)
@@ -541,9 +531,10 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     if fast:
         # Final pass: the constrained expert problems are solved exactly once.
         # No re-init follows, so a dead expert's ridge rows go onto the ball.
-        _, omega, flagged, *result = _m_step(setup, r, _live(r), None, omega, gate=False)
-        omega[:, flagged, :-1] = project_l1_ball(omega[:, flagged, :-1], hyper.lambda_omega)
-        solved.append(result)
+        live = _live(r)
+        _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
+        omega[:, ~live, :-1] = project_l1_ball(omega[:, ~live, :-1], hyper.lambda_omega)
+        solved += [report] if report else []
         iterations_run += 1
         g, h = forward()
         records.append(_trace_record(iterations_run, g, h, nu, omega, mu)[0])
@@ -555,17 +546,15 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     else:
         active = (mu > SPARSITY_THRESHOLD).sum(axis=1)
         histogram = {int(c): int((active == c).sum()) for c in np.unique(active)}
-    flags, calls = zip(*solved)
-    converged_flags = np.concatenate(flags)
-    steps = [n for call in calls for n in call]
+    steps = [call.iterations for call in solved]
     report = FitReport(
         trace=records,
         iterations_run=iterations_run,
         converged=converged,
         sparsity=sparsity(model),
         selector_histogram=histogram,
-        constrained_solves=converged_flags.size,
-        solver_cap_hits=int(np.count_nonzero(~converged_flags)),
+        constrained_solves=sum(call.converged.size for call in solved),
+        solver_cap_hits=sum(int(np.count_nonzero(~call.converged)) for call in solved),
         solver_iterations=sum(steps),
         solver_calls=len(steps),
         solver_rounds_max=max(steps, default=0),

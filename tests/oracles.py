@@ -152,7 +152,8 @@ def load_dataset_reference(path):
     """Row-by-row, cell-by-cell reading of the comma-delimited format:
     blank lines skipped, a header when any stripped feature cell of the
     first row is not a number, every feature cell parsed by Python ``float()``, and
-    class ids in first-appearance order of the last column's tokens."""
+    class ids in first-appearance order of the last column's tokens, none
+    of them empty once stripped."""
     text = Path(path).read_text(encoding="utf-8")
     rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if not rows:
@@ -180,6 +181,8 @@ def load_dataset_reference(path):
             vals.append(v)
         feats.append(vals)
         token = row[-1].strip()
+        if not token:
+            raise DataError(f"{path}: empty class token at row {r}")
         if token not in index:
             index[token] = len(names)
             names.append(token)

@@ -11,7 +11,7 @@ PUBLIC = [
     "build_expert_targets", "build_gate_targets", "e_step", "enumerate_subsets",
     "evaluate", "expert_forward", "fit", "fit_scaler", "gate_forward",
     "generate_synthetic", "instance_loss", "load_dataset", "load_model", "m_step_experts",
-    "m_step_selector_norm0", "m_step_selector_norm1", "predict_label", "predict_proba",
+    "m_step_selector_norm0", "m_step_selector_norm1", "predict_proba",
     "predict_proba_batch", "prepare_inputs", "preset_spec", "project_l1_ball", "save_dataset",
     "save_model", "solve", "to_model_classes", "train_test_split", "unconstrained_wls",
 ]

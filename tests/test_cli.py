@@ -106,6 +106,18 @@ class TestTrain:
         assert "fewer than 2 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ending", ["", "  "])
+    def test_empty_class_token_exit_3(self, xor_file, tmp_path, capsys, ending):
+        # Row 3's class cell is empty: not a class of its own.
+        rows = xor_file.read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0] + "," + ending
+        data = tmp_path / "empty-label.csv"
+        data.write_text("".join(r + "\n" for r in rows))
+        out = tmp_path / "m.json"
+        assert main(train_args(data, out)) == 3
+        assert "empty class token at row 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_hyper_exit_2(self, xor_file, tmp_path, capsys):
         args = train_args(xor_file, tmp_path / "m.json", selector="l0")
         assert main(args) == 2  # l0 without --lambda-mu

@@ -48,6 +48,11 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2, column 1"):
             load_dataset(write(tmp_path, "1,2,a\nfoo,4,b\n"))
 
+    @pytest.mark.parametrize("token", ["", "  ", "\t"])
+    def test_empty_class_token_rejected(self, tmp_path, token):
+        with pytest.raises(DataError, match="empty class token at row 3"):
+            load_dataset(write(tmp_path, f"x,y,label\n1,2,a\n3,4,{token}\n"))
+
     def test_ragged_row_rejected(self, tmp_path):
         with pytest.raises(DataError, match="ragged row"):
             load_dataset(write(tmp_path, "1,2,a\n3,4,5,b\n"))
@@ -82,7 +87,7 @@ def _dataset_text(draw):
     width = draw(st.integers(2, 5))
     row = st.tuples(
         st.lists(_cell_text(), min_size=width - 1, max_size=width - 1),
-        st.sampled_from(["a", "b", " b ", "c", "1"]),
+        st.sampled_from(["a", "b", " b ", "c", "1", "", "  "]),
     ).map(lambda r: ",".join(r[0] + [r[1]]))
     lines = draw(st.lists(row, min_size=1, max_size=6))
     if draw(st.booleans()):

@@ -18,7 +18,6 @@ from sparse_moe import (
     expert_forward,
     gate_forward,
     load_model,
-    predict_label,
     predict_proba,
     prepare_inputs,
     save_model,
@@ -170,28 +169,11 @@ class TestPredictProba:
         np.testing.assert_allclose(out, base, atol=1e-12)
 
 
-class TestPredictLabel:
-    def test_argmax(self, rng):
-        omega = np.zeros((2, 1, 2))
-        omega[1, 0, 0] = 2.0  # class 1 favored for positive x
-        model = make_model(np.zeros((1, 2)), omega)
-        assert predict_label(model, np.array([1.0])) == 1
-
-    def test_tie_breaks_to_smallest_index(self):
-        model = make_model(np.zeros((1, 3)), np.zeros((2, 1, 3)))
-        assert predict_label(model, np.array([0.3, -0.7])) == 0
-
-    def test_consistent_with_proba(self, rng):
-        for _ in range(100):
-            model = random_model(rng, k=2, q=4, dp=3)
-            x = rng.normal(0, 1, 2)
-            probs = predict_proba(model, x)
-            assert predict_label(model, x) == int(np.argmax(probs))
-
-
 class TestHyperparams:
     def test_valid(self):
         Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0).validate()
+        Hyperparams(k=np.int64(2), lambda_nu=1.0, lambda_omega=1.0, max_iters=np.int32(3),
+                    seed=np.uint8(1)).validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -204,6 +186,15 @@ class TestHyperparams:
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l0", lambda_mu=3),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, max_iters=0),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, schedule="turbo"),
+            # Counts are integers: NumPy integers pass, bools and floats do not.
+            dict(k=2.5, lambda_nu=1.0, lambda_omega=1.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, max_iters=2.5),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, max_iters=3.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, seed=1.5),
+            dict(k=True, lambda_nu=1.0, lambda_omega=1.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, max_iters=np.True_),
+            dict(k=np.float64(2.0), lambda_nu=1.0, lambda_omega=1.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, seed=False),
         ],
     )
     def test_invalid(self, kwargs):

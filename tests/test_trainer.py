@@ -55,9 +55,8 @@ def gate_step(r, x, mu, radius, nu, q=2):
     setup = trainer._m_step_setup(x, k, build_expert_targets(np.arange(len(x)) % q, q), 1.0,
                                   radius, mu is None)
     live = trainer._live(r)
-    nu, _, _, converged, _ = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])),
-                                             mu)
-    return GateParams(nu), converged[:len(converged) - q * int(live.sum())]
+    nu, _, report = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])), mu)
+    return GateParams(nu), report.converged[:len(report.converged) - q * int(live.sum())]
 
 
 def dead_expert_fit(monkeypatch, schedule, fraction=0.26):
@@ -561,36 +560,39 @@ class TestGateFactorization:
             assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)] * gate_steps,
                           "solve": [], "unconstrained_wls": []}
         elif selector_mode == "none":
-            # The inner iterations' gate solves take the set-up's stack,
-            # their expert fits build the k expert blocks, and the final
-            # pass's expert solve builds its own.
-            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
+            # The inner iterations' gate solves take the set-up's stack and
+            # their expert fits build the k expert blocks; the final pass's
+            # expert solve, too, stacks its k expert blocks on the set-up's.
+            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)], "solve": [],
                           "unconstrained_wls": [(k, 0)] * gate_steps}
         else:
-            # Each iteration's one call builds a block per selected gate
-            # row with the k expert blocks.
+            # Each iteration's one call builds a block per gate row, selected
+            # or not, with the k expert blocks.
             assert by["_m_step_setup"] == by["_m_step"] == by["unconstrained_wls"] == []
             assert len(by["solve"]) == gate_steps
-            assert all(k < blocks <= 2 * k for blocks, _ in by["solve"])
+            assert all(blocks == 2 * k for blocks, _ in by["solve"])
 
-    def test_hoisted_fit_matches_per_step_factorization(self, monkeypatch, tmp_path):
-        # The same fit with the gate's Gram built on every M-step instead.
+    @pytest.mark.parametrize("k, schedule", [(3, "full"), (3, "fast"), (1, "full"), (1, "fast")])
+    def test_handed_in_gram_matches_solver_built(self, monkeypatch, k, schedule):
+        # Every solve of a selector-free fit takes a Gram stack built from
+        # the set-up's gate Gram; solved again with the stack solve builds
+        # itself, each gives the same bytes.
+        handed = []
+
+        def spy(problem, *, gram=None):
+            report = solve(problem, gram=gram)
+            handed.append(gram is not None)
+            alone = solve(problem)
+            assert report.iterations == alone.iterations
+            for field in ("solution", "final_objective", "gap", "converged"):
+                assert getattr(report, field).tobytes() == getattr(alone, field).tobytes()
+            return report
+
+        monkeypatch.setattr(trainer, "solve", spy)
         ds = generate_synthetic(preset_spec("grouped-four", 20, seed=3))
-        hyper = Hyperparams(k=3, lambda_nu=2.0, lambda_omega=2.0, seed=2, max_iters=6)
-        paths = [tmp_path / "hoisted.json", tmp_path / "per-step.json"]
-        save_model(fit(ds, hyper)[0], paths[0])
-        step = trainer._m_step
-        dropped = []
-
-        def per_step(setup, *args, **kwargs):
-            dropped.append(setup.gate_gram is not None)
-            return step(setup._replace(gate_gram=None), *args, **kwargs)
-
-        monkeypatch.setattr(trainer, "_m_step", per_step)
-        model, report = fit(ds, hyper)
-        save_model(model, paths[1])
-        assert dropped == [True] * report.iterations_run
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        _, report = fit(ds, Hyperparams(k=k, lambda_nu=2.0, lambda_omega=2.0, seed=2,
+                                        max_iters=6, schedule=schedule))
+        assert handed == [True] * report.solver_calls and report.solver_calls >= 1
 
 
 class TestOneSolverCallPerMStep:
@@ -748,8 +750,10 @@ class TestOneSolverCallPerMStep:
             fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=3,
                                 selector_mode=selector_mode, lambda_mu=lambda_mu))
         plain, selected = made
-        # Every target, block and radius field is an array; with a selector
-        # the unit gate block's weights and Gram are absent.
+        assert list(trainer._MStepSetup._fields) == [
+            "x_mat", "targets", "blocks", "radius", "gate_weights", "gate_gram"]
+        # Every field is an array; with a selector the unit gate block's
+        # weights and Gram are absent.
         assert [name for name, a in selected._asdict().items() if a is None] == [
             "gate_weights", "gate_gram"]
         for setup in made:
@@ -788,6 +792,66 @@ class TestOneSolverCallPerMStep:
         want = ([0] * k if g == 1 else list(range(k))) + [g + i for i in range(k) for _ in range(q)]
         full = [layout for layout in seen if len(layout[0]) == k + k * q]
         assert full and all(layout == (want, [3.0] * k + [2.0] * k * q) for layout in full)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("gate", [True, False])
+    @pytest.mark.parametrize("experts", ["ball", "ridge"])
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_batch_takes_its_columns_from_the_layout(self, monkeypatch, rng, unit, gate,
+                                                     experts, dead):
+        # The problem an M-step hands to solve holds exactly its layout
+        # columns (gate rows some instance selects, then the live experts'
+        # columns) with their set-up blocks and radii, and each column is
+        # weighted by its own block: the unit block or its row's mu^2, or
+        # its expert's responsibilities.
+        n, k, q, dp = 30, 3, 2, 3
+        x = np.column_stack([rng.normal(0, 1, (n, dp - 1)), np.ones(n)])
+        r = rng.dirichlet(np.ones(k), n)
+        if dead:
+            r[:, 1] = 0.0
+            r /= r.sum(axis=1, keepdims=True)
+        mu = None
+        if not unit:
+            mu = rng.uniform(0.2, 1.5, (n, k))
+            mu[:, 2] = 0.0  # no instance selects gate row 2
+        setup = trainer._m_step_setup(x, k, build_expert_targets(np.arange(n) % q, q), 2.0, 3.0,
+                                      unit)
+        live = trainer._live(r)
+        assert live.tolist() == [True, not dead, True]
+        seen = []
+
+        def spy(problem, *, gram=None):
+            seen.append((problem, gram))
+            return solve(problem, gram=gram)
+
+        monkeypatch.setattr(trainer, "solve", spy)
+        _, _, report = trainer._m_step(setup, r, live, np.zeros((k, dp)), np.zeros((q, k, dp)), mu,
+                                       gate=gate, experts=experts)
+        if not gate and experts == "ridge":
+            assert seen == [] and report is None
+            return
+        rows = [i for i in range(k) if unit or mu[:, i].any()] if gate else []
+        solved = [i for i in range(k) if live[i]] if experts == "ball" else []
+        cols = rows + [k + q * i + c for i in solved for c in range(q)]
+        (problem, gram), = seen
+        assert report.converged.shape == (len(cols),)
+        # A selector fit's batch without gate rows leaves out the gate's k
+        # blocks; the unit block comes with every batch.
+        shift = 0 if unit or gate else k
+        assert problem.blocks.tolist() == (setup.blocks[cols] - shift).tolist()
+        assert problem.radius.tolist() == setup.radius[cols].tolist()
+        if len(cols) == len(setup.blocks):
+            assert problem.blocks is setup.blocks and problem.radius is setup.radius
+        want = ([np.ones(n) if unit else mu[:, i] * mu[:, i] for i in rows]
+                + [r[:, i] for i in solved for _ in range(q)])
+        for j, weights in enumerate(want):
+            assert problem.row_weights[:, problem.blocks[j]].tobytes() == weights.tobytes()
+        gate_blocks = (1 if unit else k) if shift == 0 else 0
+        assert problem.row_weights.shape[1] == gate_blocks + (k if experts == "ball" else 0)
+        if unit:
+            assert gram.tobytes() == grams(x, problem.row_weights).tobytes()
+        else:
+            assert gram is None
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
     def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
@@ -1195,13 +1259,13 @@ class TestDeadExpertReinit:
             traced.append(r)
             return rec, r
 
-        def stepping(setup, r, *args, **kwargs):
+        def stepping(setup, r, live, *args, **kwargs):
             # Without a selector, an M-step gets the last trace record's
-            # responsibilities unless experts were re-initialized between.
+            # responsibilities unless experts were re-initialized between;
+            # the experts not live in it are re-initialized after it.
             events["before"] += r is not traced[-1]
-            result = step(setup, r, *args, **kwargs)
-            events["after"] += bool(result[2])
-            return result
+            events["after"] += not live.all()
+            return step(setup, r, live, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "_trace_record", tracing)
         monkeypatch.setattr(trainer, "_m_step", stepping)
@@ -1260,10 +1324,9 @@ class TestDeadExpertReinit:
         flagged = []
         step = trainer._m_step
 
-        def stepping(*args, **kwargs):
-            result = step(*args, **kwargs)
-            flagged.append(result[2])
-            return result
+        def stepping(setup, r, live, *args, **kwargs):
+            flagged.append(np.flatnonzero(~live).tolist())
+            return step(setup, r, live, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "_m_step", stepping)
         ds = generate_synthetic(preset_spec("noisy-subspace", 25, noise_dims=4, seed=0))
@@ -1294,11 +1357,10 @@ class TestDeadExpertReinit:
         step = trainer._m_step
         given, flagged = [], []
 
-        def stepping(setup, r, *args, **kwargs):
+        def stepping(setup, r, live, *args, **kwargs):
             given.append(r)
-            result = step(setup, r, *args, **kwargs)
-            flagged.append(result[2])
-            return result
+            flagged.append(np.flatnonzero(~live).tolist())
+            return step(setup, r, live, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "_m_step", stepping)
         _, report = fit(ds, hyper)
