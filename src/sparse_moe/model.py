@@ -106,10 +106,10 @@ class Hyperparams:
             raise ConfigError("L1 radii must be positive and finite")
         if self.selector_mode not in SELECTOR_MODES:
             raise ConfigError(f"unknown selector mode {self.selector_mode!r}")
-        if self.lambda_mu is not None and not math.isfinite(self.lambda_mu):
-            raise ConfigError("lambda_mu must be finite")
+        if self.lambda_mu is not None and not 0 < self.lambda_mu < math.inf:
+            raise ConfigError("lambda_mu must be finite and positive")
         if self.selector_mode != "none":
-            if self.lambda_mu is None or not self.lambda_mu > 0:
+            if self.lambda_mu is None:
                 raise ConfigError("active selector requires a positive lambda_mu")
             if self.selector_mode == "l0":
                 budget = int(self.lambda_mu)

@@ -308,8 +308,9 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
     solve bit for bit.
 
     The Gram stack of the design and weights is built with :func:`grams`
-    unless ``gram`` hands it in, with the same result bit for bit; a stack
-    that is not ``(g, p, p)`` raises ConfigError.
+    unless ``gram`` hands it in, with the same result bit for bit.  A stack
+    that is not ``(g, p, p)``, or a column whose scale overflows (its
+    tolerance would certify any point), raises ConfigError.
     """
     a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
     p, r, nonneg, bias = a.shape[1], len(block), problem.nonnegative, problem.bias
@@ -319,9 +320,10 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
                           "and p design columns")
 
     bt = np.ascontiguousarray(problem.target.reshape(len(a), r).T)
-    bw = bt * w.T[block]  # each column's target times its block's weights
-    lin = _rowwise(bw, a)
-    energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
+    with np.errstate(over="ignore"):  # an overflow makes a scale non-finite, checked below
+        bw = bt * w.T[block]  # each column's target times its block's weights
+        lin = _rowwise(bw, a)
+        energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
     # Each block's coupling g_kf of the restricted coordinates to the bias,
     # the reciprocal of its bias entry (0 where that is 0, as the
     # pseudo-inverse gives) and its Schur complement of the bias.  Each
@@ -342,8 +344,11 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
 
     # Every column starts at the origin, with the bias minimized, unless
     # the exact shortcut x_u certifies (a singular S keeps the origin).
-    gap = _fw_gap(-d, 0.0, radius, nonneg)
-    tol = GAP_RTOL * (energy + gap)
+    with np.errstate(over="ignore"):
+        gap = _fw_gap(-d, 0.0, radius, nonneg)
+        tol = GAP_RTOL * (energy + gap)
+    if not np.isfinite(tol).all():  # an infinite tol would certify any point
+        raise ConfigError("a column's scale (objective and gap at the origin) overflows")
     x_u = _solve_or_fill(s_col, d[:, :, None], 0.0)[:, :, 0]
     hg_u = _rowwise(x_u, s_col) - d
     x_hg = (x_u * hg_u).sum(axis=1)
@@ -352,7 +357,7 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
     if nonneg:
         ok &= np.all(x_u >= 0.0, axis=1)
     x = np.where(ok[:, None], x_u, 0.0)
-    obj = np.where(ok, x_hg - (x_u * d).sum(axis=1) + offset, offset)
+    x_hg[~ok] = 0.0
     gap = np.where(ok, gap_u, gap)
     converged = gap <= tol
 
@@ -364,7 +369,7 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             iterations = _active_set(x_u, s_col, d, radius, tol, nonneg, cols, x, gap, x_hg,
                                      converged)
-        obj[cols] = x_hg[cols] - (x[cols] * d[cols]).sum(axis=1) + offset[cols]
+    obj = x_hg - (x * d).sum(axis=1) + offset
 
     solution = x
     if bias:

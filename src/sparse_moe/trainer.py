@@ -18,9 +18,9 @@ responsibilities are refreshed and the gate and expert subproblems are
 solved.  A fit builds, once and read-only, what its M-steps share: one
 column layout (the k gate rows, then the k*q expert columns) with each
 column's weight block and radius, the tiled class targets and, without
-a selector, the gate's unit weights and Gram matrix.  Each M-step's
-batch takes the entries of the columns it solves and fills in what the
-responsibilities change.
+a selector, the gate's unit-weight Gram matrix.  Each M-step's batch is
+one mask over that layout (no solver call if it is empty) and fills in
+what the responsibilities change.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -94,7 +94,7 @@ class FitReport:
     constrained_solves: int  # gate and expert problems (columns, not calls)
     solver_cap_hits: int  # gate and expert solves that reached MAX_ITERS uncertified
     solver_iterations: int  # active-set rounds after a call's first, by its slowest column, summed
-    solver_calls: int  # solve calls: one per M-step with constrained problems
+    solver_calls: int  # solve calls: one per M-step whose batch has columns
     solver_rounds_max: int  # the most active-set rounds after the first in one call
     dead_expert_reinits: list[list[int]]  # [iteration, expert] of each re-initialization
     objective_decreases: int  # trace records whose penalized_total fell
@@ -162,17 +162,16 @@ class _MStepSetup(NamedTuple):
     class columns for each expert i.  Its weight blocks are the gate's
     (one under unit weights, otherwise one per row), then one per expert,
     and ``blocks`` and ``radius`` give each layout column's block and
-    radius.  A batch carries the gate's blocks first and, if it solves
-    expert columns, every expert's, so a column's block does not depend on
-    which other columns the batch solves."""
+    radius.  A batch is a mask over the layout; it carries the gate's
+    blocks if it solves a gate row and every expert's if it solves an
+    expert column, so a column's block moves only by the gate's blocks."""
 
     x_mat: np.ndarray  # (n, p) prepared design
     targets: np.ndarray  # (n, k*q) class targets tiled per expert
     blocks: np.ndarray  # (k + k*q,)
     radius: np.ndarray  # (k + k*q,) lambda_nu for gate rows, lambda_omega for experts
-    # Under unit weights (a fit without a selector): the gate's one block
-    # (n, 1) and its Gram stack (1, p, p); otherwise None.
-    gate_weights: np.ndarray | None
+    # Under unit weights (a fit without a selector), the Gram stack (1, p, p)
+    # of the gate's one block; otherwise None.
     gate_gram: np.ndarray | None
 
 
@@ -184,15 +183,13 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     solver's check."""
     q = targets.shape[1]
     gate_blocks = 1 if unit else k
-    gate_weights = np.ones((len(x_mat), 1)) if unit else None
     built = _MStepSetup(
         x_mat,
         np.tile(targets, k),
         np.concatenate([np.zeros(k, dtype=int) if unit else np.arange(k),
                         np.repeat(np.arange(gate_blocks, gate_blocks + k), q)]),
         np.repeat(np.array([lambda_nu, lambda_omega], dtype=float), [k, k * q]),
-        gate_weights,
-        None if gate_weights is None else grams(x_mat, gate_weights),
+        grams(x_mat, np.ones((len(x_mat), 1))) if unit else None,
     )
     for array in built[1:]:
         if array is not None:
@@ -219,10 +216,10 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     is "ball", or unconstrained with a small ridge if "ridge" (a plain WLS
     call); experts not ``live`` keep their rows.  The steps read the same
     responsibilities, not each other's results, so their problems form one
-    batch over the set-up's layout, each column with its own block and
-    radius.  Columns never mix in the solver, so each is solved as if
+    batch: a mask over the set-up's layout, each column with its own block
+    and radius.  Columns never mix in the solver, so each is solved as if
     alone.  Returns the new gate and expert weights and the call's
-    SolveReport (gate rows first), or None without a call.
+    SolveReport (gate rows first), or None for an empty batch (no call).
     """
     x_mat = setup.x_mat
     q, k, dp = omega.shape
@@ -234,47 +231,43 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     if not ball:
         fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r[:, live], ridge=RIDGE)
         omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
-        if not gate:
-            return nu, omega, None
-    # The batch's targets and its weight blocks, the gate's first.  The unit
-    # block comes with every batch, since its Gram is built once per fit.
-    unit = setup.gate_weights is not None
-    targets, weights = [], [setup.gate_weights] if unit else []
-    rows = slice(0, 0)  # the gate rows the batch solves
+    # The batch is one mask over the layout: the gate rows some instance
+    # selects (all k under unit weights), then the live experts' columns.
+    unit = setup.gate_gram is not None
+    cols = np.zeros(len(setup.blocks), dtype=bool)
     if gate:
-        nu = nu.copy()
-        if unit:
-            rows = slice(0, k)
-            targets.append(build_gate_targets(r))
-        else:  # a block per row; rows no instance selects are not solved
-            rows = np.flatnonzero((mu != 0.0).any(axis=0))
-            sel = mu[:, rows]
-            targets.append(np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
-                                     where=sel * sel != 0.0))
-            weights.append(mu * mu)
-    width = targets[0].shape[1] if gate else 0
+        cols[:k] = True if unit else (mu != 0.0).any(axis=0)
+    if ball:
+        cols[k:] = np.repeat(live, q)
+    if not cols.any():
+        return nu, omega, None
+    rows = np.flatnonzero(cols[:k])
+    targets, weights, gram = [], [], None
+    if rows.size and unit:  # the unit block, whose Gram the set-up holds
+        targets.append(build_gate_targets(r))
+        weights.append(np.ones((len(x_mat), 1)))
+        gram = np.concatenate([setup.gate_gram, grams(x_mat, r)]) if ball else setup.gate_gram
+    elif rows.size:  # a block per row
+        sel = mu[:, rows]
+        targets.append(np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+                                 where=sel * sel != 0.0))
+        weights.append(mu * mu)
     if ball:
         targets.append(setup.targets[:, :c])
         weights.append(r)
-    targets = np.concatenate(targets, axis=1)
     index, radius = setup.blocks, setup.radius
-    if targets.shape[1] < len(index):  # not every layout column: the batch's own
-        cols = np.zeros(len(index), dtype=bool)
-        cols[rows] = True
-        if ball:
-            cols[k:] = np.repeat(live, q)
+    if not cols.all():
         index, radius = index[cols], radius[cols]
-    if not (gate or unit):  # the batch leaves out the gate's k blocks
-        index = index - k
-    gram = None
-    if unit:
-        gram = np.concatenate([setup.gate_gram, grams(x_mat, r)]) if ball else setup.gate_gram
-    report = solve(WlsProblem(x_mat, targets, np.concatenate(weights, axis=1), radius, True,
-                              blocks=index), gram=gram)
-    if gate:
-        nu[rows] = report.solution[:width]
+    if not rows.size:  # the batch leaves out the gate's blocks
+        index = index - setup.blocks[k]
+    report = solve(WlsProblem(x_mat, np.concatenate(targets, axis=1),
+                              np.concatenate(weights, axis=1), radius, True, blocks=index),
+                   gram=gram)
+    if rows.size:
+        nu = nu.copy()
+        nu[rows] = report.solution[:rows.size]
     if ball:
-        omega[:, live] = report.solution[width:].reshape(-1, q, dp).transpose(1, 0, 2)
+        omega[:, live] = report.solution[rows.size:].reshape(-1, q, dp).transpose(1, 0, 2)
     return nu, omega, report
 
 
@@ -287,13 +280,14 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     problems form a block weighted by its responsibilities ``r[:, i]``.
     Experts with (near) zero responsibility mass keep their incumbent rows
     and are returned as flagged for reinitialization.  Also returns the
-    constrained problems' ``converged`` flags.
+    constrained problems' ``converged`` flags, none if every expert is dead.
     """
     omega, live = incumbent.omega, _live(r)
     # No gate step is made, so the gate's radius is never read.
     setup = _m_step_setup(x_mat, omega.shape[1], targets, lambda_omega, np.inf, False)
     _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
-    return ExpertParams(omega), np.flatnonzero(~live).tolist(), report.converged
+    converged = report.converged if report else np.zeros(0, dtype=bool)
+    return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
 
 
 # ---------------------------------------------------------------------------

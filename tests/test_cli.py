@@ -148,6 +148,28 @@ class TestTrain:
         assert "L1 radii must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("selector, lambda_mu", [(None, "-1"), (None, "0"), ("l1", "0")])
+    def test_non_positive_lambda_mu_exit_2(self, xor_file, tmp_path, capsys, selector,
+                                           lambda_mu):
+        # Rejected with or without a selector: a model trained with it
+        # could not be scored under the gate-surrogate policy.
+        extra = {"selector": selector} if selector else {}
+        out = tmp_path / "m.json"
+        assert main(train_args(xor_file, out, lambda_mu=lambda_mu, **extra)) == 2
+        assert "lambda_mu must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_solve_scale_exit_2(self, xor_file, tmp_path, capsys):
+        # A finite radius so large that a solve's scale overflows: a config
+        # error, exit 2, with no RuntimeWarning.
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(train_args(xor_file, out, lambda_expert="1e308")) == 2
+        assert caught == []
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_feature_scale_exit_3(self, tmp_path, capsys):
         # The features' squared deviations overflow float: a data error,
         # exit 3, with no RuntimeWarning (pytest makes one an error).

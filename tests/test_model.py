@@ -184,6 +184,11 @@ class TestHyperparams:
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l0"),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l0", lambda_mu=1.5),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l0", lambda_mu=3),
+            # lambda_mu must be positive whenever it is given, selector or not.
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, lambda_mu=0.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, lambda_mu=-1.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l1", lambda_mu=0.0),
+            dict(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode="l1", lambda_mu=-1.5),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, max_iters=0),
             dict(k=2, lambda_nu=1.0, lambda_omega=1.0, schedule="turbo"),
             # Counts are integers: NumPy integers pass, bools and floats do not.

@@ -581,6 +581,20 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigError, match="design and targets must be finite"):
             unconstrained_wls(a, b, np.ones(10))
 
+    @pytest.mark.parametrize("scale, radius", [(1.0, 1e307), (1e160, 1e160)])
+    def test_overflowing_scale_raises(self, rng, scale, radius):
+        # A column's scale, its objective plus its gap at the origin, sets
+        # its tolerance; an infinite one would certify the origin.  Pytest
+        # makes a RuntimeWarning an error, so the check raises without one.
+        a = rng.normal(0, 1, (20, 3))
+        b = scale * (a @ [1.0, -0.5, 0.3] + rng.normal(0, 0.1, 20))
+        with pytest.raises(ConfigError, match="scale .* overflows"):
+            solve(WlsProblem(a, b, np.ones(20), radius, nonnegative=True))
+        # A slack radius whose scale is finite solves and certifies.
+        report = solve(WlsProblem(a, b / scale, np.ones(20), 1e6, nonnegative=True))
+        assert report.converged and np.isfinite(report.gap)
+        assert report.solution.tolist() != [0.0, 0.0, 0.0]
+
 
 class TestFactorization:
     """solve with a prebuilt Gram stack, as the trainer hands the gate

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -162,6 +163,20 @@ class TestMStepExperts:
         params, flagged, _ = m_step_experts(r, x, targets, 1.0, ExpertParams(incumbent))
         assert flagged == [1]
         np.testing.assert_array_equal(params.omega[:, 1, :], incumbent[:, 1, :])
+
+    def test_all_dead_makes_no_call(self, monkeypatch, rng):
+        # With every expert dead the batch has no columns: no solve call,
+        # no converged flags, and every expert kept and flagged.
+        monkeypatch.setattr(trainer, "solve", lambda *a, **kw: pytest.fail("solve was called"))
+        n = 10
+        x = np.column_stack([rng.normal(0, 1, (n, 1)), np.ones(n)])
+        targets = build_expert_targets(rng.integers(0, 2, n), 2)
+        incumbent = rng.normal(0, 1, (2, 2, 2))
+        params, flagged, converged = m_step_experts(np.zeros((n, 2)), x, targets, 1.0,
+                                                    ExpertParams(incumbent))
+        assert flagged == [0, 1]
+        assert converged.shape == (0,) and converged.dtype == bool
+        assert params.omega.tobytes() == incumbent.tobytes()
 
     def test_toy_problem_vs_grid_oracle(self, rng):
         n = 6
@@ -562,8 +577,9 @@ class TestGateFactorization:
         elif selector_mode == "none":
             # The inner iterations' gate solves take the set-up's stack and
             # their expert fits build the k expert blocks; the final pass's
-            # expert solve, too, stacks its k expert blocks on the set-up's.
-            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)], "solve": [],
+            # expert solve has no gate row, so it carries no unit block and
+            # solve builds its k expert blocks.
+            assert by == {"_m_step_setup": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
                           "unconstrained_wls": [(k, 0)] * gate_steps}
         else:
             # Each iteration's one call builds a block per gate row, selected
@@ -574,9 +590,10 @@ class TestGateFactorization:
 
     @pytest.mark.parametrize("k, schedule", [(3, "full"), (3, "fast"), (1, "full"), (1, "fast")])
     def test_handed_in_gram_matches_solver_built(self, monkeypatch, k, schedule):
-        # Every solve of a selector-free fit takes a Gram stack built from
-        # the set-up's gate Gram; solved again with the stack solve builds
-        # itself, each gives the same bytes.
+        # A selector-free fit's solves with gate rows (k > 1, every one but
+        # the fast final pass) take a Gram stack built from the set-up's
+        # gate Gram, and the others none; solved again with the stack solve
+        # builds itself, each gives the same bytes.
         handed = []
 
         def spy(problem, *, gram=None):
@@ -592,7 +609,9 @@ class TestGateFactorization:
         ds = generate_synthetic(preset_spec("grouped-four", 20, seed=3))
         _, report = fit(ds, Hyperparams(k=k, lambda_nu=2.0, lambda_omega=2.0, seed=2,
                                         max_iters=6, schedule=schedule))
-        assert handed == [True] * report.solver_calls and report.solver_calls >= 1
+        fast = schedule == "fast"
+        assert report.solver_calls >= 1
+        assert handed == [k > 1] * (report.solver_calls - fast) + [False] * fast
 
 
 class TestOneSolverCallPerMStep:
@@ -675,8 +694,10 @@ class TestOneSolverCallPerMStep:
         monkeypatch.setattr(trainer, "solve", per_column)
         model, per_col = fit(ds, hyper)
         save_model(model, paths[1])
-        # Every call of the fit went through the spy.
-        assert len(widths) == per_col.iterations_run
+        # Every call of the fit went through the spy, at most one per
+        # M-step, and each had columns.
+        assert len(widths) == per_col.solver_calls <= per_col.iterations_run
+        assert all(widths)
         assert sum(widths) == per_col.constrained_solves
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert per_col.to_dict() | {"solver_iterations": 0} == (
@@ -751,11 +772,10 @@ class TestOneSolverCallPerMStep:
                                 selector_mode=selector_mode, lambda_mu=lambda_mu))
         plain, selected = made
         assert list(trainer._MStepSetup._fields) == [
-            "x_mat", "targets", "blocks", "radius", "gate_weights", "gate_gram"]
+            "x_mat", "targets", "blocks", "radius", "gate_gram"]
         # Every field is an array; with a selector the unit gate block's
-        # weights and Gram are absent.
-        assert [name for name, a in selected._asdict().items() if a is None] == [
-            "gate_weights", "gate_gram"]
+        # Gram is absent.
+        assert [name for name, a in selected._asdict().items() if a is None] == ["gate_gram"]
         for setup in made:
             for name, a in setup._asdict().items():
                 if a is None:
@@ -835,9 +855,9 @@ class TestOneSolverCallPerMStep:
         cols = rows + [k + q * i + c for i in solved for c in range(q)]
         (problem, gram), = seen
         assert report.converged.shape == (len(cols),)
-        # A selector fit's batch without gate rows leaves out the gate's k
-        # blocks; the unit block comes with every batch.
-        shift = 0 if unit or gate else k
+        # A batch without gate rows leaves out the gate's blocks, the unit
+        # block or the k row blocks.
+        shift = 0 if rows else (1 if unit else k)
         assert problem.blocks.tolist() == (setup.blocks[cols] - shift).tolist()
         assert problem.radius.tolist() == setup.radius[cols].tolist()
         if len(cols) == len(setup.blocks):
@@ -846,12 +866,30 @@ class TestOneSolverCallPerMStep:
                 + [r[:, i] for i in solved for _ in range(q)])
         for j, weights in enumerate(want):
             assert problem.row_weights[:, problem.blocks[j]].tobytes() == weights.tobytes()
-        gate_blocks = (1 if unit else k) if shift == 0 else 0
+        gate_blocks = (1 if unit else k) if rows else 0
         assert problem.row_weights.shape[1] == gate_blocks + (k if experts == "ball" else 0)
-        if unit:
+        # The set-up's unit Gram is handed in only with the unit block.
+        if unit and rows:
             assert gram.tobytes() == grams(x, problem.row_weights).tobytes()
         else:
             assert gram is None
+
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [("none", None), ("l0", 1), ("l1", 1.5)])
+    def test_no_call_without_columns(self, monkeypatch, selector_mode, lambda_mu):
+        # At fraction 0.26 every expert is dead at the fast final pass, so
+        # its batch has no columns: it makes no call and is not counted.
+        seen = []
+
+        def spy(problem, *, gram=None):
+            seen.append(problem.target.shape[1])
+            return solve(problem, gram=gram)
+
+        monkeypatch.setattr(trainer, "solve", spy)
+        ds, hyper = dead_expert_fit(monkeypatch, "fast", 0.26)
+        hyper = dataclasses.replace(hyper, selector_mode=selector_mode, lambda_mu=lambda_mu)
+        _, report = fit(ds, hyper)
+        assert seen and all(seen)
+        assert len(seen) == report.solver_calls < report.iterations_run
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", 1), ("l1", 1.5)])
     def test_selector_fits_save_identical_files(self, tmp_path, selector_mode, lambda_mu):
