@@ -308,9 +308,8 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
     solve bit for bit.
 
     The Gram stack of the design and weights is built with :func:`grams`
-    unless ``gram`` hands it in, with the same result bit for bit.  A stack
-    that is not ``(g, p, p)``, or a column whose scale overflows (its
-    tolerance would certify any point), raises ConfigError.
+    unless ``gram`` hands it in, bit for bit the same; a stack that is not
+    ``(g, p, p)``, or a column whose scale overflows, raises ConfigError.
     """
     a, w, block, radius = problem.design, problem.row_weights, problem.blocks, problem.radius
     p, r, nonneg, bias = a.shape[1], len(block), problem.nonnegative, problem.bias
@@ -320,31 +319,30 @@ def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
                           "and p design columns")
 
     bt = np.ascontiguousarray(problem.target.reshape(len(a), r).T)
-    with np.errstate(over="ignore"):  # an overflow makes a scale non-finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in tol, below
         bw = bt * w.T[block]  # each column's target times its block's weights
         lin = _rowwise(bw, a)
         energy = (bw * bt).sum(axis=1)  # objective at the origin, per column
-    # Each block's coupling g_kf of the restricted coordinates to the bias,
-    # the reciprocal of its bias entry (0 where that is 0, as the
-    # pseudo-inverse gives) and its Schur complement of the bias.  Each
-    # column takes its block's; take() keeps rows contiguous, so that
-    # row-wise arithmetic rounds the same in a batch as alone.
-    if bias:
-        g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
-        inv = 1.0 / np.where(g_ff != 0.0, g_ff, np.inf)
-        coupling = g_kf @ inv
-        schur = gram[:, :-1, :-1] - coupling @ g_kf.transpose(0, 2, 1)
-        g_kf_col, inv_col = g_kf.take(block, axis=0), inv[block]
-        lin_f = lin[:, -1:]
-        d = lin[:, :-1] - _rowwise(lin_f, coupling.transpose(0, 2, 1)[block])  # (r, p - 1)
-        offset = energy - (_rowwise(lin_f, inv_col) * lin_f)[:, 0]
-    else:
-        schur, d, offset = gram, lin, energy
-    s_col = schur.take(block, axis=0)
+        # Each block's coupling g_kf of the restricted coordinates to the bias,
+        # the reciprocal of its bias entry (0 where that is 0, as the
+        # pseudo-inverse gives) and its Schur complement of the bias.  Each
+        # column takes its block's; take() keeps rows contiguous, so that
+        # row-wise arithmetic rounds the same in a batch as alone.
+        if bias:
+            g_kf, g_ff = gram[:, :-1, -1:], gram[:, -1:, -1:]
+            inv = 1.0 / np.where(g_ff != 0.0, g_ff, np.inf)
+            coupling = g_kf @ inv
+            schur = gram[:, :-1, :-1] - coupling @ g_kf.transpose(0, 2, 1)
+            g_kf_col, inv_col = g_kf.take(block, axis=0), inv[block]
+            lin_f = lin[:, -1:]
+            d = lin[:, :-1] - _rowwise(lin_f, coupling.transpose(0, 2, 1)[block])  # (r, p - 1)
+            offset = energy - (_rowwise(lin_f, inv_col) * lin_f)[:, 0]
+        else:
+            schur, d, offset = gram, lin, energy
+        s_col = schur.take(block, axis=0)
 
-    # Every column starts at the origin, with the bias minimized, unless
-    # the exact shortcut x_u certifies (a singular S keeps the origin).
-    with np.errstate(over="ignore"):
+        # Every column starts at the origin, with the bias minimized, unless
+        # the exact shortcut x_u certifies (a singular S keeps the origin).
         gap = _fw_gap(-d, 0.0, radius, nonneg)
         tol = GAP_RTOL * (energy + gap)
     if not np.isfinite(tol).all():  # an infinite tol would certify any point

@@ -234,14 +234,12 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     # The batch is one mask over the layout: the gate rows some instance
     # selects (all k under unit weights), then the live experts' columns.
     unit = setup.gate_gram is not None
-    cols = np.zeros(len(setup.blocks), dtype=bool)
-    if gate:
-        cols[:k] = True if unit else (mu != 0.0).any(axis=0)
-    if ball:
-        cols[k:] = np.repeat(live, q)
-    if not cols.any():
+    rows = np.arange(k if gate else 0)
+    if gate and not unit:
+        rows = np.flatnonzero((mu != 0.0).any(axis=0))
+    width = rows.size + (c if ball else 0)
+    if not width:
         return nu, omega, None
-    rows = np.flatnonzero(cols[:k])
     targets, weights, gram = [], [], None
     if rows.size and unit:  # the unit block, whose Gram the set-up holds
         targets.append(build_gate_targets(r))
@@ -256,7 +254,10 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
         targets.append(setup.targets[:, :c])
         weights.append(r)
     index, radius = setup.blocks, setup.radius
-    if not cols.all():
+    if width < len(index):  # not every layout column: take the batch's at its mask
+        cols = np.zeros(len(index), dtype=bool)
+        cols[rows] = True
+        cols[k:] = np.repeat(live, q) & ball
         index, radius = index[cols], radius[cols]
     if not rows.size:  # the batch leaves out the gate's blocks
         index = index - setup.blocks[k]

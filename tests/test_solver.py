@@ -581,17 +581,22 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigError, match="design and targets must be finite"):
             unconstrained_wls(a, b, np.ones(10))
 
-    @pytest.mark.parametrize("scale, radius", [(1.0, 1e307), (1e160, 1e160)])
-    def test_overflowing_scale_raises(self, rng, scale, radius):
+    @pytest.mark.parametrize("scale, radius, bias", [
+        (1.0, 1e307, False), (1e160, 1e160, False), (1e160, 1e160, True),
+    ])
+    def test_overflowing_scale_raises(self, rng, scale, radius, bias):
         # A column's scale, its objective plus its gap at the origin, sets
         # its tolerance; an infinite one would certify the origin.  Pytest
-        # makes a RuntimeWarning an error, so the check raises without one.
+        # makes a RuntimeWarning an error, so the check raises without one,
+        # also where a bias's elimination meets the overflowed products.
         a = rng.normal(0, 1, (20, 3))
         b = scale * (a @ [1.0, -0.5, 0.3] + rng.normal(0, 0.1, 20))
+        if bias:
+            a = np.column_stack([a, np.ones(20)])
         with pytest.raises(ConfigError, match="scale .* overflows"):
-            solve(WlsProblem(a, b, np.ones(20), radius, nonnegative=True))
+            solve(WlsProblem(a, b, np.ones(20), radius, bias, nonnegative=True))
         # A slack radius whose scale is finite solves and certifies.
-        report = solve(WlsProblem(a, b / scale, np.ones(20), 1e6, nonnegative=True))
+        report = solve(WlsProblem(a, b / scale, np.ones(20), 1e6, bias, nonnegative=True))
         assert report.converged and np.isfinite(report.gap)
         assert report.solution.tolist() != [0.0, 0.0, 0.0]
 

@@ -667,12 +667,13 @@ class TestOneSolverCallPerMStep:
         assert all(0 < w <= k for w in widths[:-1]) and widths[-1] == ds.q * k
 
     @staticmethod
-    def _batched_against_per_column(monkeypatch, tmp_path, ds, hyper):
+    def _batched_against_per_column(monkeypatch, tmp_path, ds, hyper, empty=0):
         """The fit as it is, and with each solve call replaced by one solve
         per target column, with only its weight block and its radius, the
         results stitched back together; the model files must be the same
-        bytes and the reports equal apart from solver_iterations.  Returns
-        the second fit's report."""
+        bytes and the reports equal apart from solver_iterations.  Every
+        M-step but ``empty`` ones, whose batch has no columns, makes one
+        call.  Returns the second fit's report."""
         paths = [tmp_path / "batched.json", tmp_path / "per-column.json"]
         model, batched = fit(ds, hyper)
         save_model(model, paths[0])
@@ -694,9 +695,9 @@ class TestOneSolverCallPerMStep:
         monkeypatch.setattr(trainer, "solve", per_column)
         model, per_col = fit(ds, hyper)
         save_model(model, paths[1])
-        # Every call of the fit went through the spy, at most one per
-        # M-step, and each had columns.
-        assert len(widths) == per_col.solver_calls <= per_col.iterations_run
+        # Every call of the fit went through the spy, one per M-step with
+        # columns.
+        assert len(widths) == per_col.solver_calls == per_col.iterations_run - empty
         assert all(widths)
         assert sum(widths) == per_col.constrained_solves
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -731,7 +732,9 @@ class TestOneSolverCallPerMStep:
             hyper = Hyperparams(k=4, lambda_nu=3.0, lambda_omega=2.0, seed=1, max_iters=8,
                                 selector_mode=selector_mode, lambda_mu=lambda_mu,
                                 schedule=schedule)
-        separate = self._batched_against_per_column(monkeypatch, tmp_path, ds, hyper)
+        # At 0.26 every expert is dead at the fast final pass: an empty batch.
+        empty = int(schedule == "fast" and dead == 0.26)
+        separate = self._batched_against_per_column(monkeypatch, tmp_path, ds, hyper, empty)
         assert bool(separate.dead_expert_reinits) == bool(dead)
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0, 1e6])
