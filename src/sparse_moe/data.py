@@ -89,13 +89,13 @@ def _parse_number(cell: str):
 def load_dataset(path) -> Dataset:
     """Read a comma-delimited text file, last column the class token.
 
-    Blank lines are skipped.  A header row is auto-detected when any
-    stripped feature cell of the first row fails to parse as a number.  A feature
-    cell is any text Python ``float()`` accepts, surrounding whitespace
-    included; there are no comment lines.  A class token is stripped, and
-    an empty one raises DataError.
+    A leading byte-order mark and blank lines are skipped.  A header row is
+    auto-detected when any stripped feature cell of the first row fails to
+    parse as a number.  A feature cell is any text Python ``float()``
+    accepts, surrounding whitespace included; there are no comment lines.
+    A class token is stripped, and an empty one raises DataError.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -131,8 +131,14 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write back the comma-delimited form; floats use shortest round-trip repr."""
+    """Write back the comma-delimited form; floats use shortest round-trip
+    repr.  Class tokens that would not load back as themselves raise
+    DataError, and nothing is written."""
     names = dataset.label_names
+    if len(set(names)) < len(names) or any(
+            t.splitlines() != [t] or t != t.strip() or "," in t for t in names):
+        raise DataError(f"class tokens {list(names)!r} do not load back as themselves: each must "
+                        "be distinct, nonempty, unpadded, and free of commas and line breaks")
     lines = [
         ",".join(map(repr, x)) + "," + names[y]
         for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())

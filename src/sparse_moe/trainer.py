@@ -29,7 +29,7 @@ The forward pass (the kernel in :mod:`sparse_moe.model`) runs once per EM
 iteration: the pass that scores an iteration's objective also gives the
 next iteration's responsibilities, and a selector update recomputes only
 the gate probabilities, since the experts' label likelihoods do not
-depend on the selector.
+depend on the selector.  The E-step keeps the kernel's class-major (k, n).
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    _expert_softmax,
+    _gate_softmax,
     _softmax,
     enumerate_subsets,
     expert_class_probs,
@@ -114,25 +116,38 @@ class FitReport:
 # E-step on prepared inputs (standardized, bias appended)
 
 
-def _label_probs(omega, x_mat, labels):
-    """p(y_n | x_n, m_i) as an (n, k) matrix."""
-    return expert_class_probs(omega, x_mat)[np.arange(x_mat.shape[0]), labels]
+def _label_index(labels, k):
+    """The flat (k, n) index of p(y_n | m_i) in the kernel's (q, k, n) output."""
+    n = len(labels)
+    return np.arange(k * n).reshape(k, n) + np.asarray(labels) * (k * n)
+
+
+def _label_probs(omega, x_mat, index):
+    """p(y_n | x_n, m_i), class-major (k, n), at a :func:`_label_index`."""
+    return _expert_softmax(omega, x_mat).take(index)
+
+
+def _transposed(a):
+    """``a.T`` as a C-ordered copy: (k, n) as (n, k) rows, or back."""
+    return np.ascontiguousarray(a.T)
 
 
 def _posterior(g, h):
     """Responsibilities from label likelihoods g and gate probabilities h,
-    and each row's evidence sum_i g_i h_i, (n, 1), from the same (floored)
-    joint."""
+    all (k, n), and each instance's evidence sum_i g_i h_i, (n,), from the same
+    (floored) joint."""
     joint = np.maximum(g * h, PROB_FLOOR)
-    evidence = joint.sum(axis=1, keepdims=True)
+    # Rounded as the sum of an (n, k) row, which NumPy adds in order below 8
+    # terms, as adding the expert rows does, and pairwise from 8 on.
+    evidence = joint.sum(axis=0) if len(joint) < 8 else _transposed(joint).sum(axis=1)
     return joint / evidence, evidence
 
 
 def e_step(model: MixtureModel, dataset: Dataset, selector: ExpertSelector) -> Responsibilities:
     """Posterior responsibility of each expert for each instance."""
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    g = _label_probs(model.experts.omega, x_mat, dataset.labels)
-    return Responsibilities(_posterior(g, gate_probs(model.gate.nu, x_mat, selector.mu))[0])
+    g = _label_probs(model.experts.omega, x_mat, _label_index(dataset.labels, model.k))
+    return Responsibilities(_posterior(g, _gate_softmax(model.gate.nu, x_mat, selector.mu))[0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +182,7 @@ class _MStepSetup(NamedTuple):
     expert column, so a column's block moves only by the gate's blocks."""
 
     x_mat: np.ndarray  # (n, p) prepared design
-    targets: np.ndarray  # (n, k*q) class targets tiled per expert
+    targets: np.ndarray  # (k*q, n) class targets tiled per expert, class-major
     blocks: np.ndarray  # (k + k*q,)
     radius: np.ndarray  # (k + k*q,) lambda_nu for gate rows, lambda_omega for experts
     # Under unit weights (a fit without a selector), the Gram stack (1, p, p)
@@ -185,7 +200,7 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     gate_blocks = 1 if unit else k
     built = _MStepSetup(
         x_mat,
-        np.tile(targets, k),
+        np.ascontiguousarray(np.tile(targets, k).T),
         np.concatenate([np.zeros(k, dtype=int) if unit else np.arange(k),
                         np.repeat(np.arange(gate_blocks, gate_blocks + k), q)]),
         np.repeat(np.array([lambda_nu, lambda_omega], dtype=float), [k, k * q]),
@@ -198,16 +213,16 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
 
 
 def _live(r):
-    """Experts with responsibility mass above DEAD_EXPERT_FRACTION of the rows."""
-    return r.sum(axis=0) > DEAD_EXPERT_FRACTION * len(r)
+    """Experts whose mass in (k, n) ``r`` is above DEAD_EXPERT_FRACTION of the rows."""
+    return r.sum(axis=1) > DEAD_EXPERT_FRACTION * r.shape[1]
 
 
 def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts="ball"):
     """An EM iteration's gate and expert M-steps, with all of their
     constrained problems in one solver call.
 
-    ``setup`` holds what the fit fixes; this fills in what ``r`` changes:
-    the gate targets and the experts' weights and Grams.  If ``gate``,
+    ``setup`` holds what the fit fixes; this fills in what ``r`` (k, n)
+    changes: the gate targets and the experts' weights and Grams.  If ``gate``,
     gate row i is refit to minimize sum_n (mu_ni x_n . nu_i - log r_ni)^2,
     the WLS problem with weights mu_ni^2 and targets log r_ni / mu_ni (0
     where mu_ni^2 == 0, where the weight drops the row); a row selected by
@@ -217,8 +232,9 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     call); experts not ``live`` keep their rows.  The steps read the same
     responsibilities, not each other's results, so their problems form one
     batch: a mask over the set-up's layout, each column with its own block
-    and radius.  Columns never mix in the solver, so each is solved as if
-    alone.  Returns the new gate and expert weights and the call's
+    and radius, built as (column, n) rows and handed over as ``.T`` views.
+    Columns never mix in the solver, so each is solved as if alone.
+    Returns the new gate and expert weights and the call's
     SolveReport (gate rows first), or None for an empty batch (no call).
     """
     x_mat = setup.x_mat
@@ -229,7 +245,7 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     # live experts.
     c = q * np.count_nonzero(live)
     if not ball:
-        fitted = unconstrained_wls(x_mat, setup.targets[:, :c], r[:, live], ridge=RIDGE)
+        fitted = unconstrained_wls(x_mat, setup.targets[:c].T, r[live].T, ridge=RIDGE)
         omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
     # The batch is one mask over the layout: the gate rows some instance
     # selects (all k under unit weights), then the live experts' columns.
@@ -243,15 +259,16 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     targets, weights, gram = [], [], None
     if rows.size and unit:  # the unit block, whose Gram the set-up holds
         targets.append(build_gate_targets(r))
-        weights.append(np.ones((len(x_mat), 1)))
-        gram = np.concatenate([setup.gate_gram, grams(x_mat, r)]) if ball else setup.gate_gram
+        weights.append(np.ones((1, len(x_mat))))
+        gram = np.concatenate([setup.gate_gram, grams(x_mat, r.T)]) if ball else setup.gate_gram
     elif rows.size:  # a block per row
-        sel = mu[:, rows]
-        targets.append(np.divide(build_gate_targets(r)[:, rows], sel, out=np.zeros_like(sel),
+        mu_t = _transposed(mu)
+        sel = mu_t[rows]
+        targets.append(np.divide(build_gate_targets(r)[rows], sel, out=np.zeros_like(sel),
                                  where=sel * sel != 0.0))
-        weights.append(mu * mu)
+        weights.append(mu_t * mu_t)
     if ball:
-        targets.append(setup.targets[:, :c])
+        targets.append(setup.targets[:c])
         weights.append(r)
     index, radius = setup.blocks, setup.radius
     if width < len(index):  # not every layout column: take the batch's at its mask
@@ -261,9 +278,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
         index, radius = index[cols], radius[cols]
     if not rows.size:  # the batch leaves out the gate's blocks
         index = index - setup.blocks[k]
-    report = solve(WlsProblem(x_mat, np.concatenate(targets, axis=1),
-                              np.concatenate(weights, axis=1), radius, True, blocks=index),
-                   gram=gram)
+    report = solve(WlsProblem(x_mat, np.concatenate(targets).T, np.concatenate(weights).T,
+                              radius, True, blocks=index), gram=gram)
     if rows.size:
         nu = nu.copy()
         nu[rows] = report.solution[:rows.size]
@@ -283,10 +299,10 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags, none if every expert is dead.
     """
-    omega, live = incumbent.omega, _live(r)
+    omega, live = incumbent.omega, _live(r.T)
     # No gate step is made, so the gate's radius is never read.
     setup = _m_step_setup(x_mat, omega.shape[1], targets, lambda_omega, np.inf, False)
-    _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
+    _, omega, report = _m_step(setup, r.T, live, None, omega, gate=False)
     converged = report.converged if report else np.zeros(0, dtype=bool)
     return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
 
@@ -359,8 +375,8 @@ def _selector_norm0(nu, g, x_mat, budget):
 def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> ExpertSelector:
     budget = int(lambda_mu)
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    g = _label_probs(model.experts.omega, x_mat, dataset.labels)
-    mu = _selector_norm0(model.gate.nu, g, x_mat, budget)
+    g = _label_probs(model.experts.omega, x_mat, _label_index(dataset.labels, model.k))
+    mu = _selector_norm0(model.gate.nu, _transposed(g), x_mat, budget)
     return ExpertSelector(mu, "l0")
 
 
@@ -406,13 +422,12 @@ def m_step_selector_norm1(model: MixtureModel, r, dataset: Dataset, lambda_mu) -
 
 def _trace_record(iteration, g, h, nu, omega, mu):
     """The objective at (nu, omega, mu), from its forward pass: label
-    likelihoods g and gate probabilities h.  A selector-free fit's ``mu`` is
-    None and carries no penalty.  Returns the record and the
+    likelihoods g and gate probabilities h, (k, n).  A selector-free fit's
+    ``mu`` is None and carries no penalty.  Returns the record and the
     responsibilities r, which the next E-step reuses."""
     r, evidence = _posterior(g, h)
-    ll = float(
-        np.sum(r * (np.log(np.maximum(g, PROB_FLOOR)) + np.log(np.maximum(h, PROB_FLOOR))))
-    )
+    terms = r * (np.log(np.maximum(g, PROB_FLOOR)) + np.log(np.maximum(h, PROB_FLOOR)))
+    ll = float(np.sum(_transposed(terms)))  # in (n, k) order, so that it rounds the same
     pen_nu = float(np.abs(nu[:, :-1]).sum())
     pen_omega = float(np.abs(omega[:, :, :-1]).sum())
     pen_mu = 0.0 if mu is None else float(np.abs(mu).sum())
@@ -468,6 +483,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     # unit, so its Gram matrix is the same in every iteration.
     setup = _m_step_setup(x_mat, k, build_expert_targets(labels, q), hyper.lambda_omega,
                           hyper.lambda_nu, mu is None)
+    index = _label_index(labels, k)
     reinits = []  # [iteration, expert] of each re-initialization
 
     def reinit(iteration, experts):
@@ -476,8 +492,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             reinits.append([iteration, int(i)])
 
     def forward():
-        """Label likelihoods g and gate probabilities h at the current weights."""
-        return _label_probs(omega, x_mat, labels), gate_probs(nu, x_mat, mu)
+        """Label likelihoods g and gate probabilities h (k, n) at the current weights."""
+        return _label_probs(omega, x_mat, index), _gate_softmax(nu, x_mat, mu)
 
     # g, h and r always belong to the current (nu, omega, mu): each trace
     # record's forward pass serves the next iteration's E-step.
@@ -496,11 +512,11 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         iterations_run = t
         if hyper.selector_mode != "none" and k > 1:
             if hyper.selector_mode == "l0":
-                mu = _selector_norm0(nu, g, x_mat, int(hyper.lambda_mu))
+                mu = _selector_norm0(nu, _transposed(g), x_mat, int(hyper.lambda_mu))
             else:
-                mu = _selector_norm1(nu, x_mat, r, hyper.lambda_mu)
+                mu = _selector_norm1(nu, x_mat, _transposed(r), hyper.lambda_mu)
             # g depends on omega alone; only the gate sees the new selector.
-            h = gate_probs(nu, x_mat, mu)
+            h = _gate_softmax(nu, x_mat, mu)
             r, _ = _posterior(g, h)
 
         live = _live(r)

@@ -150,11 +150,12 @@ def _parse_number(cell):
 
 def load_dataset_reference(path):
     """Row-by-row, cell-by-cell reading of the comma-delimited format:
-    blank lines skipped, a header when any stripped feature cell of the
-    first row is not a number, every feature cell parsed by Python ``float()``, and
-    class ids in first-appearance order of the last column's tokens, none
-    of them empty once stripped."""
-    text = Path(path).read_text(encoding="utf-8")
+    a leading byte-order mark dropped, blank lines skipped, a header when
+    any stripped feature cell of the first row is not a number, every
+    feature cell parsed by Python ``float()``, and class ids in
+    first-appearance order of the last column's tokens, none of them empty
+    once stripped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if not rows:
         raise DataError(f"{path}: empty file")

@@ -53,6 +53,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="empty class token at row 3"):
             load_dataset(write(tmp_path, f"x,y,label\n1,2,a\n3,4,{token}\n"))
 
+    @pytest.mark.parametrize("header", ["", "x1,x2,label\n"])
+    def test_byte_order_mark_dropped(self, tmp_path, header):
+        # A UTF-8 file may start with a byte-order mark: every data row is
+        # kept, and a header is still skipped.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}1,2,a\n3,4,b\n5,6,c\n".encode())
+        for load in (load_dataset, load_dataset_reference):
+            ds = load(path)
+            np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
+            np.testing.assert_array_equal(ds.labels, [0, 1, 2])
+            assert ds.label_names == ("a", "b", "c")
+
     def test_ragged_row_rejected(self, tmp_path):
         with pytest.raises(DataError, match="ragged row"):
             load_dataset(write(tmp_path, "1,2,a\n3,4,5,b\n"))
@@ -100,7 +112,8 @@ def _dataset_text(draw):
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] += draw(st.sampled_from([",7", ",7,a"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 def _load_or_error(load, path):
@@ -179,6 +192,19 @@ class TestSaveDataset:
         assert path.read_bytes() == save_dataset_reference_text(ds).encode("utf-8")
         back = load_dataset(path)
         assert back.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("names", [
+        ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), ("a\x1cb", "c"), ("a\u2028", "c"),
+        ("", "c"), ("a", "a "), ("\tb", "c"), ("x", "x"),
+    ])
+    def test_tokens_that_do_not_load_back_rejected(self, tmp_path, names):
+        # A comma or a line boundary makes the file ragged, an empty token
+        # fails on load, and padded or repeated tokens load back as one class.
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), names)
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match="do not load back as themselves"):
+            save_dataset(ds, path)
+        assert not path.exists()
 
 
 class TestScaler:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_fw_gap, grid_search_l1, wls_objective
+from test_solve_bits import CAP, random_batch
 from sparse_moe import solver
 from sparse_moe import (
     ConfigError,
@@ -454,6 +455,19 @@ class TestBatchedCertifiedSolve:
         report = solve(WlsProblem(a, b, w, radius, bias, nonneg))
         assert_certified_from_raw_design(a, b, w, radius, bias, nonneg, report)
         assert negative_zeros(report.solution) == 0
+
+    @pytest.mark.parametrize("seed", [93, 197, 394])
+    def test_tiny_degenerate_batches_with_large_radii_end_uncertified(self, monkeypatch, seed):
+        # The limit the README states: degenerate batches of 2 to 4 rows
+        # with radii of 1e3 and more can run every round and stop
+        # uncertified (here at a lowered cap, as in test_solve_bits.py).
+        monkeypatch.setattr(solver, "MAX_ITERS", CAP)
+        problem = random_batch(seed, True, False, True)
+        assert len(problem.design) <= 4
+        report = solve(problem)
+        assert report.iterations == CAP
+        assert not report.converged.all()
+        assert (problem.radius[~report.converged] >= 1e3).all()
 
     def test_solutions_hold_no_negative_zero(self, rng):
         # Coordinates that the L1 ball zeroes are +0.0 in the solution, as

@@ -50,11 +50,14 @@ def two_class_dataset(rng, n=20, d=2):
 
 def gate_step(r, x, mu, radius, nu, q=2):
     """The gate rows of one fit M-step (trainer._m_step, on a set-up of its
-    own) and their converged flags.  ``mu`` None is the unit-weight block
-    of a selector-free fit; otherwise each selected row is a block."""
+    own) and their converged flags, from (n, k) responsibilities ``r``,
+    handed over class-major as a fit holds them.  ``mu`` None is the
+    unit-weight block of a selector-free fit; otherwise each selected row is
+    a block."""
     k = r.shape[1]
     setup = trainer._m_step_setup(x, k, build_expert_targets(np.arange(len(x)) % q, q), 1.0,
                                   radius, mu is None)
+    r = np.ascontiguousarray(r.T)
     live = trainer._live(r)
     nu, _, report = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])), mu)
     return GateParams(nu), report.converged[:len(report.converged) - q * int(live.sum())]
@@ -829,10 +832,10 @@ class TestOneSolverCallPerMStep:
         # its expert's responsibilities.
         n, k, q, dp = 30, 3, 2, 3
         x = np.column_stack([rng.normal(0, 1, (n, dp - 1)), np.ones(n)])
-        r = rng.dirichlet(np.ones(k), n)
+        r = np.ascontiguousarray(rng.dirichlet(np.ones(k), n).T)  # class-major (k, n)
         if dead:
-            r[:, 1] = 0.0
-            r /= r.sum(axis=1, keepdims=True)
+            r[1] = 0.0
+            r /= r.sum(axis=0)
         mu = None
         if not unit:
             mu = rng.uniform(0.2, 1.5, (n, k))
@@ -858,6 +861,9 @@ class TestOneSolverCallPerMStep:
         cols = rows + [k + q * i + c for i in solved for c in range(q)]
         (problem, gram), = seen
         assert report.converged.shape == (len(cols),)
+        # Targets and weights are built as (column, n) rows and handed over
+        # transposed, so solve reads contiguous rows without a copy.
+        assert problem.target.T.flags.c_contiguous and problem.row_weights.T.flags.c_contiguous
         # A batch without gate rows leaves out the gate's blocks, the unit
         # block or the k row blocks.
         shift = 0 if rows else (1 if unit else k)
@@ -866,7 +872,7 @@ class TestOneSolverCallPerMStep:
         if len(cols) == len(setup.blocks):
             assert problem.blocks is setup.blocks and problem.radius is setup.radius
         want = ([np.ones(n) if unit else mu[:, i] * mu[:, i] for i in rows]
-                + [r[:, i] for i in solved for _ in range(q)])
+                + [r[i] for i in solved for _ in range(q)])
         for j, weights in enumerate(want):
             assert problem.row_weights[:, problem.blocks[j]].tobytes() == weights.tobytes()
         gate_blocks = (1 if unit else k) if rows else 0
@@ -1406,12 +1412,12 @@ class TestDeadExpertReinit:
         monkeypatch.setattr(trainer, "_m_step", stepping)
         _, report = fit(ds, hyper)
         assert report.dead_expert_reinits == []
-        mass = given[0].sum(axis=0)
+        mass = given[0].sum(axis=1)  # class-major, as _live sums it
         lightest = int(mass.argmin())
         monkeypatch.setattr(trainer, "DEAD_EXPERT_FRACTION", mass[lightest] / ds.n)
         given.clear()
         flagged.clear()
         _, report = fit(ds, hyper)
         assert report.dead_expert_reinits[0] == [1, lightest]
-        assert given[0][:, lightest].sum() > mass[lightest]
+        assert given[0][lightest].sum() > mass[lightest]
         assert lightest not in flagged[0]
