@@ -137,9 +137,9 @@ def _posterior(g, h):
     all (k, n), and each instance's evidence sum_i g_i h_i, (n,), from the same
     (floored) joint."""
     joint = np.maximum(g * h, PROB_FLOOR)
-    # Rounded as the sum of an (n, k) row, which NumPy adds in order below 8
-    # terms, as adding the expert rows does, and pairwise from 8 on.
-    evidence = joint.sum(axis=0) if len(joint) < 8 else _transposed(joint).sum(axis=1)
+    # Summed as (n, k) rows, which NumPy adds pairwise from 8 terms on, so
+    # that it rounds as the row-major code did.
+    evidence = _transposed(joint).sum(axis=1)
     return joint / evidence, evidence
 
 
