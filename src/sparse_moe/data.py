@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -94,56 +95,74 @@ def load_dataset(path) -> Dataset:
     parse as a number.  A feature cell is any text Python ``float()``
     accepts, surrounding whitespace included; there are no comment lines.
     A class token is stripped, and an empty one raises DataError.
+
+    The file is read one line at a time, and each line is split at every
+    ``str.splitlines`` boundary, so the rows are those of
+    ``text.splitlines()``; a decode error surfaces where it is met.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    first = lines[0].split(",")
-    width = len(first)
-    if width < 2:
-        raise DataError(f"{path}: need at least one feature column plus a label")
-    start = 0
-    if any(_parse_number(c.strip()) is None for c in first[:-1]):
-        start = 1
-        if len(lines) == 1:
-            raise DataError(f"{path}: header only, no data rows")
-    body = lines[start:]
-    feats = np.empty((len(body), width - 1))
-    index: dict[str, int] = {}
-    ids = []
-    for i, line in enumerate(body):
-        r = start + i + 1
-        row = line.split(",")
-        if len(row) != width:
-            raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
-        try:
-            feats[i] = list(map(float, map(str.strip, row[:-1])))
-        except ValueError:
-            c, cell = next((c, cell) for c, cell in enumerate(row[:-1], start=1)
-                           if _parse_number(cell.strip()) is None)
-            raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
-        token = row[-1].strip()
-        if not token:
-            raise DataError(f"{path}: empty class token at row {r}")
-        ids.append(index.setdefault(token, len(index)))
+    with open(path, encoding="utf-8-sig") as f:
+        lines = (line for physical in f for line in physical.splitlines() if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        head = first.split(",")
+        width = len(head)
+        if width < 2:
+            raise DataError(f"{path}: need at least one feature column plus a label")
+        start = 0
+        if any(_parse_number(c.strip()) is None for c in head[:-1]):
+            start = 1
+        else:
+            lines = chain([first], lines)
+        values = array("d")
+        index: dict[str, int] = {}
+        ids = []
+        for r, line in enumerate(lines, start=start + 1):
+            row = line.split(",")
+            if len(row) != width:
+                raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
+            cells = row[:-1]
+            # float() ignores the same surrounding whitespace as str.strip()
+            # bar "\x1f", so only a row that float() rejects is stripped.
+            try:
+                values.fromlist(list(map(float, cells)))
+            except ValueError:
+                try:
+                    values.fromlist(list(map(float, map(str.strip, cells))))
+                except ValueError:
+                    c, cell = next((c, cell) for c, cell in enumerate(cells, start=1)
+                                   if _parse_number(cell.strip()) is None)
+                    raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, "
+                                    f"column {c}") from None
+            token = row[-1].strip()
+            if not token:
+                raise DataError(f"{path}: empty class token at row {r}")
+            ids.append(index.setdefault(token, len(index)))
+    if not ids:
+        raise DataError(f"{path}: header only, no data rows")
+    feats = np.frombuffer(values).reshape(len(ids), width - 1)
     return Dataset(feats, np.array(ids), tuple(index))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write back the comma-delimited form; floats use shortest round-trip
-    repr.  Class tokens that would not load back as themselves raise
-    DataError, and nothing is written."""
+    """Write back the comma-delimited form, one row at a time; floats use
+    shortest round-trip repr.  Class tokens that would not load back as
+    themselves, or that no row uses, raise DataError, and nothing is
+    written."""
     names = dataset.label_names
     if len(set(names)) < len(names) or any(
-            t.splitlines() != [t] or t != t.strip() or "," in t for t in names):
+            t.splitlines() != [t] or t != t.strip() or "," in t
+            or t.encode("utf-8", "replace").decode("utf-8") != t for t in names):
         raise DataError(f"class tokens {list(names)!r} do not load back as themselves: each must "
-                        "be distinct, nonempty, unpadded, and free of commas and line breaks")
-    lines = [
-        ",".join(map(repr, x)) + "," + names[y]
-        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                        "be distinct, nonempty, unpadded, UTF-8 encodable, and free of commas and "
+                        "line breaks")
+    unused = [t for t, count in zip(names, np.bincount(dataset.labels, minlength=len(names)))
+              if not count]
+    if unused:
+        raise DataError(f"class tokens {unused!r} label no row, so they would not load back")
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(",".join(map(repr, x.tolist())) + "," + names[y] + "\n"
+                     for x, y in zip(dataset.features, dataset.labels.tolist()))
 
 
 @dataclass(frozen=True)

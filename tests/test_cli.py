@@ -398,6 +398,37 @@ class TestEvaluate:
         assert "error" in capsys.readouterr().err
 
 
+class TestUndecodableData:
+    """A data file that is not valid UTF-8 is a data error: exit 3 and one
+    error line, whether the bad byte is in the first line or comes after
+    rows already read, and nothing is written."""
+
+    @pytest.mark.parametrize("good_rows", [0, 1000])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_exit_3(self, xor_file, tmp_path, capsys, command, good_rows):
+        model_out = tmp_path / "m.json"
+        if command != "train":
+            assert main(train_args(xor_file, model_out)) == 0
+        rows = xor_file.read_bytes().splitlines(keepends=True)
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"".join(rows[i % len(rows)] for i in range(good_rows))
+                         + b"1.5,\xff2,0\n" + b"".join(rows))
+        out = tmp_path / "p.txt"
+        if command == "train":
+            args = train_args(data, model_out)
+        else:
+            args = [command, "--model", str(model_out), "--data", str(data)]
+            if command == "predict":
+                args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert model_out.exists() == (command != "train")
+        assert not out.exists()
+
+
 class TestInspect:
     def test_lists_surviving_features(self, xor_file, tmp_path, capsys):
         model_out = tmp_path / "m.json"

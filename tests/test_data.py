@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,9 +113,14 @@ def _dataset_text(draw):
     if draw(st.booleans()):  # ragged row
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] += draw(st.sampled_from([",7", ",7,a"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # Every str.splitlines boundary, mixed within one file.
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x85", "\u2028", "\u2029"])
+    ends = draw(st.lists(breaks, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    return bom + newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
 def _load_or_error(load, path):
@@ -195,16 +202,49 @@ class TestSaveDataset:
 
     @pytest.mark.parametrize("names", [
         ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), ("a\x1cb", "c"), ("a\u2028", "c"),
-        ("", "c"), ("a", "a "), ("\tb", "c"), ("x", "x"),
+        ("", "c"), ("a", "a "), ("\tb", "c"), ("x", "x"), ("a", "b\ud800"),
     ])
     def test_tokens_that_do_not_load_back_rejected(self, tmp_path, names):
         # A comma or a line boundary makes the file ragged, an empty token
-        # fails on load, and padded or repeated tokens load back as one class.
+        # fails on load, padded or repeated tokens load back as one class,
+        # and a lone surrogate cannot be written as UTF-8.
         ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), names)
         path = tmp_path / "out.csv"
         with pytest.raises(DataError, match="do not load back as themselves"):
             save_dataset(ds, path)
         assert not path.exists()
+
+    def test_unused_token_rejected(self, tmp_path):
+        # The file holds only the classes its rows use: "a" would be lost and
+        # "b" renumbered to 0.
+        ds = Dataset([[1.0], [2.0]], [1, 1], ("a", "b"))
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=r"\['a'\] label no row"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_streams_rows(self, tmp_path):
+        # Neither function holds the whole text: saving allocates well under
+        # the features' size, and loading little more than the result.
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(0, 1, (20_000, 20)), np.arange(20_000) % 3, ("a", "b", "c"))
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            save_dataset(ds, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = load_dataset(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 1_000_000
+        assert load_peak < 3 * ds.features.nbytes
+        assert path.read_bytes() == save_dataset_reference_text(ds).encode("utf-8")
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.label_names == ds.label_names
 
 
 class TestScaler:
