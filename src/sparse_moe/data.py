@@ -98,35 +98,34 @@ def load_dataset(path) -> Dataset:
 
     The file is read one line at a time, and each line is split at every
     ``str.splitlines`` boundary, so the rows are those of
-    ``text.splitlines()``; a decode error surfaces where it is met.
+    ``text.splitlines()``.  Bytes that are not UTF-8 raise DataError when the
+    reader meets them, naming the last row read before them.
     """
-    with open(path, encoding="utf-8-sig") as f:
-        lines = (line for physical in f for line in physical.splitlines() if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        head = first.split(",")
-        width = len(head)
-        if width < 2:
-            raise DataError(f"{path}: need at least one feature column plus a label")
-        start = 0
-        if any(_parse_number(c.strip()) is None for c in head[:-1]):
-            start = 1
-        else:
-            lines = chain([first], lines)
-        values = array("d")
-        index: dict[str, int] = {}
-        ids = []
-        for r, line in enumerate(lines, start=start + 1):
-            row = line.split(",")
-            if len(row) != width:
-                raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
-            cells = row[:-1]
-            # float() ignores the same surrounding whitespace as str.strip()
-            # bar "\x1f", so only a row that float() rejects is stripped.
-            try:
-                values.fromlist(list(map(float, cells)))
-            except ValueError:
+    r = 0
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            lines = (line for physical in f for line in physical.splitlines() if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            r = 1
+            head = first.split(",")
+            width = len(head)
+            if width < 2:
+                raise DataError(f"{path}: need at least one feature column plus a label")
+            start = 0
+            if any(_parse_number(c.strip()) is None for c in head[:-1]):
+                start = 1
+            else:
+                lines = chain([first], lines)
+            values = array("d")
+            index: dict[str, int] = {}
+            ids = []
+            for r, line in enumerate(lines, start=start + 1):
+                row = line.split(",")
+                if len(row) != width:
+                    raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
+                cells = row[:-1]
                 try:
                     values.fromlist(list(map(float, map(str.strip, cells))))
                 except ValueError:
@@ -134,10 +133,13 @@ def load_dataset(path) -> Dataset:
                                    if _parse_number(cell.strip()) is None)
                     raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, "
                                     f"column {c}") from None
-            token = row[-1].strip()
-            if not token:
-                raise DataError(f"{path}: empty class token at row {r}")
-            ids.append(index.setdefault(token, len(index)))
+                token = row[-1].strip()
+                if not token:
+                    raise DataError(f"{path}: empty class token at row {r}")
+                ids.append(index.setdefault(token, len(index)))
+    except UnicodeDecodeError as e:
+        where = f" after row {r}" if r else ""
+        raise DataError(f"{path}: not valid UTF-8{where} ({e.reason})") from None
     if not ids:
         raise DataError(f"{path}: header only, no data rows")
     feats = np.frombuffer(values).reshape(len(ids), width - 1)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import warnings
 
 import numpy as np
@@ -400,8 +401,8 @@ class TestEvaluate:
 
 class TestUndecodableData:
     """A data file that is not valid UTF-8 is a data error: exit 3 and one
-    error line, whether the bad byte is in the first line or comes after
-    rows already read, and nothing is written."""
+    error line naming the file, whether the bad byte is in the first line or
+    comes after rows already read, and nothing is written."""
 
     @pytest.mark.parametrize("good_rows", [0, 1000])
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
@@ -424,7 +425,14 @@ class TestUndecodableData:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.splitlines() == [err.rstrip("\n")]
-        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert err.startswith(f"error: {data}: not valid UTF-8")
+        # The error names the last row read before the bad byte, which is
+        # never past the rows that precede it.
+        after = re.search(r"after row (\d+)", err)
+        if good_rows:
+            assert 0 < int(after.group(1)) <= good_rows
+        else:
+            assert after is None
         assert model_out.exists() == (command != "train")
         assert not out.exists()
 
