@@ -112,10 +112,7 @@ class Hyperparams:
             if self.lambda_mu is None:
                 raise ConfigError("active selector requires a positive lambda_mu")
             if self.selector_mode == "l0":
-                budget = int(self.lambda_mu)
-                if budget != self.lambda_mu:
-                    raise ConfigError("l0 selector budget must be an integer")
-                _check_subset_budget(self.k, budget)
+                _check_subset_budget(self.k, self.lambda_mu)
         if self.max_iters < 1:
             raise ConfigError("need at least one iteration")
         if not self.tol > 0:
@@ -128,18 +125,22 @@ class Hyperparams:
 
 
 def _check_subset_budget(k, budget):
-    """The l0 selector's rule: 1 <= budget <= k, and no more than a million
-    subsets of the largest size to enumerate."""
-    if budget < 1 or budget > k:
-        raise ConfigError(f"l0 subset budget {budget} out of range for k={k}")
-    if math.comb(k, budget) > 1_000_000:
-        raise ConfigError(f"C({k},{budget}) l0 subsets exceed the enumeration guard")
+    """The l0 selector's rule: a whole-number budget, 1 <= budget <= k, and
+    no more than a million subsets of the largest size to enumerate.
+    Returns the budget as an int."""
+    if budget % 1:  # a fraction, or nan for nan and inf
+        raise ConfigError("l0 selector budget must be an integer")
+    whole = int(budget)
+    if whole < 1 or whole > k:
+        raise ConfigError(f"l0 subset budget {whole} out of range for k={k}")
+    if math.comb(k, whole) > 1_000_000:
+        raise ConfigError(f"C({k},{whole}) l0 subsets exceed the enumeration guard")
+    return whole
 
 
 def enumerate_subsets(k, budget):
     """All subsets of {0..k-1} with 1 <= |S| <= budget, lexicographic within size."""
-    _check_subset_budget(k, budget)
-    for size in range(1, budget + 1):
+    for size in range(1, _check_subset_budget(k, budget) + 1):
         yield from itertools.combinations(range(k), size)
 
 
@@ -213,8 +214,7 @@ def prepare_inputs(features, scaler: Scaler):
 #
 # Logits come from one matrix product and are laid out class-major, (k, n)
 # for the gate and (q, k, n) for the experts, so that each softmax reduces
-# over the leading axis; the results are returned as (n, k) and (n, q, k)
-# views of that memory.
+# over the leading axis; callers index that layout as it is.
 
 
 def _softmax(logits):
@@ -226,7 +226,8 @@ def _softmax(logits):
 
 
 def _gate_softmax(nu, x_mat, mu):
-    """Gate probabilities, class-major (k, n); ``mu`` None is all ones."""
+    """Gated gate probabilities p(m_i | x_n), softmax over i of
+    mu_ni * (nu_i . x_n), class-major (k, n); ``mu`` None is all ones."""
     logits = nu @ x_mat.T
     if mu is not None:
         logits *= mu.T
@@ -234,20 +235,9 @@ def _gate_softmax(nu, x_mat, mu):
 
 
 def _expert_softmax(omega, x_mat):
-    """Expert class probabilities, class-major (q, k, n)."""
+    """Class probabilities p(y = c_l | x_n, m_i), class-major (q, k, n)."""
     q, k, dp = omega.shape
     return _softmax((omega.reshape(q * k, dp) @ x_mat.T).reshape(q, k, -1))
-
-
-def gate_probs(nu, x_mat, mu):
-    """Gated gate probabilities p(m_i | x_n), softmax over i of
-    mu_ni * (nu_i . x_n), as an (n, k) array; ``mu`` None is all ones."""
-    return _gate_softmax(nu, x_mat, mu).T
-
-
-def expert_class_probs(omega, x_mat):
-    """Class probabilities p(y = c_l | x_n, m_i) as an (n, q, k) array."""
-    return _expert_softmax(omega, x_mat).transpose(2, 0, 1)
 
 
 def mixture_probs(model: MixtureModel, x_mat, mu):
@@ -272,7 +262,8 @@ def _one_row(v, length, what):
 def gate_forward(gate: GateParams, x, mu_row):
     """Gated gate probabilities p(m_i | x) of one prepared input."""
     k, dp = gate.nu.shape
-    return gate_probs(gate.nu, _one_row(x, dp, "input"), _one_row(mu_row, k, "selector row"))[0]
+    return _gate_softmax(gate.nu, _one_row(x, dp, "input"),
+                         _one_row(mu_row, k, "selector row"))[:, 0]
 
 
 def expert_forward(experts: ExpertParams, i, x):
@@ -281,7 +272,7 @@ def expert_forward(experts: ExpertParams, i, x):
     if not 0 <= i < k:
         raise IndexError(f"expert index {i} out of range for k={k}")
     # Expert i alone is a k = 1 mixture, so its logits round as that one's do.
-    return expert_class_probs(experts.omega[:, i : i + 1], _one_row(x, dp, "input"))[0, :, 0]
+    return _expert_softmax(experts.omega[:, i : i + 1], _one_row(x, dp, "input"))[:, 0, 0]
 
 
 def predict_proba(model: MixtureModel, x, mu_row=None):

@@ -49,13 +49,12 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    _check_subset_budget,
     _expert_softmax,
     _gate_softmax,
     _softmax,
     enumerate_subsets,
-    expert_class_probs,
     gate_forward,
-    gate_probs,
     mixture_probs,
     prepare_inputs,
     sparsity,
@@ -270,14 +269,12 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     if ball:
         targets.append(setup.targets[:c])
         weights.append(r)
-    index, radius = setup.blocks, setup.radius
-    if width < len(index):  # not every layout column: take the batch's at its mask
-        cols = np.zeros(len(index), dtype=bool)
-        cols[rows] = True
-        cols[k:] = np.repeat(live, q) & ball
-        index, radius = index[cols], radius[cols]
+    cols = np.zeros(len(setup.blocks), dtype=bool)
+    cols[rows] = True
+    cols[k:] = np.repeat(live, q) & ball
+    index, radius = setup.blocks[cols], setup.radius[cols]
     if not rows.size:  # the batch leaves out the gate's blocks
-        index = index - setup.blocks[k]
+        index -= setup.blocks[k]
     report = solve(WlsProblem(x_mat, np.concatenate(targets).T, np.concatenate(weights).T,
                               radius, True, blocks=index), gram=gram)
     if rows.size:
@@ -315,7 +312,7 @@ def _instance_pieces(model: MixtureModel, mu_row, x, y):
     """Gate probabilities h, responsibilities r and the mixture likelihood
     of label y for one prepared instance x."""
     h = gate_forward(model.gate, x, mu_row)
-    g = expert_class_probs(model.experts.omega, np.asarray(x, dtype=float)[None])[0, y]
+    g = _expert_softmax(model.experts.omega, np.asarray(x, dtype=float)[None])[y, :, 0]
     likelihood = g @ h
     return h, g * h / likelihood, likelihood
 
@@ -373,7 +370,7 @@ def _selector_norm0(nu, g, x_mat, budget):
 
 
 def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> ExpertSelector:
-    budget = int(lambda_mu)
+    budget = _check_subset_budget(model.k, lambda_mu)
     x_mat = prepare_inputs(dataset.features, model.scaler)
     g = _label_probs(model.experts.omega, x_mat, _label_index(dataset.labels, model.k))
     mu = _selector_norm0(model.gate.nu, _transposed(g), x_mat, budget)
@@ -500,16 +497,13 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     g, h = forward()
     record, r = _trace_record(0, g, h, nu, omega, mu)
     records = [record]
-    prev_total = record.penalized_total
     converged = False
     solved = []  # the SolveReport of each M-step that made a solver call
-    iterations_run = 0
     # The fast schedule leaves the experts unconstrained until its final
     # pass, which takes the last of its iterations.
     fast = hyper.schedule == "fast"
 
     for t in range(1, hyper.max_iters - fast + 1):
-        iterations_run = t
         if hyper.selector_mode != "none" and k > 1:
             if hyper.selector_mode == "l0":
                 mu = _selector_norm0(nu, _transposed(g), x_mat, int(hyper.lambda_mu))
@@ -534,10 +528,10 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         g, h = forward()
         rec, r = _trace_record(t, g, h, nu, omega, mu)
         records.append(rec)
-        if abs(rec.penalized_total - prev_total) / (1.0 + abs(rec.penalized_total)) < hyper.tol:
+        if (abs(rec.penalized_total - records[-2].penalized_total)
+                / (1.0 + abs(rec.penalized_total)) < hyper.tol):
             converged = True
             break
-        prev_total = rec.penalized_total
 
     if fast:
         # Final pass: the constrained expert problems are solved exactly once.
@@ -546,9 +540,8 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
         omega[:, ~live, :-1] = project_l1_ball(omega[:, ~live, :-1], hyper.lambda_omega)
         solved += [report] if report else []
-        iterations_run += 1
         g, h = forward()
-        records.append(_trace_record(iterations_run, g, h, nu, omega, mu)[0])
+        records.append(_trace_record(len(records), g, h, nu, omega, mu)[0])
 
     model = MixtureModel(GateParams(nu), ExpertParams(omega), hyper, scaler,
                          dataset.label_names)
@@ -560,7 +553,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
     steps = [call.iterations for call in solved]
     report = FitReport(
         trace=records,
-        iterations_run=iterations_run,
+        iterations_run=len(records) - 1,
         converged=converged,
         sparsity=sparsity(model),
         selector_histogram=histogram,
@@ -594,7 +587,7 @@ def _policy_mu(model: MixtureModel, x_mat, policy):
         raise ConfigError(f"unknown selector policy {policy!r}")
     if model.hyper.lambda_mu is None:
         raise ConfigError("gate-surrogate policy requires a model with lambda_mu")
-    h = gate_probs(model.gate.nu, x_mat, None)
+    h = _gate_softmax(model.gate.nu, x_mat, None).T
     return _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
 
 

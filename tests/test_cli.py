@@ -23,6 +23,7 @@ from sparse_moe import (
     preset_spec,
     save_model,
 )
+from sparse_moe import trainer
 from sparse_moe.cli import _prediction_lines, main
 from sparse_moe.model import PROB_FLOOR, model_from_dict, model_to_dict, prepare_inputs
 
@@ -657,6 +658,85 @@ def test_mistyped_model_field_exit_3(xor_file, tmp_path, capsys, path, text, com
         args += ["--out", str(tmp_path / "p.txt")]
     assert main(args) == 3
     assert "JSON number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# rejections: the documented exit code and one error line, no traceback
+
+
+def command_args(command, data, model, tmp_path):
+    """Arguments of ``command`` on the data file ``data``; ``model`` is
+    train's output and the model file the other commands read."""
+    if command == "train":
+        return train_args(data, model)
+    args = [command, "--model", str(model), "--data", str(data)]
+    return args + ["--out", str(tmp_path / "p.txt")] if command == "predict" else args
+
+
+def assert_one_error(capsys, code, want_code, message):
+    err = capsys.readouterr().err
+    assert code == want_code
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+class TestRejections:
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("\n\n  \n", "empty file"),
+        ("0\n1\n0\n1\n", "need at least one feature column plus a label"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_unusable_data_file_exit_3(self, xor_file, tmp_path, capsys, command, text,
+                                       message):
+        model = tmp_path / "m.json"
+        if command != "train":
+            assert main(train_args(xor_file, model)) == 0
+        data = tmp_path / "unusable.csv"
+        data.write_text(text)
+        capsys.readouterr()
+        assert_one_error(capsys, main(command_args(command, data, model, tmp_path)), 3, message)
+        assert model.exists() == (command != "train")
+        assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_non_positive_tol_exit_2(self, xor_file, tmp_path, capsys, tol):
+        model = tmp_path / "m.json"
+        assert_one_error(capsys, main(train_args(xor_file, model, tol=tol)), 2,
+                         "tolerance must be positive")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("edit", ["nan-weight", "fewer-gate-rows", "short-expert-rows",
+                                      "short-scaler", "zero-std"])
+    @pytest.mark.parametrize("command", ["evaluate", "inspect"])
+    def test_inconsistent_model_file_exit_3(self, xor_file, tmp_path, capsys, edit, command):
+        model = tmp_path / "m.json"
+        assert main(train_args(xor_file, model)) == 0
+        doc = json.loads(model.read_text())
+        if edit == "nan-weight":
+            doc["nu"][0][0] = float("nan")  # written as JSON NaN
+        elif edit == "fewer-gate-rows":
+            doc["nu"] = doc["nu"][:-1]
+        elif edit == "short-expert-rows":
+            doc["omega"] = [[row[:-1] for row in rows] for rows in doc["omega"]]
+        elif edit == "short-scaler":
+            doc["scaler"]["mean"] = doc["scaler"]["mean"][:-1]
+        else:
+            doc["scaler"]["std"][0] = 0.0
+        model.write_text(json.dumps(doc))
+        args = ([command, "--model", str(model)] if command == "inspect"
+                else command_args(command, xor_file, model, tmp_path))
+        capsys.readouterr()
+        assert_one_error(capsys, main(args), 3, "malformed model file: ")
+
+    def test_non_finite_objective_exit_4(self, xor_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "_label_probs",
+                            lambda omega, x_mat, index: np.full(index.shape, np.nan))
+        model = tmp_path / "m.json"
+        assert_one_error(capsys, main(train_args(xor_file, model)), 4,
+                         "non-finite objective at iteration 0")
+        assert not model.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ fit keeps its forward pass class-major, as the kernel returns it: label
 likelihoods g, gate probabilities h and responsibilities r are (k, n)
 arrays, and g is one ``take`` from the experts' (q, k, n) output.  This
 file keeps a reference copy of the earlier (n, k) code (the label
-likelihoods picked from ``expert_class_probs``, the posterior, the
-dead-expert test and the trace record) and requires the same bytes from
-the class-major code, read back as (n, k), for k = 1..10: with and without
-a selector, with identical experts (tied entries) and with weights large
-enough that some joint probabilities fall below PROB_FLOOR.
+likelihoods picked from the experts' output read back as (n, q, k), the
+posterior, the dead-expert test and the trace record) and requires the
+same bytes from the class-major code, read back as (n, k), for k = 1..10:
+with and without a selector, with identical experts (tied entries) and
+with weights large enough that some joint probabilities fall below
+PROB_FLOOR.
 
 The evidence and the expected complete log-likelihood must add each
 row's terms as an (n, k) row does: NumPy adds such a row in order below
@@ -25,12 +26,12 @@ import pytest
 
 from conftest import random_model
 from sparse_moe import trainer
-from sparse_moe.model import PROB_FLOOR, expert_class_probs, gate_probs, prepare_inputs
+from sparse_moe.model import PROB_FLOOR, _expert_softmax, _gate_softmax, prepare_inputs
 from sparse_moe.trainer import TraceRecord, TrainingError
 
 
 def ref_label_probs(omega, x_mat, labels):
-    return expert_class_probs(omega, x_mat)[np.arange(x_mat.shape[0]), labels]
+    return _expert_softmax(omega, x_mat).transpose(2, 0, 1)[np.arange(x_mat.shape[0]), labels]
 
 
 def ref_posterior(g, h):
@@ -91,7 +92,7 @@ class TestEStepBits:
     def test_class_major_matches_reference(self, monkeypatch, k, n, selector, scale, tied):
         nu, omega, x_mat, labels, mu = self._case(k, n, selector, scale, tied)
         g_ref = ref_label_probs(omega, x_mat, labels)
-        h_ref = gate_probs(nu, x_mat, np.ones((n, k)) if mu is None else mu)
+        h_ref = _gate_softmax(nu, x_mat, np.ones((n, k)) if mu is None else mu).T
         g = trainer._label_probs(omega, x_mat, trainer._label_index(labels, k))
         h = trainer._gate_softmax(nu, x_mat, mu)
         same_bytes(g.T, g_ref)

@@ -5,8 +5,9 @@ skips the product with an absent (all-ones) selector.  Neither changes a
 value: an in-place ufunc rounds as the out-of-place one, and x * 1.0 == x.
 This file keeps a plain reference copy of the kernel, written with fresh
 temporaries and an explicit all-ones selector, and requires the same bytes
-from gate_probs, expert_class_probs, mixture_probs, predict_proba and
-predict_proba_batch under both selector policies.
+from the class-major softmaxes _gate_softmax and _expert_softmax (read back
+in the reference's (n, k) and (n, q, k) layouts), mixture_probs,
+predict_proba and predict_proba_batch under both selector policies.
 
 The expert sum stays an ordered loop over the experts in both copies.
 NumPy does not promise the order of a reduction.  With NumPy 2.4,
@@ -23,9 +24,9 @@ import pytest
 from conftest import random_model
 from sparse_moe import predict_proba, predict_proba_batch
 from sparse_moe.model import (
+    _expert_softmax,
+    _gate_softmax,
     _softmax,
-    expert_class_probs,
-    gate_probs,
     mixture_probs,
     prepare_inputs,
 )
@@ -86,11 +87,12 @@ class TestKernelBits:
         model, feats, mu = self._case(k, q, n)
         x_mat = prepare_inputs(feats, model.scaler)
         nu, omega, ones = model.gate.nu, model.experts.omega, np.ones((n, k))
-        same_bytes(expert_class_probs(omega, x_mat), ref_expert_class_probs(omega, x_mat))
+        same_bytes(_expert_softmax(omega, x_mat).transpose(2, 0, 1),
+                   ref_expert_class_probs(omega, x_mat))
         for sel in (mu, ones):
-            same_bytes(gate_probs(nu, x_mat, sel), ref_gate_probs(nu, x_mat, sel))
+            same_bytes(_gate_softmax(nu, x_mat, sel).T, ref_gate_probs(nu, x_mat, sel))
             same_bytes(mixture_probs(model, x_mat, sel), ref_mixture_probs(model, x_mat, sel))
-        same_bytes(gate_probs(nu, x_mat, None), ref_gate_probs(nu, x_mat, ones))
+        same_bytes(_gate_softmax(nu, x_mat, None).T, ref_gate_probs(nu, x_mat, ones))
         same_bytes(mixture_probs(model, x_mat, None), ref_mixture_probs(model, x_mat, ones))
 
     def test_single_rows_match_reference(self, k, q, n):

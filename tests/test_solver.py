@@ -248,14 +248,16 @@ class TestEnumerateSubsets:
         subs = list(enumerate_subsets(5, 2))
         assert len(subs) == 5 + 10
         assert subs[:5] == [(0,), (1,), (2,), (3,), (4,)]
+        assert list(enumerate_subsets(5, 2.0)) == subs
 
     def test_guard(self):
         with pytest.raises(ConfigError):
             list(enumerate_subsets(100, 50))
 
     def test_bad_budget(self):
-        with pytest.raises(ConfigError):
-            list(enumerate_subsets(3, 0))
+        for budget in (0, 1.5):
+            with pytest.raises(ConfigError):
+                list(enumerate_subsets(3, budget))
 
 
 def assert_certified_from_raw_design(a, b, w, radius, bias, nonneg, report):
