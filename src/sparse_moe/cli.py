@@ -23,6 +23,7 @@ from .model import (
     SELECTOR_MODES,
     SPARSITY_THRESHOLD,
     Hyperparams,
+    _top_class,
     load_model,
     read_json,
     save_model,
@@ -129,11 +130,12 @@ def cmd_predict(args) -> int:
 
 
 def _prediction_lines(label_names, probs) -> str:
-    """One line per row: the argmax label (first on ties), then each
-    probability to 9 significant digits."""
-    names = [label_names[c] for c in probs.argmax(axis=1).tolist()]
-    line = "%s" + " %.9g" * probs.shape[1] + "\n"
-    return "".join(line % row for row in zip(names, *probs.T.tolist()))
+    """One line per row of the (n, q) probabilities: the most probable
+    label (first on ties), then each probability to 9 significant digits."""
+    cols = probs.T
+    names = [label_names[c] for c in _top_class(cols).tolist()]
+    line = "%s" + " %.9g" * len(cols) + "\n"
+    return "".join(line % row for row in zip(names, *cols.tolist()))
 
 
 def cmd_evaluate(args) -> int:

@@ -192,7 +192,9 @@ def prepare_inputs(features, scaler: Scaler):
 
     The result is feature-major (Fortran order): each column is contiguous,
     so the passes down the rows of the design (the weighted Gram matrices,
-    right-hand sides and logits) run over long unit-stride columns.
+    right-hand sides and logits) run over long unit-stride columns.  It is
+    the transpose of a C-ordered (d+1, n) array filled one feature row at a
+    time, each row one whole-row pass.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim < 2:
@@ -201,12 +203,12 @@ def prepare_inputs(features, scaler: Scaler):
         raise DimensionError(
             f"expected {scaler.mean.shape[0]} features, got {x.shape[1]}"
         )
-    out = np.empty((x.shape[0], x.shape[1] + 1), order="F")
-    z = out[:, :-1]
-    np.subtract(x, scaler.mean, out=z)
-    np.divide(z, scaler.std, out=z)
-    out[:, -1] = 1.0
-    return out
+    rows = np.empty((x.shape[1] + 1, x.shape[0]))
+    z = rows[:-1]
+    np.subtract(x.T, scaler.mean[:, None], out=z)
+    np.divide(z, scaler.std[:, None], out=z)
+    rows[-1] = 1.0
+    return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,19 @@ def mixture_probs(model: MixtureModel, x_mat, mu):
     for i in range(1, model.k):
         probs += terms[:, i]
     return probs.T
+
+
+def _top_class(probs):
+    """Each row's class from class-major (q, n) probabilities: the first
+    largest, as ``argmax`` gives, found in q - 1 whole-row passes.  A NaN
+    row (the kernel's are all NaN) gets class 0, as ``argmax`` gives."""
+    best = np.zeros(probs.shape[1], dtype=np.intp)
+    top = probs[0].copy()
+    for c in range(1, probs.shape[0]):
+        better = probs[c] > top
+        best += better * (c - best)
+        np.maximum(top, probs[c], out=top)
+    return best
 
 
 def _one_row(v, length, what):

@@ -53,6 +53,7 @@ from .model import (
     _expert_softmax,
     _gate_softmax,
     _softmax,
+    _top_class,
     enumerate_subsets,
     gate_forward,
     mixture_probs,
@@ -625,8 +626,9 @@ def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> d
     policy (see :func:`predict_proba_batch`), with the dataset's classes
     matched to the model's by token (see :func:`to_model_classes`)."""
     dataset = to_model_classes(model, dataset)
-    probs = predict_proba_batch(model, dataset.features, selector_policy)
-    accuracy = float((probs.argmax(axis=1) == dataset.labels).mean())
-    true_p = np.maximum(probs[np.arange(dataset.n), dataset.labels], PROB_FLOOR)
+    probs = predict_proba_batch(model, dataset.features, selector_policy).T  # (q, n)
+    labels, n = dataset.labels, dataset.n
+    accuracy = float((_top_class(probs) == labels).mean())
+    true_p = np.maximum(probs.take(labels * n + np.arange(n)), PROB_FLOOR)
     nll = float(-np.log(true_p).mean())
     return {"accuracy": accuracy, "nll": nll}

@@ -286,6 +286,7 @@ class TestPredict:
         logits[5, 0] = -800.0  # an underflowed probability
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
+        probs[6] = np.nan  # an overflowed row: class 0, as argmax gives
         names = tuple(f"c{l}" for l in range(q))
         want = []
         for row in probs:

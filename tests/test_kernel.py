@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from sparse_moe import predict_proba, predict_proba_batch
+from sparse_moe import Dataset, evaluate, predict_proba, predict_proba_batch
 from sparse_moe.model import (
+    PROB_FLOOR,
     _expert_softmax,
     _gate_softmax,
     _softmax,
@@ -111,6 +112,16 @@ class TestKernelBits:
         surrogate = _selector_norm1(model.gate.nu, x_mat, h, model.hyper.lambda_mu)
         same_bytes(predict_proba_batch(model, feats, "gate-surrogate"),
                    ref_mixture_probs(model, x_mat, surrogate))
+        # evaluate's metrics are the row-major formulas' on the reference.
+        labels = np.random.default_rng([k, q, n, 1]).integers(0, q, n)
+        ds = Dataset(feats, labels, tuple(f"c{c}" for c in range(q)))
+        for policy, sel in (("ones", ones), ("gate-surrogate", surrogate)):
+            ref = ref_mixture_probs(model, x_mat, sel)
+            true_p = np.maximum(ref[np.arange(n), labels], PROB_FLOOR)
+            assert evaluate(model, ds, policy) == {
+                "accuracy": float((ref.argmax(axis=1) == labels).mean()),
+                "nll": float(-np.log(true_p).mean()),
+            }
 
 
 def test_kernel_leaves_its_inputs_unchanged(rng):

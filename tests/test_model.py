@@ -27,14 +27,24 @@ E_RATIO = math.e / (math.e + 1.0)  # 0.7310585786300049
 
 
 class TestPrepareInputs:
-    @pytest.mark.parametrize("n", [1, 37])
-    def test_feature_major_with_exact_values(self, rng, n):
+    # The design is filled by reading the features transposed, so every
+    # input layout must give the same values.
+    @pytest.mark.parametrize("layout", ["C", "F", "every other row", "integer"])
+    @pytest.mark.parametrize("n", [1, 37, 257])
+    def test_feature_major_with_exact_values(self, rng, n, layout):
         x = rng.normal(3.0, 2.0, (n, 4))
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "every other row":
+            x = rng.normal(3.0, 2.0, (2 * n, 4))[::2]
+        elif layout == "integer":
+            x = rng.integers(-50, 50, (n, 4))
         scaler = Scaler(rng.normal(0, 1, 4), rng.uniform(0.5, 2.0, 4))
         out = prepare_inputs(x, scaler)
         assert out.shape == (n, 5)
         assert out.flags.f_contiguous
-        assert out[:, :-1].tobytes() == ((x - scaler.mean) / scaler.std).tobytes()
+        want = (x.astype(float) - scaler.mean) / scaler.std
+        assert out[:, :-1].tobytes() == want.tobytes()
         assert np.all(out[:, -1] == 1.0)
 
     def test_one_raw_vector_is_one_row(self, rng):

@@ -1038,8 +1038,24 @@ class TestEvaluate:
 
     def test_uniform_predictor_nll(self, rng):
         ds = two_class_dataset(rng, n=16)
+        # Three class-0 rows in four: every row is an exact tie, which goes
+        # to the first class.
+        ds = Dataset(ds.features, (np.arange(16) % 4 == 3).astype(int), ds.label_names)
         model = make_model(np.zeros((2, 3)), np.zeros((2, 2, 3)))
-        assert evaluate(model, ds)["nll"] == pytest.approx(math.log(2.0), abs=1e-12)
+        metrics = evaluate(model, ds)
+        assert metrics["nll"] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert metrics["accuracy"] == np.mean(ds.labels == 0) == 0.75
+
+    def test_overflowing_model_scores_nan_rows_as_class_0(self):
+        # Logits of 1e200 * 1e200 overflow to inf, and inf - inf spoils each
+        # row's whole softmax; a NaN row's class is the first, as argmax's.
+        model = make_model(np.full((2, 3), 1e200), np.full((3, 2, 3), 1e200))
+        ds = Dataset(np.full((3, 2), 1e200), [0, 1, 2], ("a", "b", "c"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isnan(predict_proba_batch(model, ds.features)))
+            metrics = evaluate(model, ds)
+        assert metrics["accuracy"] == 1 / 3
+        assert math.isnan(metrics["nll"])
 
     def test_ones_policy_equals_plain_mixture(self, rng):
         from sparse_moe import predict_proba
