@@ -110,18 +110,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _model_and_data(args):
-    """The model and data files of predict/evaluate, checked to match, with
-    the data's classes renumbered to the model's (``to_model_classes``)."""
-    model = load_model(args.model)
-    dataset = load_dataset(args.data)
-    if dataset.d != model.d:
-        raise DataError(f"model expects d={model.d}; data has d={dataset.d}")
-    return model, to_model_classes(model, dataset)
-
-
 def cmd_predict(args) -> int:
-    model, dataset = _model_and_data(args)
+    model = load_model(args.model)
+    dataset = to_model_classes(model, load_dataset(args.data))
     with np.errstate(**_SCORING_ERRSTATE):
         probs = predict_proba_batch(model, dataset.features, args.selector_policy)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -139,7 +130,8 @@ def _prediction_lines(label_names, probs) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    model, dataset = _model_and_data(args)
+    model = load_model(args.model)
+    dataset = load_dataset(args.data)
     with np.errstate(**_SCORING_ERRSTATE):
         metrics = evaluate(model, dataset, args.selector_policy)
     print(f"accuracy={metrics['accuracy']:.6f} nll={metrics['nll']:.6f}")

@@ -179,14 +179,12 @@ class SynthSpec:
     """Gaussian clusters whose informative dimensions carry the signal.
 
     Informative dims draw from N(mean, 1); every other dimension,
-    including the ``noise_dims`` appended columns, draws from
-    N(0, noise_sigma).
+    including the ``noise_dims`` appended columns, draws from N(0, 1).
     """
 
     n_per_cluster: int
     clusters: tuple[ClusterSpec, ...]
     noise_dims: int = 0
-    noise_sigma: float = 1.0
     seed: int = 0
 
 
@@ -201,24 +199,19 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             raise ConfigError("informative dim index out of range")
     if spec.noise_dims < 0:
         raise ConfigError("noise_dims must be nonnegative")
-    if not (np.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
-        raise ConfigError("noise_sigma must be finite and nonnegative")
     if spec.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    d_total = d + spec.noise_dims
+    # One draw for all clusters gives the values of one draw per cluster in
+    # turn: each cluster's block is the next rows of the stream.
     rng = np.random.default_rng(spec.seed)
-    blocks = []
-    labels = []
-    for c in spec.clusters:
-        z = rng.standard_normal((spec.n_per_cluster, d_total))
-        x = z * spec.noise_sigma
-        for j in c.informative_dims:
-            x[:, j] = c.mean[j] + z[:, j]
-        blocks.append(x)
-        labels.extend([c.label] * spec.n_per_cluster)
-    labels = np.array(labels)
+    n, m = spec.n_per_cluster, len(spec.clusters)
+    features = rng.standard_normal((m * n, d + spec.noise_dims))
+    for c, x in zip(spec.clusters, np.split(features, m)):
+        dims = list(c.informative_dims)
+        x[:, dims] += np.take(c.mean, dims)  # a repeated dim gets its mean once
+    labels = np.repeat([c.label for c in spec.clusters], n)
     names = tuple(str(i) for i in range(int(labels.max()) + 1))
-    return Dataset(np.vstack(blocks), labels, names)
+    return Dataset(features, labels, names)
 
 
 def train_test_split(dataset: Dataset, fraction: float, seed: int):
@@ -258,11 +251,11 @@ def preset_spec(name, n_per_cluster, noise_dims=0, seed=0) -> SynthSpec:
         offset = 2.0 if name == "two-cluster-xor" else 1.0
         clusters = tuple(ClusterSpec((a * offset, b * offset), (0, 1), label)
                          for a, b, label in _XOR_SIGNS)
-        return SynthSpec(n_per_cluster, clusters, noise_dims, 1.0, seed)
+        return SynthSpec(n_per_cluster, clusters, noise_dims, seed)
     if name == "grouped-four":
         clusters = tuple(
             ClusterSpec(tuple(3.0 if j == c else 0.0 for j in range(4)), (c,), c)
             for c in range(4)
         )
-        return SynthSpec(n_per_cluster, clusters, noise_dims, 1.0, seed)
+        return SynthSpec(n_per_cluster, clusters, noise_dims, seed)
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")

@@ -59,28 +59,20 @@ class ExpertParams:
 
 @dataclass(frozen=True)
 class ExpertSelector:
-    """Per-instance expert relevance matrix (n, k).
-
-    mode none: all ones.  mode l0: binary rows.  mode l1: nonnegative rows.
-    Row budgets are enforced where the selector is produced.
+    """Per-instance expert relevance matrix (n, k): the finite, nonnegative
+    weight each instance puts on each expert's gate score.  Row budgets
+    are enforced where the selector is produced.
     """
 
     mu: np.ndarray
-    mode: str = "none"
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         if mu.ndim != 2:
             raise DimensionError("selector must be an (n, k) matrix")
-        if self.mode not in SELECTOR_MODES:
-            raise ConfigError(f"unknown selector mode {self.mode!r}")
-        if self.mode == "none" and not np.all(mu == 1.0):
-            raise ConfigError("selector mode 'none' requires an all-ones matrix")
-        if self.mode == "l0" and not np.all((mu == 0.0) | (mu == 1.0)):
-            raise ConfigError("selector mode 'l0' requires binary entries")
-        if self.mode == "l1" and np.any(mu < 0.0):
-            raise ConfigError("selector mode 'l1' requires nonnegative entries")
+        if not (np.isfinite(mu).all() and (mu >= 0.0).all()):
+            raise DataError("selector entries must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -290,12 +282,11 @@ def expert_forward(experts: ExpertParams, i, x):
     return _expert_softmax(experts.omega[:, i : i + 1], _one_row(x, dp, "input"))[:, 0, 0]
 
 
-def predict_proba(model: MixtureModel, x, mu_row=None):
-    """Mixture class probabilities for one raw D-vector: a one-row call of
-    the batched forward kernel."""
+def predict_proba(model: MixtureModel, x):
+    """Mixture class probabilities for one raw D-vector under every expert
+    (the "ones" policy): a one-row call of the batched forward kernel."""
     xb = prepare_inputs(np.asarray(x, dtype=float).reshape(1, -1), model.scaler)
-    mu = None if mu_row is None else _one_row(mu_row, model.k, "selector row")
-    return mixture_probs(model, xb, mu)[0]
+    return mixture_probs(model, xb, None)[0]
 
 
 def sparsity(model: MixtureModel, threshold=SPARSITY_THRESHOLD) -> float:

@@ -375,7 +375,7 @@ def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> E
     x_mat = prepare_inputs(dataset.features, model.scaler)
     g = _label_probs(model.experts.omega, x_mat, _label_index(dataset.labels, model.k))
     mu = _selector_norm0(model.gate.nu, _transposed(g), x_mat, budget)
-    return ExpertSelector(mu, "l0")
+    return ExpertSelector(mu)
 
 
 def _selector_norm1(nu, x_mat, r, lambda_mu):
@@ -411,7 +411,7 @@ def _selector_norm1(nu, x_mat, r, lambda_mu):
 
 def m_step_selector_norm1(model: MixtureModel, r, dataset: Dataset, lambda_mu) -> ExpertSelector:
     x_mat = prepare_inputs(dataset.features, model.scaler)
-    return ExpertSelector(_selector_norm1(model.gate.nu, x_mat, r, lambda_mu), "l1")
+    return ExpertSelector(_selector_norm1(model.gate.nu, x_mat, r, lambda_mu))
 
 
 # ---------------------------------------------------------------------------

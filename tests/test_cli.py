@@ -367,14 +367,18 @@ class TestPredict:
         assert main(args) == 4
         assert "overflow" in capsys.readouterr().err
 
-    def test_shape_mismatch_exit_3(self, xor_file, tmp_path, capsys):
-        model_out = tmp_path / "m.json"
-        main(train_args(xor_file, model_out))
-        other = tmp_path / "wide.csv"
-        main(["synth", "--preset", "grouped-four", "--n", "5", "--seed", "1",
-              "--out", str(other)])
-        assert main(["predict", "--model", str(model_out), "--data", str(other),
-                     "--out", str(tmp_path / "p.txt")]) == 3
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_shape_mismatch_exit_3(self, xor_file, tmp_path, capsys, command):
+        # The model's class tokens, three more feature columns.
+        model = tmp_path / "m.json"
+        assert main(train_args(xor_file, model)) == 0
+        wide = tmp_path / "wide.csv"
+        assert main(["synth", "--preset", "two-cluster-xor", "--n", "5", "--noise-dims", "3",
+                     "--seed", "1", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        assert_one_error(capsys, main(command_args(command, wide, model, tmp_path)), 3,
+                         "expected 2 features, got 5")
+        assert not (tmp_path / "p.txt").exists()
 
 
 class TestEvaluate:

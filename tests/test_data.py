@@ -247,6 +247,19 @@ class TestSaveDataset:
         assert back.label_names == ds.label_names
 
 
+class TestDatasetChecks:
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(3), [0, 0, 0], "nonempty 2-D matrix"),
+        (np.zeros((3, 0)), [0, 0, 0], "nonempty 2-D matrix"),
+        (np.zeros((3, 2)), [0, 1], "labels length does not match feature rows"),
+        (np.zeros((3, 2)), [0, 1, 2], "label id out of range"),
+        (np.zeros((3, 2)), [0, -1, 1], "label id out of range"),
+    ])
+    def test_rejected(self, features, labels, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(features, labels, ("a", "b"))
+
+
 class TestScaler:
     def test_standardizes_training_set(self, rng):
         ds = Dataset(rng.normal(3, 5, (50, 4)), rng.integers(0, 2, 50).clip(0, 1), ("a", "b"))
@@ -275,16 +288,34 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_zero_noise_sigma_gives_zero_columns(self):
-        spec = SynthSpec(
-            10,
-            (ClusterSpec((1.0,), (0,), 0), ClusterSpec((-1.0,), (0,), 1)),
-            noise_dims=3,
-            noise_sigma=0.0,
-            seed=1,
-        )
+    @staticmethod
+    def reference(spec):
+        """Each cluster's standard normal block, its informative means
+        added, the blocks stacked in order, then the labels."""
+        rng = np.random.default_rng(spec.seed)
+        blocks = []
+        for c in spec.clusters:
+            x = rng.standard_normal((spec.n_per_cluster, len(c.mean) + spec.noise_dims))
+            for j in set(c.informative_dims):
+                x[:, j] = x[:, j] + c.mean[j]
+            blocks.append(x)
+        labels = [c.label for c in spec.clusters for _ in range(spec.n_per_cluster)]
+        return np.vstack(blocks), np.array(labels)
+
+    @pytest.mark.parametrize("spec", [
+        *(preset_spec(name, n, noise_dims, seed)
+          for name in ("two-cluster-xor", "grouped-four", "noisy-subspace")
+          for n, noise_dims, seed in [(1, 0, 0), (13, 0, 7), (40, 5, 2026)]),
+        SynthSpec(9, (ClusterSpec((1.5, -2.0, 0.25), (0, 2), 0),
+                      ClusterSpec((0.0, 4.0, -1.0), (1, 1), 2),
+                      ClusterSpec((-3.0, 0.5, 9.0), (), 1)), noise_dims=4, seed=11),
+    ])
+    def test_matches_plain_reference(self, spec):
         ds = generate_synthetic(spec)
-        np.testing.assert_array_equal(ds.features[:, 1:], 0.0)
+        features, labels = self.reference(spec)
+        assert ds.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+        assert ds.label_names == tuple(str(i) for i in range(labels.max() + 1))
 
     def test_cluster_means_near_spec(self):
         n = 400
@@ -296,25 +327,34 @@ class TestGenerateSynthetic:
 
     def test_label_counts_per_preset(self):
         ds = generate_synthetic(preset_spec("two-cluster-xor", 25, seed=0))
-        assert ds.n == 100
+        assert ds.n == 100 and ds.d == 2
         assert (ds.labels == 0).sum() == 50 and (ds.labels == 1).sum() == 50
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_spec("mystery", 10)
 
-    @pytest.mark.parametrize("noise_dims, noise_sigma",
-                             [(-1, 1.0), (-5, 1.0), (0, -1.0), (2, float("nan")),
-                              (2, float("inf"))])
-    def test_bad_noise_rejected(self, noise_dims, noise_sigma):
+    @pytest.mark.parametrize("noise_dims", [-1, -5])
+    def test_bad_noise_rejected(self, noise_dims):
         spec = SynthSpec(
             5,
             (ClusterSpec((1.0,), (0,), 0), ClusterSpec((-1.0,), (0,), 1)),
             noise_dims=noise_dims,
-            noise_sigma=noise_sigma,
         )
         with pytest.raises(ConfigError):
             generate_synthetic(spec)
+
+    @pytest.mark.parametrize("n_per_cluster, clusters, message", [
+        (0, (ClusterSpec((1.0,), (0,), 0),), "at least one cluster and one point"),
+        (5, (), "at least one cluster and one point"),
+        (5, (ClusterSpec((1.0,), (0,), 0), ClusterSpec((1.0, 2.0), (0,), 1)),
+         "cluster means must share a dimension"),
+        (5, (ClusterSpec((1.0, 2.0), (2,), 0),), "informative dim index out of range"),
+        (5, (ClusterSpec((1.0, 2.0), (-1,), 0),), "informative dim index out of range"),
+    ])
+    def test_bad_spec_rejected(self, n_per_cluster, clusters, message):
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(SynthSpec(n_per_cluster, clusters))
 
 
 class TestTrainTestSplit:

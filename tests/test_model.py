@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from conftest import make_model, random_model
 from sparse_moe import (
     ConfigError,
+    DataError,
     DimensionError,
     ExpertParams,
+    ExpertSelector,
     GateParams,
     Hyperparams,
+    MixtureModel,
     Scaler,
     enumerate_subsets,
     expert_forward,
@@ -22,6 +26,7 @@ from sparse_moe import (
     prepare_inputs,
     save_model,
 )
+from sparse_moe.model import mixture_probs
 
 E_RATIO = math.e / (math.e + 1.0)  # 0.7310585786300049
 
@@ -51,6 +56,28 @@ class TestPrepareInputs:
         x = rng.normal(0, 1, 3)
         scaler = Scaler(np.zeros(3), np.full(3, 2.0))
         np.testing.assert_array_equal(prepare_inputs(x, scaler), [[*(x / 2.0), 1.0]])
+
+
+class TestContainerChecks:
+    """Each parameter container rejects values outside its domain."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: GateParams(np.zeros(3)), DimensionError, "(k, d+1) matrix"),
+        (lambda: ExpertParams(np.zeros((2, 3))), DimensionError, "(q, k, d+1) tensor"),
+        (lambda: ExpertParams([[[0.0, np.inf]]]), DimensionError,
+         "expert weights must be finite"),
+        (lambda: ExpertSelector(np.ones(3)), DimensionError, "(n, k) matrix"),
+        (lambda: ExpertSelector([[1.0, -0.5]]), DataError, "finite and nonnegative"),
+        (lambda: ExpertSelector([[1.0, np.nan]]), DataError, "finite and nonnegative"),
+        (lambda: ExpertSelector([[np.inf, 0.0]]), DataError, "finite and nonnegative"),
+        (lambda: MixtureModel(GateParams(np.zeros((2, 3))), ExpertParams(np.zeros((2, 2, 3))),
+                              Hyperparams(k=3, lambda_nu=1.0, lambda_omega=1.0),
+                              Scaler(np.zeros(2), np.ones(2))),
+         DimensionError, "expert count disagrees with hyperparameters"),
+    ])
+    def test_rejected(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
 
 class TestGateForward:
@@ -172,10 +199,12 @@ class TestPredictProba:
         nu = rng.normal(0, 1, (3, 4))
         omega = rng.normal(0, 1, (2, 3, 4))
         x = rng.normal(0, 1, 3)
-        mu = rng.uniform(0, 1, 3)
+        mu = rng.uniform(0, 1, (1, 3))
         perm = np.array([2, 0, 1])
-        base = predict_proba(make_model(nu, omega), x, mu)
-        out = predict_proba(make_model(nu[perm], omega[:, perm, :]), x, mu[perm])
+        model = make_model(nu, omega)
+        xb = prepare_inputs(x, model.scaler)
+        base = mixture_probs(model, xb, mu)
+        out = mixture_probs(make_model(nu[perm], omega[:, perm, :]), xb, mu[:, perm])
         np.testing.assert_allclose(out, base, atol=1e-12)
 
 

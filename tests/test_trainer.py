@@ -14,6 +14,7 @@ from sparse_moe import (
     ConfigError,
     DataError,
     Dataset,
+    DimensionError,
     ExpertParams,
     ExpertSelector,
     GateParams,
@@ -92,7 +93,7 @@ class TestEStep:
         model = random_model(rng, k=2, q=2, dp=3)
         ds = two_class_dataset(rng, n=3)
         mu = rng.uniform(0.2, 1.0, (3, 2))
-        r = e_step(model, ds, ExpertSelector(mu, "l1"))
+        r = e_step(model, ds, ExpertSelector(mu))
         x = prepare_inputs(ds.features, model.scaler).astype(np.longdouble)
         nu = model.gate.nu.astype(np.longdouble)
         om = model.experts.omega.astype(np.longdouble)
@@ -1130,35 +1131,49 @@ class TestModelClasses:
 
 
 class TestPredictProbaBatch:
-    """Batched scoring agrees with per-row predict_proba.  The batch's logits
-    come from one matrix product and a single row's from a matrix-vector
-    product, which BLAS may round differently, so they agree to rounding."""
+    """Batched scoring agrees with one-row batches, and with predict_proba
+    without a selector.  The batch's logits come from one matrix product
+    and a single row's from a matrix-vector product, which BLAS may round
+    differently, so they agree to rounding."""
 
-    def test_rows_match_predict_proba_under_any_selector(self, rng):
+    def test_rows_match_one_row_batches_under_any_selector(self, rng):
         for _ in range(40):
             k, q, d = (int(v) for v in rng.integers([1, 2, 1], [6, 5, 8]))
             model = random_model(rng, k=k, q=q, dp=d + 1, scale=2.0)
             feats = rng.normal(0, 2, (7, d))
             mu = rng.uniform(0, 2, (7, k)) * (rng.uniform(size=(7, k)) < 0.8)
-            batch = mixture_probs(model, prepare_inputs(feats, model.scaler), mu)
+            x_mat = prepare_inputs(feats, model.scaler)
+            batch = mixture_probs(model, x_mat, mu)
             plain = predict_proba_batch(model, feats)
             for n in range(7):
-                np.testing.assert_allclose(predict_proba(model, feats[n], mu[n]), batch[n],
-                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(mixture_probs(model, x_mat[n:n + 1], mu[n:n + 1])[0],
+                                           batch[n], rtol=1e-12, atol=0)
                 np.testing.assert_allclose(predict_proba(model, feats[n]), plain[n],
                                            rtol=1e-12, atol=0)
 
-    def test_gate_surrogate_rows_match_predict_proba(self, rng):
+    def test_gate_surrogate_rows_match_one_row_batches(self, rng):
         from sparse_moe.trainer import _policy_mu
 
         model = random_model(rng, k=3, q=2, dp=4, lambda_mu=1.5, selector_mode="l1")
         feats = rng.normal(0, 1, (8, 3))
         probs = predict_proba_batch(model, feats, "gate-surrogate")
-        mu = _policy_mu(model, prepare_inputs(feats, model.scaler), "gate-surrogate")
+        x_mat = prepare_inputs(feats, model.scaler)
+        mu = _policy_mu(model, x_mat, "gate-surrogate")
         assert not np.all(mu == 1.0)
         for n in range(8):
-            np.testing.assert_allclose(predict_proba(model, feats[n], mu[n]), probs[n],
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(mixture_probs(model, x_mat[n:n + 1], mu[n:n + 1])[0],
+                                       probs[n], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("score", [
+    lambda model, x: predict_proba(model, x[0]),
+    lambda model, x: predict_proba_batch(model, x),
+    lambda model, x: evaluate(model, Dataset(x, [0, 1, 0], ("0", "1"))),
+])
+def test_wrong_feature_count_rejected(rng, score):
+    model = random_model(rng, k=2, q=2, dp=3)
+    with pytest.raises(DimensionError, match="expected 2 features, got 5"):
+        score(model, rng.normal(0, 1, (3, 5)))
 
 
 class TestSolverCapHits:
