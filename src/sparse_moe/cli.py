@@ -12,6 +12,7 @@ penalty multipliers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -23,13 +24,12 @@ from .model import (
     SELECTOR_MODES,
     SPARSITY_THRESHOLD,
     Hyperparams,
-    _top_class,
     load_model,
     read_json,
     save_model,
     sparsity,
 )
-from .trainer import SELECTOR_POLICIES, evaluate, fit, predict_proba_batch, to_model_classes
+from .trainer import SELECTOR_POLICIES, _score, evaluate, fit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,17 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="fit a model on a delimited data file")
+    # A hyperparameter flag's dest is its Hyperparams field; one left out keeps the default.
+    train = sub.add_parser("train", help="fit a model on a delimited data file",
+                           argument_default=argparse.SUPPRESS)
     train.add_argument("--data", required=True)
-    train.add_argument("--experts", type=int, required=True)
-    train.add_argument("--lambda-gate", type=float, required=True)
-    train.add_argument("--lambda-expert", type=float, required=True)
-    train.add_argument("--selector", choices=SELECTOR_MODES, default="none")
-    train.add_argument("--lambda-mu", type=float, default=None)
-    train.add_argument("--iters", type=int, default=30)
-    train.add_argument("--tol", type=float, default=1e-6)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--schedule", choices=SCHEDULES, default="full")
+    train.add_argument("--experts", dest="k", type=int, required=True)
+    train.add_argument("--lambda-gate", dest="lambda_nu", type=float, required=True)
+    train.add_argument("--lambda-expert", dest="lambda_omega", type=float, required=True)
+    train.add_argument("--selector", dest="selector_mode", choices=SELECTOR_MODES)
+    train.add_argument("--lambda-mu", type=float)
+    train.add_argument("--iters", dest="max_iters", type=int)
+    train.add_argument("--tol", type=float)
+    train.add_argument("--seed", type=int)
+    train.add_argument("--schedule", choices=SCHEDULES)
     train.add_argument("--model-out", required=True)
     train.add_argument("--report-out", default=None)
 
@@ -89,17 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
-    hyper = Hyperparams(
-        k=args.experts,
-        lambda_nu=args.lambda_gate,
-        lambda_omega=args.lambda_expert,
-        lambda_mu=args.lambda_mu,
-        selector_mode=args.selector,
-        max_iters=args.iters,
-        tol=args.tol,
-        seed=args.seed,
-        schedule=args.schedule,
-    ).validate()
+    fields = {f.name for f in dataclasses.fields(Hyperparams)}
+    hyper = Hyperparams(**{name: v for name, v in vars(args).items() if name in fields})
     dataset = load_dataset(args.data)
     model, report = fit(dataset, hyper)
     for rec in report.trace:
@@ -112,21 +105,21 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    dataset = to_model_classes(model, load_dataset(args.data))
+    dataset = load_dataset(args.data)
     with np.errstate(**_SCORING_ERRSTATE):
-        probs = predict_proba_batch(model, dataset.features, args.selector_policy)
+        dataset, probs, top = _score(model, dataset, args.selector_policy)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_prediction_lines(dataset.label_names, probs))
+        fh.write(_prediction_lines(dataset.label_names, probs, top))
     return EXIT_OK
 
 
-def _prediction_lines(label_names, probs) -> str:
-    """One line per row of the (n, q) probabilities: the most probable
-    label (first on ties), then each probability to 9 significant digits."""
-    cols = probs.T
-    names = [label_names[c] for c in _top_class(cols).tolist()]
-    line = "%s" + " %.9g" * len(cols) + "\n"
-    return "".join(line % row for row in zip(names, *cols.tolist()))
+def _prediction_lines(label_names, probs, top) -> str:
+    """One line per column of the class-major (q, n) probabilities: the
+    row's class ``top`` by label, then each probability to 9 significant
+    digits."""
+    names = [label_names[c] for c in top.tolist()]
+    line = "%s" + " %.9g" * len(probs) + "\n"
+    return "".join(line % row for row in zip(names, *probs.tolist()))
 
 
 def cmd_evaluate(args) -> int:

@@ -77,6 +77,8 @@ class ExpertSelector:
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The fit's settings; building one (``dataclasses.replace`` too) checks them."""
+
     k: int
     lambda_nu: float
     lambda_omega: float
@@ -87,7 +89,7 @@ class Hyperparams:
     seed: int = 0
     schedule: str = "full"
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("k", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -113,7 +115,6 @@ class Hyperparams:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        return self
 
 
 def _check_subset_budget(k, budget):
@@ -125,8 +126,11 @@ def _check_subset_budget(k, budget):
     whole = int(budget)
     if whole < 1 or whole > k:
         raise ConfigError(f"l0 subset budget {whole} out of range for k={k}")
-    if math.comb(k, whole) > 1_000_000:
-        raise ConfigError(f"C({k},{whole}) l0 subsets exceed the enumeration guard")
+    count = 1  # C(k, j) = C(k, k - j) grows with j up to k/2, so stop once past the guard
+    for j in range(1, min(whole, k - whole) + 1):
+        count = count * (k - j + 1) // j
+        if count > 1_000_000:
+            raise ConfigError(f"C({k},{whole}) l0 subsets exceed the enumeration guard")
     return whole
 
 
@@ -269,8 +273,8 @@ def _one_row(v, length, what):
 def gate_forward(gate: GateParams, x, mu_row):
     """Gated gate probabilities p(m_i | x) of one prepared input."""
     k, dp = gate.nu.shape
-    return _gate_softmax(gate.nu, _one_row(x, dp, "input"),
-                         _one_row(mu_row, k, "selector row"))[:, 0]
+    mu = ExpertSelector(_one_row(mu_row, k, "selector row")).mu  # the selector's range rule
+    return _gate_softmax(gate.nu, _one_row(x, dp, "input"), mu)[:, 0]
 
 
 def expert_forward(experts: ExpertParams, i, x):
@@ -337,10 +341,10 @@ def _numbers(value, field):
 
 def model_from_dict(doc: dict) -> MixtureModel:
     """The model a :func:`model_to_dict` document describes.  An unknown
-    format version, or hyperparameters that ``Hyperparams.validate``
-    rejects, raise ConfigError; any other malformed document raises
-    DataError, among them radii, scaler entries or weights that are not
-    JSON numbers and ``labels`` that are not q distinct strings.  A
+    format version, or hyperparameters that ``Hyperparams`` rejects, raise
+    ConfigError, before the weights are read; any other malformed document
+    raises DataError, among them radii, scaler entries or weights that are
+    not JSON numbers and ``labels`` that are not q distinct strings.  A
     document without ``labels`` gives a model whose ``labels`` is None."""
     if not isinstance(doc, dict):
         raise DataError("a model file must hold a JSON object")
@@ -370,11 +374,10 @@ def model_from_dict(doc: dict) -> MixtureModel:
         )
     except KeyError as exc:
         raise DataError(f"model file lacks the field {exc}") from exc
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
-    # Validated once k is known to match the weights, so that a huge k
-    # never reaches the subset-count guard.
-    hyper.validate()
     return model
 
 

@@ -49,7 +49,6 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
-    _check_subset_budget,
     _expert_softmax,
     _gate_softmax,
     _softmax,
@@ -371,10 +370,9 @@ def _selector_norm0(nu, g, x_mat, budget):
 
 
 def m_step_selector_norm0(model: MixtureModel, dataset: Dataset, lambda_mu) -> ExpertSelector:
-    budget = _check_subset_budget(model.k, lambda_mu)
     x_mat = prepare_inputs(dataset.features, model.scaler)
     g = _label_probs(model.experts.omega, x_mat, _label_index(dataset.labels, model.k))
-    mu = _selector_norm0(model.gate.nu, _transposed(g), x_mat, budget)
+    mu = _selector_norm0(model.gate.nu, _transposed(g), x_mat, lambda_mu)
     return ExpertSelector(mu)
 
 
@@ -460,7 +458,6 @@ def _reinit_expert(rng, nu, omega, i):
 
 def fit(dataset: Dataset, hyper: Hyperparams):
     """Run EM and return the trained model plus a fit report."""
-    hyper.validate()
     if dataset.q < 2:
         raise DataError("fewer than 2 classes present")
     scaler = fit_scaler(dataset)
@@ -621,14 +618,20 @@ def to_model_classes(model: MixtureModel, dataset: Dataset) -> Dataset:
     return Dataset(dataset.features, remap[dataset.labels], model.labels)
 
 
+def _score(model: MixtureModel, dataset: Dataset, policy):
+    """The dataset in the model's classes, its class-major (q, n) probabilities
+    under a selector policy and each row's class: what evaluate and predict use."""
+    dataset = to_model_classes(model, dataset)
+    probs = predict_proba_batch(model, dataset.features, policy).T
+    return dataset, probs, _top_class(probs)
+
+
 def evaluate(model: MixtureModel, dataset: Dataset, selector_policy="ones") -> dict:
     """Accuracy and mean negative log-likelihood under a test-time selector
-    policy (see :func:`predict_proba_batch`), with the dataset's classes
-    matched to the model's by token (see :func:`to_model_classes`)."""
-    dataset = to_model_classes(model, dataset)
-    probs = predict_proba_batch(model, dataset.features, selector_policy).T  # (q, n)
+    policy, with the dataset's classes matched to the model's by token."""
+    dataset, probs, top = _score(model, dataset, selector_policy)
     labels, n = dataset.labels, dataset.n
-    accuracy = float((_top_class(probs) == labels).mean())
+    accuracy = float((top == labels).mean())
     true_p = np.maximum(probs.take(labels * n + np.arange(n)), PROB_FLOOR)
     nll = float(-np.log(true_p).mean())
     return {"accuracy": accuracy, "nll": nll}

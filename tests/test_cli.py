@@ -25,7 +25,7 @@ from sparse_moe import (
 )
 from sparse_moe import trainer
 from sparse_moe.cli import _prediction_lines, main
-from sparse_moe.model import PROB_FLOOR, model_from_dict, model_to_dict, prepare_inputs
+from sparse_moe.model import PROB_FLOOR, _top_class, model_from_dict, model_to_dict, prepare_inputs
 
 
 @pytest.fixture
@@ -183,6 +183,17 @@ class TestTrain:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_left_out_flags_take_the_class_defaults(self, xor_file, tmp_path, capsys):
+        # A flag left out sets nothing: the Hyperparams default applies.
+        base = ["train", "--data", str(xor_file), "--experts", "2", "--lambda-gate", "5",
+                "--lambda-expert", "5"]
+        bare, spelled = tmp_path / "bare.json", tmp_path / "spelled.json"
+        assert main(base + ["--model-out", str(bare)]) == 0
+        assert main(base + ["--selector", "none", "--iters", "30", "--tol", "1e-6",
+                            "--seed", "0", "--schedule", "full", "--model-out", str(spelled)]) == 0
+        assert bare.read_bytes() == spelled.read_bytes()
+        assert load_model(bare).hyper == Hyperparams(k=2, lambda_nu=5.0, lambda_omega=5.0)
+
     def test_deterministic_model_files(self, xor_file, tmp_path, capsys):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
         assert main(train_args(xor_file, m1)) == 0
@@ -292,7 +303,8 @@ class TestPredict:
         for row in probs:
             label = names[int(np.argmax(row))]
             want.append(label + " " + " ".join(f"{p:.9g}" for p in row))
-        assert _prediction_lines(names, probs) == "\n".join(want) + "\n"
+        cols = np.ascontiguousarray(probs.T)  # class-major, as predict scores
+        assert _prediction_lines(names, cols, _top_class(cols)) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("corrupt", ["missing-key", "not-an-object", "not-json",
                                          "deeply-nested"])
@@ -734,6 +746,25 @@ class TestRejections:
                 else command_args(command, xor_file, model, tmp_path))
         capsys.readouterr()
         assert_one_error(capsys, main(args), 3, "malformed model file: ")
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"lambda_nu": -1.0}, "L1 radii must be positive"),
+        ({"k": 10**12, "selector_mode": "l0", "lambda_mu": 5e11}, "enumeration guard"),
+    ])
+    def test_bad_hyperparameters_come_before_the_weights(self, xor_file, tmp_path, capsys,
+                                                         bad, message):
+        # Hyperparameters are checked when built, before the weights' shapes:
+        # a file with both wrong exits 2, and a huge k meets a cheap guard.
+        model = tmp_path / "m.json"
+        assert main(train_args(xor_file, model)) == 0
+        doc = {**json.loads(model.read_text()), **bad}
+        doc["nu"] = doc["nu"][:-1]
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert_one_error(capsys, main(command_args("evaluate", xor_file, model, tmp_path)), 2,
+                         message)
 
     def test_non_finite_objective_exit_4(self, xor_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(trainer, "_label_probs",

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from sparse_moe import (
     prepare_inputs,
     save_model,
 )
-from sparse_moe.model import mixture_probs
+from sparse_moe.model import _check_subset_budget, mixture_probs
 
 E_RATIO = math.e / (math.e + 1.0)  # 0.7310585786300049
 
@@ -108,6 +111,15 @@ class TestGateForward:
         base = gate_forward(GateParams(nu), x, np.ones(3))
         out = gate_forward(GateParams(shifted), x, np.ones(3))
         np.testing.assert_allclose(out, base, atol=1e-10)
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [-1.0, 1.0], [1.0, np.inf]])
+    def test_selector_row_outside_the_domain_raises(self, row):
+        # One rule for a selector row and a whole selector.
+        message = "selector entries must be finite and nonnegative"
+        with pytest.raises(DataError, match=message):
+            gate_forward(GateParams(np.zeros((2, 3))), np.ones(3), row)
+        with pytest.raises(DataError, match=message):
+            ExpertSelector(np.array([row]))
 
     def test_shape_mismatch(self):
         gate = GateParams(np.zeros((2, 3)))
@@ -210,9 +222,9 @@ class TestPredictProba:
 
 class TestHyperparams:
     def test_valid(self):
-        Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0).validate()
+        Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0)
         Hyperparams(k=np.int64(2), lambda_nu=1.0, lambda_omega=1.0, max_iters=np.int32(3),
-                    seed=np.uint8(1)).validate()
+                    seed=np.uint8(1))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -243,7 +255,7 @@ class TestHyperparams:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
-            Hyperparams(**kwargs).validate()
+            Hyperparams(**kwargs)
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", float("inf")),
                                                           ("l1", float("inf")),
@@ -252,7 +264,41 @@ class TestHyperparams:
     def test_non_finite_lambda_mu(self, selector_mode, lambda_mu):
         with pytest.raises(ConfigError, match="lambda_mu must be finite"):
             Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0, selector_mode=selector_mode,
-                        lambda_mu=lambda_mu).validate()
+                        lambda_mu=lambda_mu)
+
+    @pytest.mark.parametrize("change", [dict(selector_mode="bogus"), dict(lambda_nu=-1.0),
+                                        dict(selector_mode="l0"), dict(max_iters=0),
+                                        dict(k=1, selector_mode="l0", lambda_mu=2)])
+    def test_replace_is_checked(self, change):
+        hyper = Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(hyper, **change)
+
+    def test_l0_guard_matches_the_full_subset_count(self):
+        for k in range(1, 61):
+            for budget in range(1, k + 1):
+                try:
+                    _check_subset_budget(k, budget)
+                    ok = True
+                except ConfigError as exc:
+                    assert str(exc) == f"C({k},{budget}) l0 subsets exceed the enumeration guard"
+                    ok = False
+                assert ok == (math.comb(k, budget) <= 1_000_000), (k, budget)
+
+    def test_l0_guard_stops_early_on_a_huge_k(self):
+        # C(10**12, 5*10**11) in full would not finish; the guard trips at
+        # its first step.
+        code = ("from sparse_moe import ConfigError, Hyperparams\n"
+                "try:\n"
+                "    Hyperparams(k=10**12, lambda_nu=1.0, lambda_omega=1.0,\n"
+                "                selector_mode='l0', lambda_mu=5 * 10**11)\n"
+                "except ConfigError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=10, env=env)
+        assert out.stdout == ("C(1000000000000,500000000000) l0 subsets exceed the "
+                              "enumeration guard\n"), out.stderr
 
     # One rule for both: 1 <= budget <= k and C(k, budget) <= 1_000_000
     # (C(1414, 2) = 998_991, C(1415, 2) = 1_000_405).
@@ -268,9 +314,8 @@ class TestHyperparams:
                 return False
             return True
 
-        hyper = Hyperparams(k=k, lambda_nu=1.0, lambda_omega=1.0, lambda_mu=budget,
-                            selector_mode="l0")
-        assert accepted(hyper.validate) == ok
+        assert accepted(lambda: Hyperparams(k=k, lambda_nu=1.0, lambda_omega=1.0,
+                                            lambda_mu=budget, selector_mode="l0")) == ok
         # The first subset is drawn only once the budget is checked.
         assert accepted(lambda: next(enumerate_subsets(k, budget))) == ok
 

@@ -350,6 +350,15 @@ class TestAnalyticGradients:
         model = make_model(nu, rng.normal(0, 1, (2, 2, 3)))
         assert analytic_selector_gradient(model, np.ones(2), np.array([1.0, -1.0, 1.0]), 0, 0) == 0.0
 
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [-1.0, 1.0]])
+    def test_selector_row_outside_the_domain_raises(self, rng, row):
+        model = random_model(rng, k=2, q=2, dp=3)
+        x = np.array([1.0, -1.0, 1.0])
+        for call in (instance_loss, analytic_gate_gradient, analytic_selector_gradient):
+            args = (model, np.array(row), x, 0) + ((1,) if call is not instance_loss else ())
+            with pytest.raises(DataError, match="selector entries must be finite"):
+                call(*args)
+
     def test_gate_gradient_matches_finite_differences(self, rng):
         for _ in range(10):
             model = random_model(rng, k=3, q=2, dp=4)
@@ -432,7 +441,7 @@ class TestSelectorNorm0:
             assert tuple(np.flatnonzero(sel.mu[n])) == ref
 
     def test_budget_is_a_whole_number(self, rng):
-        # The rule Hyperparams.validate applies: 1.7 is not run as budget 1,
+        # The rule Hyperparams applies: 1.7 is not run as budget 1,
         # and 0.5, nan and inf are named as not integers.
         model = random_model(rng, k=3, q=2, dp=3)
         ds = two_class_dataset(rng, n=10)
@@ -1120,6 +1129,19 @@ class TestModelClasses:
         mapped = to_model_classes(model, Dataset(ds.features, 1 - ds.labels, ("1", "0")))
         np.testing.assert_array_equal(mapped.labels, ds.labels)
         assert mapped.label_names == model.labels
+
+    @pytest.mark.parametrize("policy", ["ones", "gate-surrogate"])
+    def test_one_scoring_path(self, policy):
+        # What evaluate and the CLI's predict score from: the rows in the
+        # model's classes, class-major probabilities and each row's class.
+        model, ds = self.fitted()
+        model = dataclasses.replace(model, hyper=dataclasses.replace(model.hyper, lambda_mu=1.5))
+        swapped = Dataset(ds.features, 1 - ds.labels, ("1", "0"))
+        scored, probs, top = trainer._score(model, swapped, policy)
+        np.testing.assert_array_equal(scored.labels, ds.labels)
+        assert scored.label_names == model.labels
+        np.testing.assert_array_equal(probs, predict_proba_batch(model, ds.features, policy).T)
+        np.testing.assert_array_equal(top, probs.argmax(axis=0))
 
     def test_model_without_tokens_keeps_ids(self, rng):
         model = random_model(rng, k=2, q=2, dp=3)
