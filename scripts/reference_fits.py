@@ -1,14 +1,16 @@
 """Reference fits: the SHA-256 of every model file and fit report of one
-fixed matrix of fits.
+fixed matrix of fits, and of each model's predictions on its training data.
 
 Run it on two checkouts and compare the output, to check that a change
 keeps training outputs byte-identical:
 
     PYTHONPATH=src python3 scripts/reference_fits.py > hashes.txt
 
-The last line is the SHA-256 of all the lines before it.  Hashes depend on
-the NumPy and BLAS build, so compare runs made with the same build and the
-same BLAS thread count.
+It prints one line per model file and report, then a digest line, the
+SHA-256 of those lines; then one line per fit for the bytes of
+``predict_proba_batch(model, data.features)``, then a digest line over
+those.  Hashes depend on the NumPy and BLAS build, so compare runs made
+with the same build and the same BLAS thread count.
 
 The matrix, 73 fits (data: preset, rows per cluster, noise dims, data seed):
   * sweep: noisy-subspace 150/8, data seeds 11, 12 and 13; k=4,
@@ -29,7 +31,8 @@ import hashlib
 import tempfile
 from pathlib import Path
 
-from sparse_moe import Hyperparams, fit, generate_synthetic, preset_spec, save_model
+from sparse_moe import (Hyperparams, fit, generate_synthetic, predict_proba_batch,
+                        preset_spec, save_model)
 from sparse_moe import trainer
 
 SCHEDULES = ("full", "fast")
@@ -78,8 +81,12 @@ def matrix():
            None)
 
 
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main():
-    lines = []
+    lines, predictions = [], []
     default_fraction = trainer.DEAD_EXPERT_FRACTION
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -93,10 +100,16 @@ def main():
                 for path in (model_path, report_path):
                     lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
                     print(lines[-1])
+                probs = predict_proba_batch(model, data.features)
+                predictions.append(f"{hashlib.sha256(probs.tobytes()).hexdigest()}  "
+                                   f"{name}.predict_proba")
         finally:
             trainer.DEAD_EXPERT_FRACTION = default_fraction
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"# {len(lines) // 2} fits, {len(lines)} files; sha256 of the lines above: {digest}")
+    print(f"# {len(lines) // 2} fits, {len(lines)} files; sha256 of the lines above: "
+          f"{_digest(lines)}")
+    print("\n".join(predictions))
+    print(f"# {len(predictions)} predictions; sha256 of the prediction lines above: "
+          f"{_digest(predictions)}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,6 +95,12 @@ class Hyperparams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("lambda_nu", "lambda_omega", "lambda_mu", "tol"):
+            value = getattr(self, name)
+            if name == "lambda_mu" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.k < 1:
             raise ConfigError("need at least one expert")
         if not (0 < self.lambda_nu < math.inf and 0 < self.lambda_omega < math.inf):

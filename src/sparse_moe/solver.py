@@ -13,16 +13,29 @@ Presnell & Turlach (2000): exact linear solves on a support with signs,
 on the face of the ball or inside it, that drop and add one coordinate at
 a time until the column's Frank-Wolfe duality gap certifies optimality.
 The set-up starts from the weighted Gram matrices, one per block
-(:func:`grams`), which a caller can build once and hand in.  Of a
-subspace-sweep call's time (m=600, p=11, 12 columns in 5 blocks, one BLAS
-thread), the set-up takes a quarter, the shortcut a sixth, the rounds'
-entry a seventh and the rounds two fifths, mostly in NumPy's per-call
-overhead (LAPACK is a seventh).  No external QP dependency.
+(:func:`grams`), which a caller can build once and hand in.  No external
+QP dependency.
+
+Two layers.  The checked boundary is where a library caller comes in:
+building a :class:`WlsProblem` checks its arrays, and
+:func:`unconstrained_wls` checks its own.  Under it is the engine, which
+checks nothing of what the boundary checked: :func:`solve`, on a checked
+:class:`WlsProblem` or on a :class:`WlsArrays` whose arrays its caller
+built and checked, and :func:`ridge_wls`.  A fit checks its fixed arrays
+once and hands every M-step to the engine.
+
+Of a subspace-sweep call's time (m=600, p=11, 12 columns in 5 blocks;
+the 500 calls of ten sweep jobs, replayed on a 2-vCPU x86-64 host with
+one BLAS thread), the set-up takes 25-26%, the shortcut 15%, the
+rounds' entry 14-15% (389 of the calls enter the rounds), the rounds 40%
+and the solution's assembly 4%.  Most of it is NumPy's per-call
+overhead: LAPACK's solves are 15-16%.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +128,28 @@ class WlsProblem:
             object.__setattr__(self, name, value)
 
 
+class WlsArrays(NamedTuple):
+    """A batch for the engine, :func:`solve`, with the fields of a checked
+    :class:`WlsProblem`, from a caller that built and checked the arrays
+    itself: nothing checks them again.  The caller must ensure what
+    :class:`WlsProblem` would check: a finite ``(m, p)`` float design that
+    does not change while the batch is in use (read-only, say), with a
+    column for a free ``bias``; finite float targets ``(m, r)``; finite
+    nonnegative float weights ``(m, g)``; ``(r,)`` integer blocks in
+    [0, g); and ``(r,)`` finite positive float radii.  ``bias`` and
+    ``nonnegative`` are bools.  A fit checks its fixed arrays once and
+    builds the others in a form that meets the rest.
+    """
+
+    design: np.ndarray
+    target: np.ndarray
+    row_weights: np.ndarray
+    radius: np.ndarray
+    bias: bool
+    nonnegative: bool
+    blocks: np.ndarray
+
+
 @dataclass
 class SolveReport:
     """Result of :func:`solve`.
@@ -153,15 +188,21 @@ def project_l1_ball(v, radius, nonnegative=False):
     radius = np.asarray(radius, dtype=float)
     if not (radius > 0).all():
         raise ConfigError("radius must be positive")
-    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        return _project(np.asarray(v, dtype=float), radius, nonnegative)
+
+
+def _project(v, radius, nonnegative):
+    """:func:`project_l1_ball` of a float array onto positive float radii,
+    taken unchecked, under the caller's error state, which ignores
+    overflow."""
     mag = np.maximum(v, 0.0) if nonnegative else np.abs(v)
     u = np.sort(mag, axis=-1)[..., ::-1]
     ranks = np.arange(1, v.shape[-1] + 1)
+    total = np.cumsum(u, axis=-1)
+    theta = ((total - radius[..., None]) / ranks).max(axis=-1, keepdims=True, initial=0.0)
     # A NaN, an infinite magnitude or magnitudes whose sum overflows make
     # their row's threshold non-finite.
-    with np.errstate(over="ignore"):
-        total = np.cumsum(u, axis=-1)
-    theta = ((total - radius[..., None]) / ranks).max(axis=-1, keepdims=True, initial=0.0)
     if not np.isfinite(theta).all():
         raise ConfigError("the vector to project and its L1 norm must be finite")
     shrunk = np.maximum(mag - theta, 0.0)
@@ -170,15 +211,16 @@ def project_l1_ball(v, radius, nonnegative=False):
     return z
 
 
-def grams(design, row_weights):
+def grams(design, row_weights, out=None):
     """The weighted Gram matrix A'diag(w_i)A of each column i of ``(m, g)``
-    row weights, ``(g, p, p)``, from arguments taken unchecked.
+    row weights, ``(g, p, p)``, from arguments taken unchecked, written
+    into ``out`` if it is given (a C-ordered ``(g, p, p)`` float array).
 
     Each is S'S for S the design rows scaled by sqrt(w_i), in one reused
     buffer; NumPy computes S'S as a symmetric rank-k update (BLAS syrk),
     half the multiplications of a general product, and exactly symmetric.
     """
-    gram = np.empty((row_weights.shape[1], design.shape[1], design.shape[1]))
+    gram = np.empty((row_weights.shape[1], design.shape[1], design.shape[1])) if out is None else out
     s = np.empty_like(design)
     root = np.sqrt(row_weights)
     for i in range(row_weights.shape[1]):
@@ -208,22 +250,34 @@ def unconstrained_wls(design, target, row_weights, ridge=0.0):
     the ``(r, p)`` solutions of its columns.  Weights are ``(m,)`` or
     ``(m, g)`` weights, the r target columns forming g equal consecutive
     blocks as in :class:`WlsProblem`; the columns of a block share one
-    factorization.
+    factorization.  The arguments are checked, then handed to the engine,
+    :func:`ridge_wls`.
     """
     if not 0.0 <= ridge < np.inf:
         raise ConfigError("ridge must be finite and nonnegative")
     a, b, w, _ = _blocks(design, target, row_weights)
-    p, c = a.shape[1], b.shape[1] // max(w.shape[1], 1)
-    gram = grams(a, w)
-    rhs = np.empty((w.shape[1], p, c))
-    for i in range(w.shape[1]):
-        rhs[i] = a.T @ (b[:, i * c:(i + 1) * c] * w[:, i, None])
+    z = ridge_wls(a, b, w, ridge)
+    return z if np.ndim(target) == 2 else z[0]
+
+
+def ridge_wls(design, target, row_weights, ridge):
+    """The engine of :func:`unconstrained_wls`, on arrays the caller built
+    and checked: a finite ``(m, p)`` float design that does not change
+    during the call, finite ``(m, r)`` float targets, finite nonnegative
+    ``(m, g)`` float weights whose g blocks split the r columns evenly,
+    and a finite nonnegative ridge.  Nothing is checked again.  Returns
+    the ``(r, p)`` solutions, bit for bit those of the checked call.
+    """
+    p, c = design.shape[1], target.shape[1] // max(row_weights.shape[1], 1)
+    gram = grams(design, row_weights)
+    rhs = np.empty((row_weights.shape[1], p, c))
+    for i in range(row_weights.shape[1]):
+        rhs[i] = design.T @ (target[:, i * c:(i + 1) * c] * row_weights[:, i, None])
     try:
         z = np.linalg.solve(gram + ridge * np.eye(p), rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError("normal equations numerically singular") from exc
-    z = z.transpose(0, 2, 1).reshape(-1, p)
-    return z if np.ndim(target) == 2 else z[0]
+    return z.transpose(0, 2, 1).reshape(-1, p)
 
 
 def _rowwise(x, mat):
@@ -293,8 +347,13 @@ def _line_step(x, half_grad, step, sign, s, tol, radius):
     return step, lost
 
 
-def solve(problem: WlsProblem, *, gram=None) -> SolveReport:
+def solve(problem: WlsProblem | WlsArrays, *, gram=None) -> SolveReport:
     """Certified solve of a WlsProblem, one or many right-hand sides.
+
+    This is the engine: it reads the problem's arrays as checked, either
+    by :class:`WlsProblem` on construction or, in a :class:`WlsArrays`, by
+    the caller (see there), and checks only the Gram stack's shape and
+    each column's scale, which depend on the call.
 
     A free bias is minimized out in closed form, leaving a problem in the
     restricted coordinates x with Hessian 2S (S the Schur complement of the
@@ -394,7 +453,7 @@ def _active_set(x_u, s_col, d, radius, tol, nonneg, cols, x, gap, x_hg, converge
     Writes each column's x, gap, x'h and converged flag as of the round that
     ends it, and returns the number of rounds after the first."""
     sw, dw, radw, tolw = s_col[cols], d[cols], radius[cols], tol[cols]
-    xw = project_l1_ball(x_u[cols], radw, nonneg)
+    xw = _project(x_u[cols], radw, nonneg)
     sign = np.sign(xw)
     hg = _rowwise(xw, sw) - dw
     # Powers of two that bring S's diagonal near 1 (_support_step).

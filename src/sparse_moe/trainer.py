@@ -11,16 +11,21 @@ column with its own radius.  The k*q expert problems form one block per
 expert, weighted by its responsibilities; the k gate rows share unit
 weights without a selector, and otherwise each row is a block weighted
 by its squared selector entries.  The fast schedule's inner
-iterations fit the experts unconstrained (a plain WLS call) and its final
+iterations fit the experts unconstrained (a plain WLS fit) and its final
 pass the experts alone.  The selector update runs first in each outer
 iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the gate and expert subproblems are
-solved.  A fit builds, once and read-only, what its M-steps share: one
+solved.  A fit builds and checks, once, what its M-steps share: one
 column layout (the k gate rows, then the k*q expert columns) with each
 column's weight block and radius, the tiled class targets and, without
-a selector, the gate's unit-weight Gram matrix.  Each M-step's batch is
-one mask over that layout (no solver call if it is empty) and fills in
-what the responsibilities change.
+a selector, the gate's unit weights and a Gram stack that holds the
+gate's unit-weight Gram matrix, behind which each M-step writes the
+experts'.  All but the stack are read-only.  Each M-step's batch is one
+mask over that layout (no solver call if it is empty) and fills in what
+the responsibilities change.  It goes to the solver's engine as a
+:class:`~sparse_moe.solver.WlsArrays`, and a ridge step to
+:func:`~sparse_moe.solver.ridge_wls`: inside the EM loop no
+``WlsProblem`` is built and none of the solver's checks runs again.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -60,7 +65,7 @@ from .model import (
     sparsity,
     write_json,
 )
-from .solver import WlsProblem, grams, project_l1_ball, solve, unconstrained_wls
+from .solver import WlsArrays, _blocks, grams, project_l1_ball, ridge_wls, solve
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -171,41 +176,60 @@ def build_gate_targets(r):
 # M-steps
 
 class _MStepSetup(NamedTuple):
-    """What a fit's M-steps share, built once by :func:`_m_step_setup`.
-    The fit has one column layout: the k gate rows, then expert i's q
-    class columns for each expert i.  Its weight blocks are the gate's
-    (one under unit weights, otherwise one per row), then one per expert,
-    and ``blocks`` and ``radius`` give each layout column's block and
-    radius.  A batch is a mask over the layout; it carries the gate's
-    blocks if it solves a gate row and every expert's if it solves an
-    expert column, so a column's block moves only by the gate's blocks."""
+    """What a fit's M-steps share, built and checked once by
+    :func:`_m_step_setup`.  The fit has one column layout: the k gate rows,
+    then expert i's q class columns for each expert i.  Its weight blocks
+    are the gate's (one under unit weights, otherwise one per row), then
+    one per expert, and ``blocks`` and ``radius`` give each layout column's
+    block and radius.  A batch is a mask over the layout; it carries the
+    gate's blocks if it solves a gate row and every expert's if it solves
+    an expert column, so a column's block moves only by the gate's
+    blocks."""
 
     x_mat: np.ndarray  # (n, p) prepared design
     targets: np.ndarray  # (k*q, n) class targets tiled per expert, class-major
     blocks: np.ndarray  # (k + k*q,)
     radius: np.ndarray  # (k + k*q,) lambda_nu for gate rows, lambda_omega for experts
-    # Under unit weights (a fit without a selector), the Gram stack (1, p, p)
-    # of the gate's one block; otherwise None.
-    gate_gram: np.ndarray | None
+    # Under unit weights (a fit without a selector), the gate's (1, n) unit
+    # weights and a (1 + k, p, p) Gram stack: its unit block's Gram matrix,
+    # then room for the k experts', which each M-step on the ball writes.
+    # Both are None with a selector.
+    unit: np.ndarray | None
+    gram: np.ndarray | None
 
 
 def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     """The fixed part of M-steps on ``x_mat`` with k experts: expert
     ``targets`` of radius ``lambda_omega``, gate rows of radius
-    ``lambda_nu``, sharing one unit-weight block if ``unit``.  The arrays
-    it builds are read-only, so a write raises instead of slipping past the
-    solver's check."""
-    q = targets.shape[1]
+    ``lambda_nu``, sharing one unit-weight block if ``unit``.
+
+    It checks, once, what :class:`~sparse_moe.solver.WlsProblem` would
+    check in every M-step of these arrays: a finite design and targets and
+    finite positive radii; the layout it builds is valid by construction.
+    Every array it builds but the Gram stack is read-only, so a write raises
+    instead of slipping past the check.
+    """
+    if not (np.isfinite(x_mat).all() and np.isfinite(targets).all()):
+        raise ConfigError("design and targets must be finite")
+    if not (0 < lambda_omega < np.inf and 0 < lambda_nu < np.inf):
+        raise ConfigError("radius must be finite and positive: one, or one per target column")
+    n, q = targets.shape
     gate_blocks = 1 if unit else k
+    ones = np.ones((1, n)) if unit else None
+    gram = None
+    if unit:
+        gram = np.empty((1 + k, x_mat.shape[1], x_mat.shape[1]))
+        grams(x_mat, ones.T, out=gram[:1])
     built = _MStepSetup(
         x_mat,
         np.ascontiguousarray(np.tile(targets, k).T),
         np.concatenate([np.zeros(k, dtype=int) if unit else np.arange(k),
                         np.repeat(np.arange(gate_blocks, gate_blocks + k), q)]),
         np.repeat(np.array([lambda_nu, lambda_omega], dtype=float), [k, k * q]),
-        grams(x_mat, np.ones((len(x_mat), 1))) if unit else None,
+        ones,
+        gram,
     )
-    for array in built[1:]:
+    for array in built[1:-1]:
         if array is not None:
             array.setflags(write=False)
     return built
@@ -220,21 +244,26 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     """An EM iteration's gate and expert M-steps, with all of their
     constrained problems in one solver call.
 
-    ``setup`` holds what the fit fixes; this fills in what ``r`` (k, n)
-    changes: the gate targets and the experts' weights and Grams.  If ``gate``,
-    gate row i is refit to minimize sum_n (mu_ni x_n . nu_i - log r_ni)^2,
-    the WLS problem with weights mu_ni^2 and targets log r_ni / mu_ni (0
-    where mu_ni^2 == 0, where the weight drops the row); a row selected by
-    no instance keeps its incumbent, and under unit weights ``mu`` is not
-    read.  The experts ``omega`` are refit in their L1 ball if ``experts``
-    is "ball", or unconstrained with a small ridge if "ridge" (a plain WLS
+    ``setup`` holds what the fit fixes and has checked; this fills in what
+    ``r`` (k, n) changes: the gate targets and the experts' weights and
+    Grams.  If ``gate``, gate row i is refit to minimize
+    sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS problem with weights
+    mu_ni^2 and targets log r_ni / mu_ni (0 where mu_ni^2 == 0, where the
+    weight drops the row); a row selected by no instance keeps its
+    incumbent, and under unit weights ``mu`` is not read.  The experts
+    ``omega`` are refit in their L1 ball if ``experts`` is "ball", or
+    unconstrained with a small ridge if "ridge" (the engine of a plain WLS
     call); experts not ``live`` keep their rows.  The steps read the same
     responsibilities, not each other's results, so their problems form one
     batch: a mask over the set-up's layout, each column with its own block
     and radius, built as (column, n) rows and handed over as ``.T`` views.
-    Columns never mix in the solver, so each is solved as if alone.
-    Returns the new gate and expert weights and the call's
-    SolveReport (gate rows first), or None for an empty batch (no call).
+    The batch goes to the solver as a :class:`~sparse_moe.solver.WlsArrays`,
+    which nothing checks again: the set-up's arrays are checked, and the
+    targets and weights built here from finite responsibilities are finite,
+    the weights nonnegative.  Columns never mix in the solver, so each is
+    solved as if alone.  Returns the new gate and expert weights and the
+    call's SolveReport (gate rows first), or None for an empty batch (no
+    call).
     """
     x_mat = setup.x_mat
     q, k, dp = omega.shape
@@ -244,11 +273,11 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     # live experts.
     c = q * np.count_nonzero(live)
     if not ball:
-        fitted = unconstrained_wls(x_mat, setup.targets[:c].T, r[live].T, ridge=RIDGE)
+        fitted = ridge_wls(x_mat, setup.targets[:c].T, r[live].T, RIDGE)
         omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
     # The batch is one mask over the layout: the gate rows some instance
     # selects (all k under unit weights), then the live experts' columns.
-    unit = setup.gate_gram is not None
+    unit = setup.unit is not None
     rows = np.arange(k if gate else 0)
     if gate and not unit:
         rows = np.flatnonzero((mu != 0.0).any(axis=0))
@@ -258,8 +287,11 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     targets, weights, gram = [], [], None
     if rows.size and unit:  # the unit block, whose Gram the set-up holds
         targets.append(build_gate_targets(r))
-        weights.append(np.ones((1, len(x_mat))))
-        gram = np.concatenate([setup.gate_gram, grams(x_mat, r.T)]) if ball else setup.gate_gram
+        weights.append(setup.unit)
+        gram = setup.gram[:1]
+        if ball:  # the experts' Grams go behind it
+            grams(x_mat, r.T, out=setup.gram[1:])
+            gram = setup.gram
     elif rows.size:  # a block per row
         mu_t = _transposed(mu)
         sel = mu_t[rows]
@@ -275,8 +307,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     index, radius = setup.blocks[cols], setup.radius[cols]
     if not rows.size:  # the batch leaves out the gate's blocks
         index -= setup.blocks[k]
-    report = solve(WlsProblem(x_mat, np.concatenate(targets).T, np.concatenate(weights).T,
-                              radius, True, blocks=index), gram=gram)
+    report = solve(WlsArrays(x_mat, np.concatenate(targets).T, np.concatenate(weights).T,
+                             radius, True, False, index), gram=gram)
     if rows.size:
         nu = nu.copy()
         nu[rows] = report.solution[:rows.size]
@@ -296,9 +328,13 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags, none if every expert is dead.
     """
-    omega, live = incumbent.omega, _live(r.T)
-    # No gate step is made, so the gate's radius is never read.
-    setup = _m_step_setup(x_mat, omega.shape[1], targets, lambda_omega, np.inf, False)
+    omega, k = incumbent.omega, incumbent.omega.shape[1]
+    # The solver's checks, once, for what fit would build itself: each of
+    # the q target columns is weighted by some column of r.
+    x_mat, targets, r, _ = _blocks(x_mat, targets, r, np.zeros(np.shape(targets)[1], dtype=int))
+    live = _live(r.T)
+    # No gate step is made, so the gate's radius (lambda_omega too) is never read.
+    setup = _m_step_setup(x_mat, k, targets, lambda_omega, lambda_omega, False)
     _, omega, report = _m_step(setup, r.T, live, None, omega, gate=False)
     converged = report.converged if report else np.zeros(0, dtype=bool)
     return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
@@ -422,8 +458,15 @@ def _trace_record(iteration, g, h, nu, omega, mu):
     ``mu`` is None and carries no penalty.  Returns the record and the
     responsibilities r, which the next E-step reuses."""
     r, evidence = _posterior(g, h)
-    terms = r * (np.log(np.maximum(g, PROB_FLOOR)) + np.log(np.maximum(h, PROB_FLOOR)))
-    ll = float(np.sum(_transposed(terms)))  # in (n, k) order, so that it rounds the same
+    # r (log g + log h), floored, in two scratch arrays: the sum in place,
+    # and the products written in (n, k) order and summed in that order,
+    # so that it rounds the same.
+    logs, log_h = np.maximum(g, PROB_FLOOR), np.maximum(h, PROB_FLOOR)
+    np.log(logs, out=logs)
+    logs += np.log(log_h, out=log_h)
+    terms = np.empty(r.shape[::-1])
+    np.multiply(r, logs, out=terms.T)
+    ll = float(terms.sum())
     pen_nu = float(np.abs(nu[:, :-1]).sum())
     pen_omega = float(np.abs(omega[:, :, :-1]).sum())
     pen_mu = 0.0 if mu is None else float(np.abs(mu).sum())

@@ -257,6 +257,32 @@ class TestHyperparams:
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["lambda_nu", "lambda_omega", "lambda_mu", "tol"])
+    @pytest.mark.parametrize("value", ["5", None, True, np.True_, [1.0], 1 + 0j])
+    def test_number_fields_are_real_numbers(self, field, value):
+        # A radius, budget or tolerance that is not a real number, or is a
+        # bool, is a config error, not a TypeError from a comparison.
+        # lambda_mu may be None: no budget.
+        kwargs = {**dict(k=2, lambda_nu=1.0, lambda_omega=1.0), field: value}
+        if field == "lambda_mu" and value is None:
+            assert Hyperparams(**kwargs).lambda_mu is None
+            return
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            Hyperparams(**kwargs)
+
+    def test_number_fields_take_numpy_scalars(self):
+        hyper = Hyperparams(k=2, lambda_nu=np.float64(1.5), lambda_omega=np.float32(2.0),
+                            lambda_mu=np.int64(1), selector_mode="l0", tol=np.float64(1e-6))
+        assert hyper.lambda_nu == 1.5 and hyper.lambda_mu == 1
+        Hyperparams(k=2, lambda_nu=5, lambda_omega=1, lambda_mu=1.5, selector_mode="l1", tol=1)
+
+    @pytest.mark.parametrize("change", [dict(lambda_nu="5"), dict(tol=None),
+                                        dict(lambda_mu=False)])
+    def test_replace_checks_number_fields(self, change):
+        hyper = Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0)
+        with pytest.raises(ConfigError, match="must be a real number"):
+            dataclasses.replace(hyper, **change)
+
     @pytest.mark.parametrize("selector_mode, lambda_mu", [("l0", float("inf")),
                                                           ("l1", float("inf")),
                                                           ("l1", float("nan")),

@@ -572,15 +572,15 @@ class TestGateFactorization:
     def test_selector_free_fit_factors_gate_once(self, monkeypatch, selector_mode, lambda_mu,
                                                  schedule):
         # Each grams() call: the function that made it (_m_step_setup,
-        # _m_step, solve or unconstrained_wls) and its weight blocks (the
-        # gate's unit block is the one of all ones).
+        # _m_step, solve or ridge_wls) and its weight blocks (the gate's
+        # unit block is the one of all ones).
         calls = []
 
-        def counting_grams(design, row_weights):
+        def counting_grams(design, row_weights, out=None):
             caller = sys._getframe(1).f_code.co_name
             calls.append((caller, row_weights.shape[1],
                           int(np.all(row_weights == 1.0, axis=0).sum())))
-            return grams(design, row_weights)
+            return grams(design, row_weights, out=out)
 
         monkeypatch.setattr(trainer, "grams", counting_grams)
         monkeypatch.setattr(solver_mod, "grams", counting_grams)
@@ -592,24 +592,25 @@ class TestGateFactorization:
         gate_steps = report.iterations_run - (schedule == "fast")
         assert gate_steps >= 2
         by = {caller: [c[1:] for c in calls if c[0] == caller]
-              for caller in ("_m_step_setup", "_m_step", "solve", "unconstrained_wls")}
+              for caller in ("_m_step_setup", "_m_step", "solve", "ridge_wls")}
         assert sum(map(len, by.values())) == len(calls)
         if selector_mode == "none" and schedule == "full":
             # The unit gate block is built once, by the fit's set-up; each
-            # M-step builds the k expert blocks only and stacks them on it.
+            # M-step builds the k expert blocks only, behind it in the
+            # set-up's stack.
             assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)] * gate_steps,
-                          "solve": [], "unconstrained_wls": []}
+                          "solve": [], "ridge_wls": []}
         elif selector_mode == "none":
-            # The inner iterations' gate solves take the set-up's stack and
-            # their expert fits build the k expert blocks; the final pass's
-            # expert solve has no gate row, so it carries no unit block and
-            # solve builds its k expert blocks.
+            # The inner iterations' gate solves take the set-up's gate Gram
+            # and their expert fits build the k expert blocks; the final
+            # pass's expert solve has no gate row, so it carries no unit
+            # block and solve builds its k expert blocks.
             assert by == {"_m_step_setup": [(1, 1)], "_m_step": [], "solve": [(k, 0)],
-                          "unconstrained_wls": [(k, 0)] * gate_steps}
+                          "ridge_wls": [(k, 0)] * gate_steps}
         else:
             # Each iteration's one call builds a block per gate row, selected
             # or not, with the k expert blocks.
-            assert by["_m_step_setup"] == by["_m_step"] == by["unconstrained_wls"] == []
+            assert by["_m_step_setup"] == by["_m_step"] == by["ridge_wls"] == []
             assert len(by["solve"]) == gate_steps
             assert all(blocks == 2 * k for blocks, _ in by["solve"])
 
@@ -666,7 +667,7 @@ class TestOneSolverCallPerMStep:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("solve", "unconstrained_wls", "m_step_experts"):
+        for name in ("solve", "ridge_wls", "m_step_experts"):
             monkeypatch.setattr(trainer, name, logged(name, getattr(trainer, name)))
         monkeypatch.setattr(trainer, "_m_step", counted_step)
         k, ds = 4, generate_synthetic(preset_spec("grouped-four", 15, seed=2))
@@ -688,7 +689,7 @@ class TestOneSolverCallPerMStep:
         inner = report.iterations_run - 1
         assert inner >= 2
         assert len(m_steps) == inner + 1
-        assert calls == ["unconstrained_wls", "solve"] * inner + ["solve"]
+        assert calls == ["ridge_wls", "solve"] * inner + ["solve"]
         assert all(0 < w <= k for w in widths[:-1]) and widths[-1] == ds.q * k
 
     @staticmethod
@@ -800,19 +801,24 @@ class TestOneSolverCallPerMStep:
                                 selector_mode=selector_mode, lambda_mu=lambda_mu))
         plain, selected = made
         assert list(trainer._MStepSetup._fields) == [
-            "x_mat", "targets", "blocks", "radius", "gate_gram"]
+            "x_mat", "targets", "blocks", "radius", "unit", "gram"]
         # Every field is an array; with a selector the unit gate block's
-        # Gram is absent.
-        assert [name for name, a in selected._asdict().items() if a is None] == ["gate_gram"]
+        # weights and Gram stack are absent.
+        assert [name for name, a in selected._asdict().items() if a is None] == ["unit", "gram"]
         for setup in made:
             for name, a in setup._asdict().items():
-                if a is None:
+                if a is None or name == "gram":
                     continue
                 assert isinstance(a, np.ndarray), name
                 assert not a.flags.writeable, name
                 with pytest.raises(ValueError):
                     a.flat[0] = 1.0
         assert all(isinstance(a, np.ndarray) for a in plain)
+        # The Gram stack is the M-steps' scratch for the expert Grams; its
+        # first matrix, the unit gate block's, is never written.
+        assert plain.unit.tobytes() == np.ones((1, len(plain.x_mat))).tobytes()
+        assert plain.gram.shape == (5, plain.x_mat.shape[1], plain.x_mat.shape[1])
+        assert plain.gram[0].tobytes() == grams(plain.x_mat, plain.unit.T)[0].tobytes()
         # A wrapper's one-off set-up freezes only the arrays it builds.
         x = np.column_stack([rng.normal(0, 1, (10, 2)), np.ones(10)])
         targets = build_expert_targets(np.arange(10) % 2, 2)
@@ -1324,15 +1330,16 @@ class TestDecreaseCounts:
 
 
 class TestSolverBoundary:
-    """A WLS batch is checked once, when its WlsProblem is built: solve
-    does not check it again, and unconstrained_wls checks its own
-    arguments once."""
+    """A library caller's WLS batch is checked once, when its WlsProblem is
+    built, and unconstrained_wls checks its own arguments once.  A fit
+    checks its fixed arrays once, in its set-up, and hands every M-step's
+    batch to the engine unchecked: no WlsProblem and no _blocks pass."""
 
-    @pytest.mark.parametrize("selector_mode, lambda_mu, schedule", [
-        ("none", None, "full"), ("l1", 1.5, "full"), ("none", None, "fast"),
-    ])
+    @pytest.mark.parametrize("selector_mode, lambda_mu", [
+        ("none", None), ("l0", 1), ("l1", 1.5)])
+    @pytest.mark.parametrize("schedule", ["full", "fast"])
     def test_each_batch_checked_once(self, monkeypatch, selector_mode, lambda_mu, schedule):
-        calls = {"_blocks": 0, "WlsProblem": 0, "solve": 0, "unconstrained_wls": 0}
+        calls = {"_blocks": 0, "WlsProblem": 0, "solve": 0, "ridge_wls": 0, "setup": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -1341,14 +1348,42 @@ class TestSolverBoundary:
             return wrapped
 
         monkeypatch.setattr(solver_mod, "_blocks", counted("_blocks", solver_mod._blocks))
-        for name in ("WlsProblem", "solve", "unconstrained_wls"):
+        monkeypatch.setattr(WlsProblem, "__post_init__",
+                            counted("WlsProblem", WlsProblem.__post_init__))
+        for name in ("solve", "ridge_wls"):
             monkeypatch.setattr(trainer, name, counted(name, getattr(trainer, name)))
+        monkeypatch.setattr(trainer, "_m_step_setup", counted("setup", trainer._m_step_setup))
         ds = generate_synthetic(preset_spec("grouped-four", 15, seed=2))
         fit(ds, Hyperparams(k=4, lambda_nu=5.0, lambda_omega=5.0, seed=1, max_iters=4,
                             selector_mode=selector_mode, lambda_mu=lambda_mu, schedule=schedule))
-        assert calls["solve"] == calls["WlsProblem"] >= 3
-        assert (calls["unconstrained_wls"] > 0) == (schedule == "fast")
-        assert calls["_blocks"] == calls["WlsProblem"] + calls["unconstrained_wls"]
+        assert calls["solve"] >= 3
+        assert (calls["ridge_wls"] > 0) == (schedule == "fast")
+        assert calls["_blocks"] == calls["WlsProblem"] == 0
+        assert calls["setup"] == 1
+
+    def test_library_calls_still_checked(self, rng):
+        # The boundary is where it was: a bad batch raises from WlsProblem
+        # and from unconstrained_wls, and the m_step_experts wrapper checks
+        # its arguments, as its solve batch did.
+        a, b, w = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 2)), np.ones((6, 1))
+        bad = w.copy()
+        bad[2] = -1.0
+        with pytest.raises(ConfigError, match="row weights"):
+            WlsProblem(a, b, bad, 1.0)
+        with pytest.raises(ConfigError, match="row weights"):
+            solver_mod.unconstrained_wls(a, b, bad)
+        x = np.column_stack([a, np.ones(6)])
+        targets = build_expert_targets(np.arange(6) % 2, 2)
+        r = np.full((6, 2), 0.5)
+        r[2, 0] = -0.5
+        with pytest.raises(ConfigError, match="row weights"):
+            m_step_experts(r, x, targets, 1.0, ExpertParams(np.zeros((2, 2, 4))))
+        with pytest.raises(ConfigError, match="finite"):
+            m_step_experts(np.full((6, 2), 0.5), np.where(x > 1.0, np.inf, x), targets, 1.0,
+                           ExpertParams(np.zeros((2, 2, 4))))
+        with pytest.raises(ConfigError, match="radius"):
+            m_step_experts(np.full((6, 2), 0.5), x, targets, -1.0,
+                           ExpertParams(np.zeros((2, 2, 4))))
 
 
 class TestDeadExpertReinit:
