@@ -93,8 +93,12 @@ def load_dataset(path) -> Dataset:
     A leading byte-order mark and blank lines are skipped.  A header row is
     auto-detected when any stripped feature cell of the first row fails to
     parse as a number.  A feature cell is any text Python ``float()``
-    accepts, surrounding whitespace included; there are no comment lines.
-    A class token is stripped, and an empty one raises DataError.
+    accepts once ``str.strip()`` has removed its surrounding whitespace;
+    there are no comment lines.  Each row's cells are parsed as they stand
+    first, and stripped only if that fails: ``float()`` strips the same
+    whitespace itself, all but U+001F (U+001C-U+001E end a line and never
+    reach a cell), so only a row with a U+001F-padded cell takes the second
+    parse.  A class token is stripped, and an empty one raises DataError.
 
     The file is read one line at a time, and each line is split at every
     ``str.splitlines`` boundary, so the rows are those of
@@ -125,15 +129,20 @@ def load_dataset(path) -> Dataset:
                 row = line.split(",")
                 if len(row) != width:
                     raise DataError(f"{path}: ragged row {r} ({len(row)} vs {width} columns)")
-                cells = row[:-1]
+                token = row.pop()
+                # Each list is built whole before it is appended, so a row
+                # that takes the stripped parse appends its values once.
                 try:
-                    values.fromlist(list(map(float, map(str.strip, cells))))
+                    values.fromlist(list(map(float, row)))
                 except ValueError:
-                    c, cell = next((c, cell) for c, cell in enumerate(cells, start=1)
-                                   if _parse_number(cell.strip()) is None)
-                    raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, "
-                                    f"column {c}") from None
-                token = row[-1].strip()
+                    try:
+                        values.fromlist(list(map(float, map(str.strip, row))))
+                    except ValueError:
+                        c, cell = next((c, cell) for c, cell in enumerate(row, start=1)
+                                       if _parse_number(cell.strip()) is None)
+                        raise DataError(f"{path}: non-numeric value {cell!r} at row {r}, "
+                                        f"column {c}") from None
+                token = token.strip()
                 if not token:
                     raise DataError(f"{path}: empty class token at row {r}")
                 ids.append(index.setdefault(token, len(index)))

@@ -347,16 +347,18 @@ def _numbers(value, field):
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
-    """The model a :func:`model_to_dict` document describes.  An unknown
-    format version, or hyperparameters that ``Hyperparams`` rejects, raise
-    ConfigError, before the weights are read; any other malformed document
+    """The model a :func:`model_to_dict` document describes.  A format
+    version that is not the integer 1 (``true`` and ``1.0`` are not), or
+    hyperparameters that ``Hyperparams`` rejects, raise ConfigError,
+    before the weights are read; any other malformed document
     raises DataError, among them radii, scaler entries or weights that are
     not JSON numbers and ``labels`` that are not q distinct strings.  A
     document without ``labels`` gives a model whose ``labels`` is None."""
     if not isinstance(doc, dict):
         raise DataError("a model file must hold a JSON object")
-    if doc.get("format_version") != 1:
-        raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != 1:
+        raise ConfigError(f"unsupported model format {version!r}")
     try:
         k = doc["k"]
         if isinstance(k, bool) or not isinstance(k, int):
@@ -395,10 +397,13 @@ def write_json(doc, path) -> None:
 
 
 def read_json(path, kind):
-    """The JSON document in a ``kind`` file ("model", "report").  Text that
-    does not decode, or nests past the decoder's recursion limit, raises
-    DataError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document in a ``kind`` file ("model", "report").  Bytes that
+    are not UTF-8, and text that does not decode or nests past the decoder's
+    recursion limit, raise DataError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -418,9 +418,10 @@ class TestEvaluate:
 
 
 class TestUndecodableData:
-    """A data file that is not valid UTF-8 is a data error: exit 3 and one
-    error line naming the file, whether the bad byte is in the first line or
-    comes after rows already read, and nothing is written."""
+    """A data, model or report file that is not valid UTF-8 is a data error:
+    exit 3 and one error line naming the file, whether the bad byte is in
+    the first line or comes after rows already read, and nothing is
+    written."""
 
     @pytest.mark.parametrize("good_rows", [0, 1000])
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
@@ -452,6 +453,30 @@ class TestUndecodableData:
         else:
             assert after is None
         assert model_out.exists() == (command != "train")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("predict", "--model"), ("evaluate", "--model"),
+                                               ("inspect", "--model"), ("inspect", "--report")])
+    def test_json_file_exit_3(self, xor_file, tmp_path, capsys, command, flag):
+        model_out, report_out = tmp_path / "m.json", tmp_path / "r.json"
+        assert main(train_args(xor_file, model_out, report_out=report_out)) == 0
+        good = {"--model": model_out, "--report": report_out}
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"\xff": 1}\n' + good[flag].read_bytes())
+        files = {**good, flag: bad}
+        out = tmp_path / "p.txt"
+        args = [command, "--model", str(files["--model"])]
+        if command == "inspect":
+            args += ["--report", str(files["--report"])]
+        else:
+            args += ["--data", str(xor_file)]
+        if command == "predict":
+            args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"error: {bad}: not valid UTF-8")
         assert not out.exists()
 
 

@@ -158,10 +158,14 @@ class TestLoaderParity:
         assert ds.features[0, 0] == value
         assert np.signbit(ds.features[0, 0]) == np.signbit(value)
 
-    def test_cells_stripped_before_float(self, tmp_path):
-        # "\x1f" is whitespace to str.strip() but not to float().
-        ds = load_dataset(write(tmp_path, "1,1,a\n\x1f2\x1f,3,b\n"))
-        assert ds.features[1, 0] == 2.0
+    @pytest.mark.parametrize("row, want", [("\x1f2\x1f,3,b", [2.0, 3.0]),
+                                           ("1,\x1f2\x1f,b", [1.0, 2.0])])
+    def test_cells_stripped_before_float(self, tmp_path, row, want):
+        # "\x1f" is whitespace to str.strip() but not to float(), so the row
+        # fails its raw parse and is parsed again stripped; a raw valid cell
+        # before the padded one is not appended twice.
+        ds = load_dataset(write(tmp_path, f"1,1,a\n{row}\n4,5,a\n"))
+        np.testing.assert_array_equal(ds.features, [[1.0, 1.0], want, [4.0, 5.0]])
 
     def test_padded_first_row_is_data(self, tmp_path):
         # The header check strips cells as the value parse does, so a

@@ -372,8 +372,10 @@ class TestSerialization:
         save_model(model, path)
         assert load_model(path).labels == ("b", "c", "a")
 
-    def test_format_version_checked(self, tmp_path):
+    @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"'])
+    def test_format_version_checked(self, tmp_path, version):
+        # The version is the integer 1: JSON's true and 1.0 equal 1 in Python.
         path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99}')
+        path.write_text(f'{{"format_version": {version}}}')
         with pytest.raises(ConfigError):
             load_model(path)
