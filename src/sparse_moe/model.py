@@ -107,8 +107,8 @@ class Hyperparams:
             raise ConfigError("L1 radii must be positive and finite")
         if self.selector_mode not in SELECTOR_MODES:
             raise ConfigError(f"unknown selector mode {self.selector_mode!r}")
-        if self.lambda_mu is not None and not 0 < self.lambda_mu < math.inf:
-            raise ConfigError("lambda_mu must be finite and positive")
+        if self.lambda_mu is not None:
+            _check_l1_budget(self.lambda_mu)
         if self.selector_mode != "none":
             if self.lambda_mu is None:
                 raise ConfigError("active selector requires a positive lambda_mu")
@@ -122,6 +122,12 @@ class Hyperparams:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+
+def _check_l1_budget(budget):
+    """The rule for any given lambda_mu, the l1 selector's budget too."""
+    if not 0 < budget < math.inf:
+        raise ConfigError("lambda_mu must be finite and positive")
 
 
 def _check_subset_budget(k, budget):
@@ -397,11 +403,11 @@ def write_json(doc, path) -> None:
 
 
 def read_json(path, kind):
-    """The JSON document in a ``kind`` file ("model", "report").  Bytes that
-    are not UTF-8, and text that does not decode or nests past the decoder's
-    recursion limit, raise DataError."""
+    """The JSON document in a ``kind`` file ("model", "report"), after any
+    UTF-8 byte-order mark.  Bytes that are not UTF-8, and text that does not
+    decode or nests past the decoder's recursion limit, raise DataError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     try:

@@ -21,8 +21,11 @@ building a :class:`WlsProblem` checks its arrays, and
 :func:`unconstrained_wls` checks its own.  Under it is the engine, which
 checks nothing of what the boundary checked: :func:`solve`, on a checked
 :class:`WlsProblem` or on a :class:`WlsArrays` whose arrays its caller
-built and checked, and :func:`ridge_wls`.  A fit checks its fixed arrays
-once and hands every M-step to the engine.
+built and checked, and :func:`ridge_wls`.  A fit's arrays are valid by
+construction: each M-step (``trainer._m_step``, two bools: ``gate`` and
+``experts``) goes to :func:`solve` as a :class:`WlsArrays`, unchecked, and
+``fit``'s own ridge step (the fast schedule) to :func:`ridge_wls`.
+``trainer.m_step_experts`` checks a caller's arrays as a :class:`WlsProblem`.
 
 Of a subspace-sweep call's time (m=600, p=11, 12 columns in 5 blocks;
 the 500 calls of ten sweep jobs, replayed on a 2-vCPU x86-64 host with
@@ -137,8 +140,8 @@ class WlsArrays(NamedTuple):
     column for a free ``bias``; finite float targets ``(m, r)``; finite
     nonnegative float weights ``(m, g)``; ``(r,)`` integer blocks in
     [0, g); and ``(r,)`` finite positive float radii.  ``bias`` and
-    ``nonnegative`` are bools.  A fit checks its fixed arrays once and
-    builds the others in a form that meets the rest.
+    ``nonnegative`` are bools.  A fit's arrays meet all of this by
+    construction.
     """
 
     design: np.ndarray

@@ -3,29 +3,28 @@
 The gate and expert M-steps are L1-constrained weighted least-squares
 problems built by inverting the softmax (fitting logits to log-targets)
 and handed to the batched, gap-certified active-set solver in
-:mod:`sparse_moe.solver`.  Every M-step of a fit, on either schedule, is
-one call of one helper, which poses all of its constrained problems in one
-solver call: both M-steps read the same responsibilities and neither reads
-the other's result, so the gate and expert problems form one batch, each
-column with its own radius.  The k*q expert problems form one block per
-expert, weighted by its responsibilities; the k gate rows share unit
-weights without a selector, and otherwise each row is a block weighted
-by its squared selector entries.  The fast schedule's inner
-iterations fit the experts unconstrained (a plain WLS fit) and its final
-pass the experts alone.  The selector update runs first in each outer
-iteration with gate and expert weights frozen, then
-responsibilities are refreshed and the gate and expert subproblems are
-solved.  A fit builds and checks, once, what its M-steps share: one
-column layout (the k gate rows, then the k*q expert columns) with each
-column's weight block and radius, the tiled class targets and, without
-a selector, the gate's unit weights and a Gram stack that holds the
-gate's unit-weight Gram matrix, behind which each M-step writes the
-experts'.  All but the stack are read-only.  Each M-step's batch is one
-mask over that layout (no solver call if it is empty) and fills in what
-the responsibilities change.  It goes to the solver's engine as a
-:class:`~sparse_moe.solver.WlsArrays`, and a ridge step to
-:func:`~sparse_moe.solver.ridge_wls`: inside the EM loop no
-``WlsProblem`` is built and none of the solver's checks runs again.
+:mod:`sparse_moe.solver`.  Every M-step of a fit is one call of
+:func:`_m_step`, which poses all of its constrained problems in one solver
+call; two bools, ``gate`` and ``experts``, say which halves it solves.
+Both halves read the same responsibilities and neither reads the other's
+result, so the gate and expert problems form one batch, each column with
+its own radius.  The k*q expert problems form one block per expert,
+weighted by its responsibilities; the k gate rows share unit weights
+without a selector, and otherwise each row is a block weighted by its
+squared selector entries.  The fast schedule is :func:`fit`'s alone: its
+inner iterations fit the experts by a ridge step
+(:func:`~sparse_moe.solver.ridge_wls`) and solve the gate, and its final
+pass solves the experts alone.  The selector update runs first in each
+outer iteration with gate and expert weights frozen, then
+responsibilities are refreshed and the M-step runs.  A fit builds, once,
+what its M-steps share (:func:`_m_step_setup`): one column layout with
+each column's weight block and radius, the tiled class targets and,
+without a selector, the gate's unit weights and Gram matrix.  The set-up
+checks nothing: in a fit its inputs are valid by construction, and
+:func:`m_step_experts` checks a library caller's arrays at the solver's
+boundary.  Each M-step's batch is a mask over the layout, handed to the
+engine as a :class:`~sparse_moe.solver.WlsArrays`: no ``WlsProblem`` is
+built inside the EM loop.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -54,6 +53,7 @@ from .model import (
     GateParams,
     Hyperparams,
     MixtureModel,
+    _check_l1_budget,
     _expert_softmax,
     _gate_softmax,
     _softmax,
@@ -65,7 +65,7 @@ from .model import (
     sparsity,
     write_json,
 )
-from .solver import WlsArrays, _blocks, grams, project_l1_ball, ridge_wls, solve
+from .solver import WlsArrays, WlsProblem, grams, project_l1_ball, ridge_wls, solve
 
 EXPERT_TARGET_EPS = 1e-3
 GATE_TARGET_EPS = 1e-12
@@ -176,15 +176,14 @@ def build_gate_targets(r):
 # M-steps
 
 class _MStepSetup(NamedTuple):
-    """What a fit's M-steps share, built and checked once by
-    :func:`_m_step_setup`.  The fit has one column layout: the k gate rows,
-    then expert i's q class columns for each expert i.  Its weight blocks
-    are the gate's (one under unit weights, otherwise one per row), then
-    one per expert, and ``blocks`` and ``radius`` give each layout column's
-    block and radius.  A batch is a mask over the layout; it carries the
-    gate's blocks if it solves a gate row and every expert's if it solves
-    an expert column, so a column's block moves only by the gate's
-    blocks."""
+    """What a fit's M-steps share, built once by :func:`_m_step_setup`.
+    The fit has one column layout: the k gate rows, then expert i's q
+    class columns for each expert i.  Its weight blocks are the gate's (one
+    under unit weights, otherwise one per row), then one per expert, and
+    ``blocks`` and ``radius`` give each layout column's block and radius.
+    A batch is a mask over the layout; it carries the gate's blocks if it
+    solves a gate row and every expert's if it solves an expert column, so
+    a column's block moves only by the gate's blocks."""
 
     x_mat: np.ndarray  # (n, p) prepared design
     targets: np.ndarray  # (k*q, n) class targets tiled per expert, class-major
@@ -201,18 +200,12 @@ class _MStepSetup(NamedTuple):
 def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     """The fixed part of M-steps on ``x_mat`` with k experts: expert
     ``targets`` of radius ``lambda_omega``, gate rows of radius
-    ``lambda_nu``, sharing one unit-weight block if ``unit``.
-
-    It checks, once, what :class:`~sparse_moe.solver.WlsProblem` would
-    check in every M-step of these arrays: a finite design and targets and
-    finite positive radii; the layout it builds is valid by construction.
-    Every array it builds but the Gram stack is read-only, so a write raises
-    instead of slipping past the check.
+    ``lambda_nu``, sharing one unit-weight block if ``unit``.  It checks
+    nothing: in a fit the design is finite, the targets are 0 and
+    log(EXPERT_TARGET_EPS), a checked Hyperparams holds the radii, and the
+    layout is valid by construction.  Every array it builds but the Gram
+    stack is read-only, so a write raises instead of slipping past.
     """
-    if not (np.isfinite(x_mat).all() and np.isfinite(targets).all()):
-        raise ConfigError("design and targets must be finite")
-    if not (0 < lambda_omega < np.inf and 0 < lambda_nu < np.inf):
-        raise ConfigError("radius must be finite and positive: one, or one per target column")
     n, q = targets.shape
     gate_blocks = 1 if unit else k
     ones = np.ones((1, n)) if unit else None
@@ -240,56 +233,48 @@ def _live(r):
     return r.sum(axis=1) > DEAD_EXPERT_FRACTION * r.shape[1]
 
 
-def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts="ball"):
+def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=True):
     """An EM iteration's gate and expert M-steps, with all of their
     constrained problems in one solver call.
 
-    ``setup`` holds what the fit fixes and has checked; this fills in what
-    ``r`` (k, n) changes: the gate targets and the experts' weights and
-    Grams.  If ``gate``, gate row i is refit to minimize
+    ``setup`` holds what the fit fixes; this fills in what ``r`` (k, n)
+    changes: the gate targets and the experts' weights and Grams.  If
+    ``gate``, gate row i is refit to minimize
     sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS problem with weights
     mu_ni^2 and targets log r_ni / mu_ni (0 where mu_ni^2 == 0, where the
     weight drops the row); a row selected by no instance keeps its
-    incumbent, and under unit weights ``mu`` is not read.  The experts
-    ``omega`` are refit in their L1 ball if ``experts`` is "ball", or
-    unconstrained with a small ridge if "ridge" (the engine of a plain WLS
-    call); experts not ``live`` keep their rows.  The steps read the same
-    responsibilities, not each other's results, so their problems form one
-    batch: a mask over the set-up's layout, each column with its own block
-    and radius, built as (column, n) rows and handed over as ``.T`` views.
-    The batch goes to the solver as a :class:`~sparse_moe.solver.WlsArrays`,
-    which nothing checks again: the set-up's arrays are checked, and the
-    targets and weights built here from finite responsibilities are finite,
-    the weights nonnegative.  Columns never mix in the solver, so each is
+    incumbent, and under unit weights ``mu`` is not read.  If ``experts``,
+    the ``live`` experts of ``omega`` are refit in their L1 balls; the
+    others keep their rows.  The steps read the same responsibilities, not
+    each other's results, so their problems form one batch: a mask over
+    the set-up's layout, each column with its own block and radius, built
+    as (column, n) rows and handed over as ``.T`` views.  The batch goes to
+    the solver as a :class:`~sparse_moe.solver.WlsArrays`, which nothing
+    checks: the set-up's arrays are valid by construction, and the targets
+    and weights built here from finite responsibilities are finite, the
+    weights nonnegative.  Columns never mix in the solver, so each is
     solved as if alone.  Returns the new gate and expert weights and the
     call's SolveReport (gate rows first), or None for an empty batch (no
     call).
     """
     x_mat = setup.x_mat
     q, k, dp = omega.shape
-    ball = experts == "ball"
-    omega = omega.copy()
-    # Every expert's targets are the same: the first c columns serve the
-    # live experts.
-    c = q * np.count_nonzero(live)
-    if not ball:
-        fitted = ridge_wls(x_mat, setup.targets[:c].T, r[live].T, RIDGE)
-        omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
     # The batch is one mask over the layout: the gate rows some instance
     # selects (all k under unit weights), then the live experts' columns.
+    # Every expert's targets are the same: the first c columns serve them.
+    c = q * np.count_nonzero(live) if experts else 0
     unit = setup.unit is not None
     rows = np.arange(k if gate else 0)
     if gate and not unit:
         rows = np.flatnonzero((mu != 0.0).any(axis=0))
-    width = rows.size + (c if ball else 0)
-    if not width:
+    if not rows.size + c:
         return nu, omega, None
     targets, weights, gram = [], [], None
     if rows.size and unit:  # the unit block, whose Gram the set-up holds
         targets.append(build_gate_targets(r))
         weights.append(setup.unit)
         gram = setup.gram[:1]
-        if ball:  # the experts' Grams go behind it
+        if experts:  # the experts' Grams go behind it
             grams(x_mat, r.T, out=setup.gram[1:])
             gram = setup.gram
     elif rows.size:  # a block per row
@@ -298,12 +283,12 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
         targets.append(np.divide(build_gate_targets(r)[rows], sel, out=np.zeros_like(sel),
                                  where=sel * sel != 0.0))
         weights.append(mu_t * mu_t)
-    if ball:
+    if experts:
         targets.append(setup.targets[:c])
         weights.append(r)
     cols = np.zeros(len(setup.blocks), dtype=bool)
     cols[rows] = True
-    cols[k:] = np.repeat(live, q) & ball
+    cols[k:] = np.repeat(live, q) & experts
     index, radius = setup.blocks[cols], setup.radius[cols]
     if not rows.size:  # the batch leaves out the gate's blocks
         index -= setup.blocks[k]
@@ -312,7 +297,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     if rows.size:
         nu = nu.copy()
         nu[rows] = report.solution[:rows.size]
-    if ball:
+    if experts:
+        omega = omega.copy()
         omega[:, live] = report.solution[rows.size:].reshape(-1, q, dp).transpose(1, 0, 2)
     return nu, omega, report
 
@@ -329,9 +315,11 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     constrained problems' ``converged`` flags, none if every expert is dead.
     """
     omega, k = incumbent.omega, incumbent.omega.shape[1]
-    # The solver's checks, once, for what fit would build itself: each of
-    # the q target columns is weighted by some column of r.
-    x_mat, targets, r, _ = _blocks(x_mat, targets, r, np.zeros(np.shape(targets)[1], dtype=int))
+    # The solver's checks, once, on expert 0's problems: the design, the
+    # targets and the radius, with every column of r as a weight block.
+    checked = WlsProblem(x_mat, targets, r, lambda_omega, bias=True,
+                         blocks=np.zeros(np.shape(targets)[1], dtype=int))
+    x_mat, targets, r = checked.design, checked.target, checked.row_weights
     live = _live(r.T)
     # No gate step is made, so the gate's radius (lambda_omega too) is never read.
     setup = _m_step_setup(x_mat, k, targets, lambda_omega, lambda_omega, False)
@@ -428,8 +416,6 @@ def _selector_norm1(nu, x_mat, r, lambda_mu):
     rounding of a_i - tau can lift a row's sum past the budget; such a row
     is scaled back onto it.
     """
-    if not lambda_mu > 0:
-        raise ConfigError("selector budget lambda_mu must be positive")
     s = x_mat @ nu.T  # (n, k)
     sq = s * s
     w = np.divide(1.0, sq, out=np.zeros_like(sq), where=sq > 0.0)
@@ -444,6 +430,7 @@ def _selector_norm1(nu, x_mat, r, lambda_mu):
 
 
 def m_step_selector_norm1(model: MixtureModel, r, dataset: Dataset, lambda_mu) -> ExpertSelector:
+    _check_l1_budget(lambda_mu)
     x_mat = prepare_inputs(dataset.features, model.scaler)
     return ExpertSelector(_selector_norm1(model.gate.nu, x_mat, r, lambda_mu))
 
@@ -561,8 +548,11 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             r, _ = _posterior(g, h)
             live = _live(r)
 
-        nu, omega, report = _m_step(setup, r, live, nu, omega, mu, gate=k > 1,
-                                    experts="ridge" if fast else "ball")
+        if fast:  # the live experts unconstrained; every expert's targets are the same
+            c = q * np.count_nonzero(live)
+            fitted = ridge_wls(x_mat, setup.targets[:c].T, r[live].T, RIDGE)
+            omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
+        nu, omega, report = _m_step(setup, r, live, nu, omega, mu, gate=k > 1, experts=not fast)
         solved += [report] if report else []
         reinit(t, np.flatnonzero(~live))
 

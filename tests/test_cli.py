@@ -574,6 +574,36 @@ class TestInspect:
         assert "error" in capsys.readouterr().err
 
 
+class TestByteOrderMark:
+    """Model and report files, like data files, may start with a UTF-8
+    byte-order mark: each command reads such a file as the plain one."""
+
+    @staticmethod
+    def _with_mark(path):
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    def test_marked_files_read_as_plain(self, xor_file, tmp_path, capsys):
+        model_out, report_out = tmp_path / "m.json", tmp_path / "r.json"
+        assert main(train_args(xor_file, model_out, report_out=report_out)) == 0
+        marked_model, marked_report = self._with_mark(model_out), self._with_mark(report_out)
+        outputs = []
+        for model, report in ((model_out, report_out), (marked_model, marked_report)):
+            preds = tmp_path / f"preds-{model.name}.txt"
+            capsys.readouterr()
+            assert main(["evaluate", "--model", str(model), "--data", str(xor_file)]) == 0
+            assert main(["predict", "--model", str(model), "--data", str(xor_file),
+                         "--out", str(preds)]) == 0
+            assert main(["inspect", "--model", str(model), "--report", str(report)]) == 0
+            outputs.append((capsys.readouterr(), preds.read_bytes()))
+        (plain, plain_preds), (marked, marked_preds) = outputs
+        assert marked.err == plain.err == ""
+        assert marked.out == plain.out and "accuracy=" in plain.out and "sparsity=" in plain.out
+        assert marked_preds == plain_preds
+        assert model_to_dict(load_model(marked_model)) == model_to_dict(load_model(model_out))
+
+
 class TestClassTokens:
     """The model file stores the training data's class tokens; predict
     prints them and evaluate scores a data file by them, whatever the order

@@ -285,6 +285,52 @@ class TestScaler:
         np.testing.assert_allclose(out, ds.features, atol=1e-10)
 
 
+BIG = np.finfo(float).max
+TINY = np.finfo(float).smallest_subnormal
+
+
+class TestStandardizedDesignBound:
+    """The M-step set-up checks nothing of a fit's design, for a checked
+    Dataset's standardized design is finite and bounded: fit_scaler rejects
+    a column whose mean or std overflows, and otherwise each entry is within
+    sqrt(n) of 0, since no value is more than sqrt(n - 1) population stds
+    from the mean (a floored std only shrinks the entries)."""
+
+    @pytest.mark.parametrize("column", [
+        pytest.param(np.full(4, BIG), id="constant-max"),
+        pytest.param(np.full(5, -1.7e308), id="constant-near-min"),
+        pytest.param(np.full(3, 5e307), id="constant-near-max-sum-fits"),
+        pytest.param(np.full(2, BIG / 3), id="constant-third-of-max"),
+        pytest.param([1e308, -1e308, 1e308, -1e308], id="pm-1e308"),
+        pytest.param([1e308, -1e308, 0.0], id="pm-1e308-zero"),
+        pytest.param([1e308, 1e308, -1e308, 5.0], id="pm-1e308-uneven"),
+        pytest.param([1e308] + [0.0] * 40, id="1e308-outlier"),
+        pytest.param([1e154, -1e154, 1e154, -1e154, 0.0], id="pm-1e154"),
+        pytest.param([3e153] + [-1e153] * 3, id="1e153-outlier"),
+        pytest.param([TINY, 0.0, TINY], id="subnormal-min"),
+        pytest.param([TINY, -TINY, 2 * TINY, 0.0, 1e-320], id="subnormal-mix"),
+        pytest.param(np.full(3, 1e-320), id="subnormal-constant"),
+        pytest.param([1.0] + [0.0] * 99, id="one-outlier-of-100"),
+        pytest.param([BIG, np.nextafter(BIG, 0.0)], id="max-one-ulp"),
+        pytest.param([5e307, np.nextafter(5e307, np.inf), 5e307], id="5e307-one-ulp"),
+        pytest.param([1.7e308, 1.7e308 * (1 - 1e-15), 1.7e308 * (1 - 2e-15)],
+                     id="near-max-spread-1e-15"),
+        pytest.param([-8e307, -8e307 * (1 + 1e-9), -8e307], id="near-min-spread-1e-9"),
+        pytest.param([1e307] * 9 + [1e307 * (1 + 1e-14)], id="1e307-spread-1e-14"),
+    ])
+    def test_design_finite_within_root_n(self, column):
+        column = np.asarray(column, dtype=float)
+        n = len(column)
+        ds = Dataset(column[:, None], np.arange(n) % 2, ("a", "b"))
+        try:
+            scaler = fit_scaler(ds)
+        except DataError:
+            return
+        z = prepare_inputs(ds.features, scaler)
+        assert np.isfinite(z).all()
+        assert np.abs(z).max() <= np.sqrt(n) * (1 + 1e-9)
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         spec = preset_spec("two-cluster-xor", 20, seed=5)

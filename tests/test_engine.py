@@ -1,7 +1,7 @@
 """The solver's engine against its checked boundary, byte for byte.
 
-A fit checks its fixed arrays once and hands each M-step's batch to the
-engine as a ``WlsArrays``, and its ridge steps to ``ridge_wls``, without
+A fit's arrays are valid by construction: it hands each M-step's batch to
+the engine as a ``WlsArrays``, and its ridge steps to ``ridge_wls``, without
 building a ``WlsProblem`` or running the boundary's checks.  Here the
 engine must give the same solution, objective, gap and converged bytes
 and the same iteration count as ``solve(WlsProblem(...))``, and

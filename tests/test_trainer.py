@@ -530,12 +530,16 @@ class TestSelectorNorm1:
         assert mu.min() >= 0.0
         assert mu.sum(axis=1).max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
-    def test_non_positive_budget_rejected(self, rng, budget):
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_budget_not_finite_and_positive_rejected(self, rng, budget):
+        # One rule with Hyperparams' lambda_mu, and its message, raised
+        # before any arithmetic (a RuntimeWarning is an error here).
         model = random_model(rng, k=2, q=2, dp=3)
         ds = two_class_dataset(rng, n=4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^lambda_mu must be finite and positive$"):
             m_step_selector_norm1(model, rng.dirichlet(np.ones(2), 4), ds, budget)
+        with pytest.raises(ConfigError, match="^lambda_mu must be finite and positive$"):
+            Hyperparams(k=2, lambda_nu=1.0, lambda_omega=1.0, lambda_mu=budget)
 
     def test_fit_solves_only_gate_and_expert_problems(self, monkeypatch):
         # Every solve call of a fit is made inside its M-step helper.
@@ -652,18 +656,21 @@ class TestOneSolverCallPerMStep:
     def test_each_m_step_makes_one_call(self, monkeypatch, selector_mode, lambda_mu, schedule):
         calls = []
         widths = []
-        m_steps = []
+        m_steps = []  # each M-step's responsibilities and live experts
+        ridges = []  # each ridge_wls call's targets and weights
         step = trainer._m_step
 
-        def counted_step(*args, **kwargs):
-            m_steps.append(1)
-            return step(*args, **kwargs)
+        def counted_step(setup, r, live, *args, **kwargs):
+            m_steps.append((r, live))
+            return step(setup, r, live, *args, **kwargs)
 
         def logged(name, fn):
             def wrapped(*args, **kwargs):
                 calls.append(name)
                 if name == "solve":
                     widths.append(args[0].target.shape[1])
+                if name == "ridge_wls":
+                    ridges.append(args[1:3])
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -691,6 +698,12 @@ class TestOneSolverCallPerMStep:
         assert len(m_steps) == inner + 1
         assert calls == ["ridge_wls", "solve"] * inner + ["solve"]
         assert all(0 < w <= k for w in widths[:-1]) and widths[-1] == ds.q * k
+        # Each inner iteration's ridge step fits the live experts of its
+        # M-step: q target columns and a weight column per live expert.
+        for (targets, weights), (r, live) in zip(ridges, m_steps):
+            assert live.any()
+            assert targets.shape[1] == ds.q * np.count_nonzero(live)
+            assert weights.tobytes() == r[live].T.tobytes()
 
     @staticmethod
     def _batched_against_per_column(monkeypatch, tmp_path, ds, hyper, empty=0):
@@ -849,7 +862,7 @@ class TestOneSolverCallPerMStep:
 
     @pytest.mark.parametrize("unit", [True, False])
     @pytest.mark.parametrize("gate", [True, False])
-    @pytest.mark.parametrize("experts", ["ball", "ridge"])
+    @pytest.mark.parametrize("experts", [True, False])
     @pytest.mark.parametrize("dead", [False, True])
     def test_batch_takes_its_columns_from_the_layout(self, monkeypatch, rng, unit, gate,
                                                      experts, dead):
@@ -879,13 +892,16 @@ class TestOneSolverCallPerMStep:
             return solve(problem, gram=gram)
 
         monkeypatch.setattr(trainer, "solve", spy)
-        _, _, report = trainer._m_step(setup, r, live, np.zeros((k, dp)), np.zeros((q, k, dp)), mu,
-                                       gate=gate, experts=experts)
-        if not gate and experts == "ridge":
+        omega = np.zeros((q, k, dp))
+        _, fitted, report = trainer._m_step(setup, r, live, np.zeros((k, dp)), omega, mu,
+                                            gate=gate, experts=experts)
+        # Without the experts' half the M-step leaves omega as it is.
+        assert (fitted is omega) == (not experts)
+        if not gate and not experts:
             assert seen == [] and report is None
             return
         rows = [i for i in range(k) if unit or mu[:, i].any()] if gate else []
-        solved = [i for i in range(k) if live[i]] if experts == "ball" else []
+        solved = [i for i in range(k) if live[i]] if experts else []
         cols = rows + [k + q * i + c for i in solved for c in range(q)]
         (problem, gram), = seen
         assert report.converged.shape == (len(cols),)
@@ -902,7 +918,7 @@ class TestOneSolverCallPerMStep:
         for j, weights in enumerate(want):
             assert problem.row_weights[:, problem.blocks[j]].tobytes() == weights.tobytes()
         gate_blocks = (1 if unit else k) if rows else 0
-        assert problem.row_weights.shape[1] == gate_blocks + (k if experts == "ball" else 0)
+        assert problem.row_weights.shape[1] == gate_blocks + (k if experts else 0)
         # The set-up's unit Gram is handed in only with the unit block.
         if unit and rows:
             assert gram.tobytes() == grams(x, problem.row_weights).tobytes()
@@ -1331,9 +1347,9 @@ class TestDecreaseCounts:
 
 class TestSolverBoundary:
     """A library caller's WLS batch is checked once, when its WlsProblem is
-    built, and unconstrained_wls checks its own arguments once.  A fit
-    checks its fixed arrays once, in its set-up, and hands every M-step's
-    batch to the engine unchecked: no WlsProblem and no _blocks pass."""
+    built, and unconstrained_wls checks its own arguments once.  A fit's
+    arrays are valid by construction, and it hands every M-step's batch to
+    the engine unchecked: no WlsProblem and no _blocks pass."""
 
     @pytest.mark.parametrize("selector_mode, lambda_mu", [
         ("none", None), ("l0", 1), ("l1", 1.5)])
@@ -1364,7 +1380,8 @@ class TestSolverBoundary:
     def test_library_calls_still_checked(self, rng):
         # The boundary is where it was: a bad batch raises from WlsProblem
         # and from unconstrained_wls, and the m_step_experts wrapper checks
-        # its arguments, as its solve batch did.
+        # its arguments with the solver's own messages, in the WlsProblem of
+        # its first expert's problems.
         a, b, w = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 2)), np.ones((6, 1))
         bad = w.copy()
         bad[2] = -1.0
@@ -1374,16 +1391,22 @@ class TestSolverBoundary:
             solver_mod.unconstrained_wls(a, b, bad)
         x = np.column_stack([a, np.ones(6)])
         targets = build_expert_targets(np.arange(6) % 2, 2)
-        r = np.full((6, 2), 0.5)
-        r[2, 0] = -0.5
-        with pytest.raises(ConfigError, match="row weights"):
-            m_step_experts(r, x, targets, 1.0, ExpertParams(np.zeros((2, 2, 4))))
-        with pytest.raises(ConfigError, match="finite"):
+        incumbent = ExpertParams(np.zeros((2, 2, 4)))
+        # A bad entry in either column of r: the second expert's too.
+        for column, value in [(0, -0.5), (1, -0.5), (0, np.nan), (1, np.nan)]:
+            r = np.full((6, 2), 0.5)
+            r[2, column] = value
+            with pytest.raises(ConfigError, match="^row weights must be finite and nonnegative$"):
+                m_step_experts(r, x, targets, 1.0, incumbent)
+        with pytest.raises(ConfigError, match="^design and targets must be finite$"):
             m_step_experts(np.full((6, 2), 0.5), np.where(x > 1.0, np.inf, x), targets, 1.0,
-                           ExpertParams(np.zeros((2, 2, 4))))
-        with pytest.raises(ConfigError, match="radius"):
-            m_step_experts(np.full((6, 2), 0.5), x, targets, -1.0,
-                           ExpertParams(np.zeros((2, 2, 4))))
+                           incumbent)
+        with pytest.raises(ConfigError, match="^design and targets must be finite$"):
+            m_step_experts(np.full((6, 2), 0.5), x, np.where(targets < 0, np.nan, targets), 1.0,
+                           incumbent)
+        for radius in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="^radius must be finite and positive"):
+                m_step_experts(np.full((6, 2), 0.5), x, targets, radius, incumbent)
 
 
 class TestDeadExpertReinit:
