@@ -308,11 +308,11 @@ def predict_proba(model: MixtureModel, x):
 
 def sparsity(model: MixtureModel, threshold=SPARSITY_THRESHOLD) -> float:
     """Fraction of the non-bias gate and expert weights whose magnitude is
-    below ``threshold``."""
+    at most ``threshold``: the weights ``inspect`` leaves out of its lists."""
     weights = np.concatenate(
         [np.abs(model.gate.nu[:, :-1]).ravel(), np.abs(model.experts.omega[:, :, :-1]).ravel()]
     )
-    return float(np.mean(weights < threshold))
+    return float(np.mean(weights <= threshold))
 
 
 def model_to_dict(model: MixtureModel) -> dict:

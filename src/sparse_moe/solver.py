@@ -214,16 +214,15 @@ def _project(v, radius, nonnegative):
     return z
 
 
-def grams(design, row_weights, out=None):
+def grams(design, row_weights):
     """The weighted Gram matrix A'diag(w_i)A of each column i of ``(m, g)``
-    row weights, ``(g, p, p)``, from arguments taken unchecked, written
-    into ``out`` if it is given (a C-ordered ``(g, p, p)`` float array).
+    row weights, ``(g, p, p)``, from arguments taken unchecked.
 
     Each is S'S for S the design rows scaled by sqrt(w_i), in one reused
     buffer; NumPy computes S'S as a symmetric rank-k update (BLAS syrk),
     half the multiplications of a general product, and exactly symmetric.
     """
-    gram = np.empty((row_weights.shape[1], design.shape[1], design.shape[1])) if out is None else out
+    gram = np.empty((row_weights.shape[1], design.shape[1], design.shape[1]))
     s = np.empty_like(design)
     root = np.sqrt(row_weights)
     for i in range(row_weights.shape[1]):

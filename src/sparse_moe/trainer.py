@@ -19,12 +19,14 @@ outer iteration with gate and expert weights frozen, then
 responsibilities are refreshed and the M-step runs.  A fit builds, once,
 what its M-steps share (:func:`_m_step_setup`): one column layout with
 each column's weight block and radius, the tiled class targets and,
-without a selector, the gate's unit weights and Gram matrix.  The set-up
-checks nothing: in a fit its inputs are valid by construction, and
-:func:`m_step_experts` checks a library caller's arrays at the solver's
-boundary.  Each M-step's batch is a mask over the layout, handed to the
-engine as a :class:`~sparse_moe.solver.WlsArrays`: no ``WlsProblem`` is
-built inside the EM loop.
+without a selector, the gate's unit weights and Gram matrix, all
+read-only.  The gate and expert weights are the fit's: each M-step writes
+its refit rows into them in place.  The set-up checks nothing: in a fit
+its inputs are valid by construction, and :func:`m_step_experts` checks a
+library caller's arrays at the solver's boundary.  Each M-step's batch
+is a mask over the layout, handed to the engine as a
+:class:`~sparse_moe.solver.WlsArrays`: no ``WlsProblem`` is built inside
+the EM loop.
 The selectors need no solver: the l1 selector is exact water-filling in
 closed form and the l0 selector an exhaustive search over expert
 subsets, both as passes over all instances at once.
@@ -44,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, fit_scaler
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .model import (
     PROB_FLOOR,
     SPARSITY_THRESHOLD,
@@ -176,7 +178,7 @@ def build_gate_targets(r):
 # M-steps
 
 class _MStepSetup(NamedTuple):
-    """What a fit's M-steps share, built once by :func:`_m_step_setup`.
+    """What a fit fixes for its M-steps, built once by :func:`_m_step_setup`.
     The fit has one column layout: the k gate rows, then expert i's q
     class columns for each expert i.  Its weight blocks are the gate's (one
     under unit weights, otherwise one per row), then one per expert, and
@@ -190,9 +192,7 @@ class _MStepSetup(NamedTuple):
     blocks: np.ndarray  # (k + k*q,)
     radius: np.ndarray  # (k + k*q,) lambda_nu for gate rows, lambda_omega for experts
     # Under unit weights (a fit without a selector), the gate's (1, n) unit
-    # weights and a (1 + k, p, p) Gram stack: its unit block's Gram matrix,
-    # then room for the k experts', which each M-step on the ball writes.
-    # Both are None with a selector.
+    # weights and their (1, p, p) Gram matrix; both None with a selector.
     unit: np.ndarray | None
     gram: np.ndarray | None
 
@@ -203,16 +203,12 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
     ``lambda_nu``, sharing one unit-weight block if ``unit``.  It checks
     nothing: in a fit the design is finite, the targets are 0 and
     log(EXPERT_TARGET_EPS), a checked Hyperparams holds the radii, and the
-    layout is valid by construction.  Every array it builds but the Gram
-    stack is read-only, so a write raises instead of slipping past.
+    layout is valid by construction.  Every array it builds is read-only,
+    so a write raises instead of slipping past.
     """
     n, q = targets.shape
     gate_blocks = 1 if unit else k
     ones = np.ones((1, n)) if unit else None
-    gram = None
-    if unit:
-        gram = np.empty((1 + k, x_mat.shape[1], x_mat.shape[1]))
-        grams(x_mat, ones.T, out=gram[:1])
     built = _MStepSetup(
         x_mat,
         np.ascontiguousarray(np.tile(targets, k).T),
@@ -220,9 +216,9 @@ def _m_step_setup(x_mat, k, targets, lambda_omega, lambda_nu, unit):
                         np.repeat(np.arange(gate_blocks, gate_blocks + k), q)]),
         np.repeat(np.array([lambda_nu, lambda_omega], dtype=float), [k, k * q]),
         ones,
-        gram,
+        grams(x_mat, ones.T) if unit else None,
     )
-    for array in built[1:-1]:
+    for array in built[1:]:
         if array is not None:
             array.setflags(write=False)
     return built
@@ -235,9 +231,10 @@ def _live(r):
 
 def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=True):
     """An EM iteration's gate and expert M-steps, with all of their
-    constrained problems in one solver call.
+    constrained problems in one solver call, written into ``nu`` and
+    ``omega`` in place.
 
-    ``setup`` holds what the fit fixes; this fills in what ``r`` (k, n)
+    ``setup`` holds what the fit fixes; this builds what ``r`` (k, n)
     changes: the gate targets and the experts' weights and Grams.  If
     ``gate``, gate row i is refit to minimize
     sum_n (mu_ni x_n . nu_i - log r_ni)^2, the WLS problem with weights
@@ -253,9 +250,8 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     checks: the set-up's arrays are valid by construction, and the targets
     and weights built here from finite responsibilities are finite, the
     weights nonnegative.  Columns never mix in the solver, so each is
-    solved as if alone.  Returns the new gate and expert weights and the
-    call's SolveReport (gate rows first), or None for an empty batch (no
-    call).
+    solved as if alone.  Returns the call's SolveReport (gate rows
+    first), or None for an empty batch (no call).
     """
     x_mat = setup.x_mat
     q, k, dp = omega.shape
@@ -268,15 +264,13 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     if gate and not unit:
         rows = np.flatnonzero((mu != 0.0).any(axis=0))
     if not rows.size + c:
-        return nu, omega, None
+        return None
     targets, weights, gram = [], [], None
     if rows.size and unit:  # the unit block, whose Gram the set-up holds
         targets.append(build_gate_targets(r))
         weights.append(setup.unit)
-        gram = setup.gram[:1]
-        if experts:  # the experts' Grams go behind it
-            grams(x_mat, r.T, out=setup.gram[1:])
-            gram = setup.gram
+        # The experts' Grams, if any, go behind it.
+        gram = np.concatenate([setup.gram, grams(x_mat, r.T)]) if experts else setup.gram
     elif rows.size:  # a block per row
         mu_t = _transposed(mu)
         sel = mu_t[rows]
@@ -295,12 +289,10 @@ def _m_step(setup: _MStepSetup, r, live, nu, omega, mu=None, gate=True, experts=
     report = solve(WlsArrays(x_mat, np.concatenate(targets).T, np.concatenate(weights).T,
                              radius, True, False, index), gram=gram)
     if rows.size:
-        nu = nu.copy()
         nu[rows] = report.solution[:rows.size]
     if experts:
-        omega = omega.copy()
         omega[:, live] = report.solution[rows.size:].reshape(-1, q, dp).transpose(1, 0, 2)
-    return nu, omega, report
+    return report
 
 
 def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
@@ -313,17 +305,26 @@ def m_step_experts(r, x_mat, targets, lambda_omega, incumbent: ExpertParams):
     Experts with (near) zero responsibility mass keep their incumbent rows
     and are returned as flagged for reinitialization.  Also returns the
     constrained problems' ``converged`` flags, none if every expert is dead.
+    The radius is one number; ``r``, ``targets`` and ``x_mat`` must have the
+    incumbent's k, q and d+1 columns.  The incumbent is left as it is.
     """
-    omega, k = incumbent.omega, incumbent.omega.shape[1]
+    omega = incumbent.omega.copy()
+    q, k, dp = omega.shape
+    if np.ndim(lambda_omega):
+        raise ConfigError("lambda_omega must be one radius for every expert problem")
+    for name, a, size in (("responsibilities", r, k), ("targets", targets, q),
+                          ("design", x_mat, dp)):
+        if np.shape(a)[1:] != (size,):
+            raise DimensionError(f"{name} must be (n, {size}) for an incumbent omega of shape "
+                                 f"{omega.shape}, got {np.shape(a)}")
     # The solver's checks, once, on expert 0's problems: the design, the
     # targets and the radius, with every column of r as a weight block.
-    checked = WlsProblem(x_mat, targets, r, lambda_omega, bias=True,
-                         blocks=np.zeros(np.shape(targets)[1], dtype=int))
+    checked = WlsProblem(x_mat, targets, r, lambda_omega, bias=True, blocks=np.zeros(q, dtype=int))
     x_mat, targets, r = checked.design, checked.target, checked.row_weights
     live = _live(r.T)
     # No gate step is made, so the gate's radius (lambda_omega too) is never read.
     setup = _m_step_setup(x_mat, k, targets, lambda_omega, lambda_omega, False)
-    _, omega, report = _m_step(setup, r.T, live, None, omega, gate=False)
+    report = _m_step(setup, r.T, live, None, omega, gate=False)
     converged = report.converged if report else np.zeros(0, dtype=bool)
     return ExpertParams(omega), np.flatnonzero(~live).tolist(), converged
 
@@ -552,7 +553,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
             c = q * np.count_nonzero(live)
             fitted = ridge_wls(x_mat, setup.targets[:c].T, r[live].T, RIDGE)
             omega[:, live] = fitted.reshape(-1, q, dp).transpose(1, 0, 2)
-        nu, omega, report = _m_step(setup, r, live, nu, omega, mu, gate=k > 1, experts=not fast)
+        report = _m_step(setup, r, live, nu, omega, mu, gate=k > 1, experts=not fast)
         solved += [report] if report else []
         reinit(t, np.flatnonzero(~live))
 
@@ -568,7 +569,7 @@ def fit(dataset: Dataset, hyper: Hyperparams):
         # Final pass: the constrained expert problems are solved exactly once.
         # No re-init follows, so a dead expert's ridge rows go onto the ball.
         live = _live(r)
-        _, omega, report = _m_step(setup, r, live, None, omega, gate=False)
+        report = _m_step(setup, r, live, None, omega, gate=False)
         omega[:, ~live, :-1] = project_l1_ball(omega[:, ~live, :-1], hyper.lambda_omega)
         solved += [report] if report else []
         g, h = forward()

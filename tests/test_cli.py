@@ -497,7 +497,8 @@ class TestInspect:
         model_out = tmp_path / "m.json"
         main(train_args(xor_file, model_out))
         capsys.readouterr()
-        # trained weights are generically nonzero, so threshold 0 keeps all
+        # This fit's expert weights are all nonzero, so threshold 0 keeps
+        # all; an L1-ball solve can end on exact zeros, which it leaves out.
         assert main(["inspect", "--model", str(model_out), "--threshold", "0"]) == 0
         out = capsys.readouterr().out
         for line in out.splitlines():
@@ -524,6 +525,24 @@ class TestInspect:
         save_model(model, model_out)
         assert main(["inspect", "--model", str(model_out)]) == 0
         assert f"sparsity={report.sparsity:.6f}" in capsys.readouterr().out.splitlines()
+
+    def test_threshold_zero_counts_what_it_leaves_out(self, tmp_path, capsys):
+        # One rule for both: a weight is pruned iff |w| <= threshold.  This
+        # fit ends with exact zeros among its non-bias weights, which the
+        # lists leave out at threshold 0 and the sparsity line counts.
+        data = generate_synthetic(preset_spec("noisy-subspace", 50, noise_dims=6, seed=3))
+        model, _ = fit(data, Hyperparams(k=2, lambda_nu=1.0, lambda_omega=0.5, max_iters=10))
+        weights = np.concatenate([model.gate.nu[:, :-1].ravel(),
+                                  model.experts.omega[:, :, :-1].ravel()])
+        assert (weights == 0.0).any()
+        model_out = tmp_path / "m.json"
+        save_model(model, model_out)
+        assert main(["inspect", "--model", str(model_out), "--threshold", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = sum(len(line.split(":")[1].split()) for line in lines
+                     if line.startswith(("gate[", "expert[")))
+        assert listed == np.count_nonzero(weights)
+        assert f"sparsity={1 - listed / weights.size:.6f}" in lines
 
     @pytest.mark.parametrize("threshold", ["nan", "-1", "-0.5"])
     def test_bad_threshold_exit_2(self, xor_file, tmp_path, capsys, threshold):

@@ -54,13 +54,15 @@ def gate_step(r, x, mu, radius, nu, q=2):
     own) and their converged flags, from (n, k) responsibilities ``r``,
     handed over class-major as a fit holds them.  ``mu`` None is the
     unit-weight block of a selector-free fit; otherwise each selected row is
-    a block."""
+    a block.  The M-step writes the refit rows into a copy of ``nu``, so the
+    caller's incumbent stays as it was."""
     k = r.shape[1]
     setup = trainer._m_step_setup(x, k, build_expert_targets(np.arange(len(x)) % q, q), 1.0,
                                   radius, mu is None)
     r = np.ascontiguousarray(r.T)
     live = trainer._live(r)
-    nu, _, report = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])), mu)
+    nu = np.array(nu, dtype=float)
+    report = trainer._m_step(setup, r, live, nu, np.zeros((q, k, x.shape[1])), mu)
     return GateParams(nu), report.converged[:len(report.converged) - q * int(live.sum())]
 
 
@@ -181,6 +183,40 @@ class TestMStepExperts:
         assert flagged == [0, 1]
         assert converged.shape == (0,) and converged.dtype == bool
         assert params.omega.tobytes() == incumbent.tobytes()
+
+    def test_incumbent_left_as_it_is(self, rng):
+        # The refit rows go into a copy of the incumbent, made once: the
+        # caller's omega keeps its bytes, and a dead expert's rows are
+        # returned as they were.
+        n = 20
+        x = np.column_stack([rng.normal(0, 1, (n, 2)), np.ones(n)])
+        r = np.column_stack([rng.uniform(0.2, 1.0, n), np.zeros(n), rng.uniform(0.2, 1.0, n)])
+        targets = build_expert_targets(np.arange(n) % 2, 2)
+        incumbent = ExpertParams(rng.normal(0, 1, (2, 3, 3)))
+        before = incumbent.omega.tobytes()
+        params, flagged, _ = m_step_experts(r, x, targets, 0.5, incumbent)
+        assert incumbent.omega.tobytes() == before
+        assert params.omega is not incumbent.omega and flagged == [1]
+        assert params.omega[:, 1].tobytes() == incumbent.omega[:, 1].tobytes()
+        assert params.omega[:, [0, 2]].tobytes() != incumbent.omega[:, [0, 2]].tobytes()
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"lambda_omega": np.array([1.0, 2.0])}, ConfigError, "^lambda_omega must be one radius"),
+        ({"r": np.full((6, 3), 1 / 3)}, DimensionError,
+         r"^responsibilities must be \(n, 2\) .*\(6, 3\)$"),
+        ({"targets": np.zeros((6, 1))}, DimensionError, r"^targets must be \(n, 2\) .*\(6, 1\)$"),
+        ({"x_mat": np.ones((6, 5))}, DimensionError, r"^design must be \(n, 4\) .*\(6, 5\)$"),
+    ], ids=["per-class radius", "r with k + 1 columns", "targets with q - 1 columns",
+            "a design column too many"])
+    def test_shapes_that_disagree_with_the_incumbent(self, rng, change, error, message):
+        # Each passes the solver's WlsProblem check, which knows nothing of
+        # the incumbent; the wrapper names both sizes instead of failing in
+        # NumPy.
+        args = {"r": np.full((6, 2), 0.5), "x_mat": np.column_stack([rng.normal(0, 1, (6, 3)),
+                                                                     np.ones(6)]),
+                "targets": build_expert_targets(np.arange(6) % 2, 2), "lambda_omega": 1.0}
+        with pytest.raises(error, match=message):
+            m_step_experts(incumbent=ExpertParams(np.zeros((2, 2, 4))), **{**args, **change})
 
     def test_toy_problem_vs_grid_oracle(self, rng):
         n = 6
@@ -580,11 +616,11 @@ class TestGateFactorization:
         # unit block is the one of all ones).
         calls = []
 
-        def counting_grams(design, row_weights, out=None):
+        def counting_grams(design, row_weights):
             caller = sys._getframe(1).f_code.co_name
             calls.append((caller, row_weights.shape[1],
                           int(np.all(row_weights == 1.0, axis=0).sum())))
-            return grams(design, row_weights, out=out)
+            return grams(design, row_weights)
 
         monkeypatch.setattr(trainer, "grams", counting_grams)
         monkeypatch.setattr(solver_mod, "grams", counting_grams)
@@ -600,8 +636,8 @@ class TestGateFactorization:
         assert sum(map(len, by.values())) == len(calls)
         if selector_mode == "none" and schedule == "full":
             # The unit gate block is built once, by the fit's set-up; each
-            # M-step builds the k expert blocks only, behind it in the
-            # set-up's stack.
+            # M-step builds the k expert blocks only and hands them in
+            # behind it.
             assert by == {"_m_step_setup": [(1, 1)], "_m_step": [(k, 0)] * gate_steps,
                           "solve": [], "ridge_wls": []}
         elif selector_mode == "none":
@@ -816,22 +852,24 @@ class TestOneSolverCallPerMStep:
         assert list(trainer._MStepSetup._fields) == [
             "x_mat", "targets", "blocks", "radius", "unit", "gram"]
         # Every field is an array; with a selector the unit gate block's
-        # weights and Gram stack are absent.
+        # weights and Gram matrix are absent.
         assert [name for name, a in selected._asdict().items() if a is None] == ["unit", "gram"]
+        assert all(isinstance(a, np.ndarray) for a in plain)
+        # Every array of a fit's set-up is read-only, its Gram matrix too:
+        # no M-step writes to the set-up.
         for setup in made:
             for name, a in setup._asdict().items():
-                if a is None or name == "gram":
+                if a is None:
                     continue
                 assert isinstance(a, np.ndarray), name
                 assert not a.flags.writeable, name
                 with pytest.raises(ValueError):
                     a.flat[0] = 1.0
-        assert all(isinstance(a, np.ndarray) for a in plain)
-        # The Gram stack is the M-steps' scratch for the expert Grams; its
-        # first matrix, the unit gate block's, is never written.
+        # The unit gate block's weights and its one (1, p, p) Gram matrix.
+        p = plain.x_mat.shape[1]
         assert plain.unit.tobytes() == np.ones((1, len(plain.x_mat))).tobytes()
-        assert plain.gram.shape == (5, plain.x_mat.shape[1], plain.x_mat.shape[1])
-        assert plain.gram[0].tobytes() == grams(plain.x_mat, plain.unit.T)[0].tobytes()
+        assert plain.gram.shape == (1, p, p)
+        assert plain.gram.tobytes() == grams(plain.x_mat, plain.unit.T).tobytes()
         # A wrapper's one-off set-up freezes only the arrays it builds.
         x = np.column_stack([rng.normal(0, 1, (10, 2)), np.ones(10)])
         targets = build_expert_targets(np.arange(10) % 2, 2)
@@ -892,11 +930,15 @@ class TestOneSolverCallPerMStep:
             return solve(problem, gram=gram)
 
         monkeypatch.setattr(trainer, "solve", spy)
-        omega = np.zeros((q, k, dp))
-        _, fitted, report = trainer._m_step(setup, r, live, np.zeros((k, dp)), omega, mu,
-                                            gate=gate, experts=experts)
-        # Without the experts' half the M-step leaves omega as it is.
-        assert (fitted is omega) == (not experts)
+        nu, omega = rng.normal(0, 1, (k, dp)), rng.normal(0, 1, (q, k, dp))
+        incumbents = nu.copy(), omega.copy()
+        report = trainer._m_step(setup, r, live, nu, omega, mu, gate=gate, experts=experts)
+        # Without the experts' half the M-step leaves omega's bytes as they
+        # were, and without the gate's half nu's.
+        if not experts:
+            assert omega.tobytes() == incumbents[1].tobytes()
+        if not gate:
+            assert nu.tobytes() == incumbents[0].tobytes()
         if not gate and not experts:
             assert seen == [] and report is None
             return
@@ -905,6 +947,12 @@ class TestOneSolverCallPerMStep:
         cols = rows + [k + q * i + c for i in solved for c in range(q)]
         (problem, gram), = seen
         assert report.converged.shape == (len(cols),)
+        # The refit rows are written into the weights it was given, in
+        # layout order; every other row keeps its incumbent.
+        want_nu, want_omega = incumbents[0].copy(), incumbents[1].copy()
+        want_nu[rows] = report.solution[:len(rows)]
+        want_omega[:, solved] = report.solution[len(rows):].reshape(-1, q, dp).transpose(1, 0, 2)
+        assert nu.tobytes() == want_nu.tobytes() and omega.tobytes() == want_omega.tobytes()
         # Targets and weights are built as (column, n) rows and handed over
         # transposed, so solve reads contiguous rows without a copy.
         assert problem.target.T.flags.c_contiguous and problem.row_weights.T.flags.c_contiguous
